@@ -8,8 +8,10 @@ exact: no floats, no simplification heuristics, one canonical form.
 
 The total derivative D treats parameters as constants and bumps generator
 orders.  On top of D the module provides the variational tools the rest of
-the package needs: Euler operators, anti-derivatives on the image of D,
-Frechet derivatives of flow pairs, and the Lie bracket of evolution flows.
+the package needs: Euler operators, anti-derivatives on the image of D, the
+prolongation of an evolutionary vector field (prolong, apply_prolongation),
+and through it Frechet derivatives of flow pairs and the Lie bracket of
+evolution flows.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ class ParamCoeff:
         _validate_powers(powers)
         object.__setattr__(self, "powers", powers)
 
-    def mul(self, other: "ParamCoeff") -> "ParamCoeff":
-        merged: dict[str, int] = dict(self.powers)
-        for name, exp in other.powers:
-            merged[name] = merged.get(name, 0) + exp
-        powers = tuple((n, e) for n, e in merged.items() if e != 0)
-        return ParamCoeff(
-            self.rational * other.rational,
-            powers,
-            self.eps1 + other.eps1,
-            self.eps2 + other.eps2,
-        )
-
 
 # Internal term keys are (gens, powers, eps1, eps2) where gens is a sorted
 # tuple of ((variable, order), exponent) pairs and powers is a sorted tuple
@@ -236,15 +226,6 @@ class DiffPoly:
             gens, pows, e1, e2 = key
             out.append((gens, ParamCoeff(self._terms[key], pows, e1, e2)))
         return out
-
-    def coefficient_of(self, gens: _GenPart) -> "DiffPoly":
-        """The parameter-level coefficient standing in front of a monomial."""
-        gens = tuple(sorted(gens))
-        picked = {}
-        for (g, pows, e1, e2), q in self._terms.items():
-            if g == gens:
-                picked[((), pows, e1, e2)] = q
-        return DiffPoly(picked)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -395,18 +376,6 @@ def param(name: str, exp: int = 1) -> DiffPoly:
     return DiffPoly({((), ((name, exp),), 0, 0): Fraction(1)})
 
 
-def add(f: Polylike, g: Polylike) -> DiffPoly:
-    return _as_poly(f) + _as_poly(g)
-
-
-def mul(f: Polylike, g: Polylike) -> DiffPoly:
-    return _as_poly(f) * _as_poly(g)
-
-
-def scale(f: Polylike, coeff: ParamCoeff) -> DiffPoly:
-    return _as_poly(f) * DiffPoly.from_coeff(coeff)
-
-
 # -- flow pairs -------------------------------------------------------------
 
 
@@ -503,9 +472,7 @@ def euler_operator(f: Polylike, variable: str) -> DiffPoly:
 
 def order_of(f: Polylike) -> int:
     """Highest derivative order present; -1 for constants (and zero)."""
-    f = _as_poly(f)
-    orders = [g.order for g in f.generators()]
-    return max(orders) if orders else -1
+    return max(jet_orders(_as_poly(f)).values(), default=-1)
 
 
 def _max_generator(f: DiffPoly) -> tuple[str, int]:
@@ -570,36 +537,60 @@ def anti_derivative(f: Polylike) -> DiffPoly:
 # -- flow calculus ----------------------------------------------------------
 
 
+def jet_orders(*targets: DiffPoly) -> dict[str, int]:
+    """Highest derivative order of each variable across the targets."""
+    top: dict[str, int] = {}
+    for target in targets:
+        for (gens, _, _, _) in target._terms:
+            for (var, order), _exp in gens:
+                if order > top.get(var, -1):
+                    top[var] = order
+    return top
+
+
+def prolong(
+    flow: FlowPair, upto: dict[str, int], correction: DiffPoly | None = None
+) -> dict[tuple[str, int], DiffPoly]:
+    """Prolongation table of the evolutionary field with characteristic `flow`.
+
+    Maps each jet coordinate (v, m), m <= upto[v], to the coefficient of
+    d/dv^(m) in the prolonged field: D^m of v's flow component (Olver,
+    Applications of Lie Groups to Differential Equations, sec. 5.1).  With
+    a correction c the entries obey entry(m) = D(entry(m-1)) + c * v^(m)
+    instead, which is how a flow that rescales arc length acts on v^(m).
+    """
+    table: dict[tuple[str, int], DiffPoly] = {}
+    for var, top in upto.items():
+        entry = flow.components()[flow.variables.index(var)]
+        table[(var, 0)] = entry
+        for m in range(1, top + 1):
+            entry = total_derivative(entry)
+            if correction is not None:
+                entry = entry + correction * gen(var, m)
+            table[(var, m)] = entry
+    return table
+
+
+def apply_prolongation(
+    target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
+) -> DiffPoly:
+    """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
+    out = zero()
+    for g in sorted(target.generators()):
+        out = out + partial_derivative(target, g) * table[(g.variable, g.order)]
+    return out
+
+
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
     """Directional (Frechet) derivative of A along B: A'[B].
 
-    Component j is the sum over jet coordinates (v_i, m) of
-    dA_j/dv_i^(m) * D^m(B_i).
+    Component j is the prolongation of B applied to A_j, the sum over jet
+    coordinates (v_i, m) of dA_j/dv_i^(m) * D^m(B_i).
     """
     if a.variables != b.variables:
         raise DiffAlgError("flow pairs over different variables")
-    variables = a.variables
-    b_comps = b.components()
-    dcache: dict[tuple[int, int], DiffPoly] = {}
-
-    def d_m(i: int, m: int) -> DiffPoly:
-        if (i, 0) not in dcache:
-            dcache[(i, 0)] = b_comps[i]
-        top = max(mm for (ii, mm) in dcache if ii == i)
-        while top < m:
-            dcache[(i, top + 1)] = total_derivative(dcache[(i, top)])
-            top += 1
-        return dcache[(i, m)]
-
-    out = []
-    for j in range(2):
-        comp = a.components()[j]
-        total = zero()
-        for g in sorted(comp.generators()):
-            i = variables.index(g.variable)
-            total = total + partial_derivative(comp, g) * d_m(i, g.order)
-        out.append(total)
-    return FlowPair(out[0], out[1], variables)
+    table = prolong(b, jet_orders(*a.components()))
+    return FlowPair(*(apply_prolongation(c, table) for c in a.components()), a.variables)
 
 
 def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:

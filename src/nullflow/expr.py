@@ -17,7 +17,8 @@ may follow an explicit derivative order (k1^(4)^2).  Division is restricted
 to invertible coefficient monomials (rationals, powers of a, eps signs);
 everything else is a parse error.  D evaluates the total derivative and Dinv
 the exact anti-derivative, so Dinv of a non-derivative raises NotExact from
-the algebra layer rather than a ParseError.
+the algebra layer rather than a ParseError.  Parentheses, D/Dinv and unary
+minus nest at most MAX_NESTING deep; deeper input is a parse error.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ class ParseError(ValueError):
 
 
 _ONE_CHAR = set("+-*/^()'")
+
+#: Deepest nesting of parentheses, D/Dinv and unary minus that parses.  Each
+#: level costs the parser about five stack frames, well under the limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -88,6 +93,7 @@ class _Parser:
         self.variables = variables
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = -1  # unary() runs once per nesting level; the outermost is 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -134,10 +140,16 @@ class _Parser:
         return value
 
     def unary(self) -> DiffPoly:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting deeper than %d" % (MAX_NESTING,), self.peek()[2])
         if self.peek()[0] == "-":
             self.next()
-            return -self.unary()
-        return self.power()
+            value = -self.unary()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> DiffPoly:
         value = self.atom()

@@ -123,10 +123,6 @@ def generate(upto: int, policy: ConstantPolicy = "fresh") -> list[HierarchyEntry
     return [entries[i] for i in range(upto + 1)]
 
 
-def flow_of(entry: HierarchyEntry) -> FlowPair:
-    return entry.flow
-
-
 def commute_check(e1: HierarchyEntry, e2: HierarchyEntry) -> bool:
     """True when the two entries' curvature flows commute exactly."""
     return lie_bracket_flows(e1.flow, e2.flow).is_zero()

@@ -14,9 +14,13 @@ The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
 not preserve arc length pick up the correction V(f)' + rho/(2a) f' when
 differentiating f', and scalar_action implements that corrected derivation.
-On T_PLambda (rho = 0) it coincides with the evolution derivation of the
-field's curvature flow, which is what makes the flow-level bracket identity
-of gamma_bracket hold there with the plain Lie bracket.
+Both apply diffalg's one prolongation kernel (prolong, then
+apply_prolongation) to the field's curvature flow with correction rho/(2a);
+diffalg.frechet is its third caller, with no correction.  On T_PLambda
+(rho = 0) the corrected derivation therefore coincides with the evolution
+derivation of the field's curvature flow, which is what makes the
+flow-level bracket identity of gamma_bracket hold there with the plain Lie
+bracket.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from .diffalg import (
     FlowPair,
     NotExact,
     anti_derivative,
+    apply_prolongation,
     const,
     gen,
+    jet_orders,
     one,
     param,
-    partial_derivative,
+    prolong,
     total_derivative,
-    zero,
 )
 
 _K1 = gen("k1")
@@ -159,7 +164,13 @@ def frame_derivative_coeffs(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FrameCoeffs:
     """The alpha, beta, delta coefficients of the frame transport along v."""
-    phi, psi, rho = projections(v, metric)
+    return _frame_coeffs(v, projections(v, metric), metric)
+
+
+def _frame_coeffs(
+    v: LocalVectorField, proj: Projections, metric: FrameMetric
+) -> FrameCoeffs:
+    phi, psi, rho = proj
     alpha = _A_INV * (total_derivative(phi) + _HALF * rho)
     beta = _A_INV * (
         total_derivative(alpha) + _K1 * phi - _K2 * psi - metric.G * v.g
@@ -176,7 +187,13 @@ def variational_flow(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FlowPair:
     """The induced curvature evolution (V(k1), V(k2)) of a field in X*_P."""
-    phi, psi, rho = projections(v, metric)
+    return _variational_flow(v, projections(v, metric), metric)
+
+
+def _variational_flow(
+    v: LocalVectorField, proj: Projections, metric: FrameMetric
+) -> FlowPair:
+    phi, psi, rho = proj
     a2 = param("a", -2)
 
     def sym(weight: DiffPoly, f: DiffPoly) -> DiffPoly:
@@ -238,21 +255,6 @@ def make_X(
     return LocalVectorField(f, h, g, l)
 
 
-def _xi_table(
-    flow: FlowPair, rho: DiffPoly, needed: dict[str, int]
-) -> dict[tuple[str, int], DiffPoly]:
-    correction = _HALF * _A_INV * rho
-    table: dict[tuple[str, int], DiffPoly] = {}
-    for var, top in needed.items():
-        idx = flow.variables.index(var)
-        table[(var, 0)] = flow.components()[idx]
-        for m in range(1, top + 1):
-            table[(var, m)] = total_derivative(table[(var, m - 1)]) + correction * gen(
-                var, m
-            )
-    return table
-
-
 def scalar_action(
     v: LocalVectorField, target: DiffPoly, metric: FrameMetric = FrameMetric()
 ) -> DiffPoly:
@@ -262,39 +264,30 @@ def scalar_action(
     arc-length correction rho/(2a) on each derivative slot; the two agree
     exactly when rho vanishes.
     """
-    flow = variational_flow(v, metric)
-    rho = projections(v, metric).rho
-    return _apply_xi(target, flow, rho)
-
-
-def _apply_xi(target: DiffPoly, flow: FlowPair, rho: DiffPoly) -> DiffPoly:
-    needed: dict[str, int] = {}
-    for g in target.generators():
-        needed[g.variable] = max(needed.get(g.variable, -1), g.order)
-    table = _xi_table(flow, rho, needed)
-    out = zero()
-    for g in sorted(target.generators()):
-        out = out + partial_derivative(target, g) * table[(g.variable, g.order)]
-    return out
+    proj = projections(v, metric)
+    flow = _variational_flow(v, proj, metric)
+    table = prolong(flow, jet_orders(target), _HALF * _A_INV * proj.rho)
+    return apply_prolongation(target, table)
 
 
 def d_v(
     v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> LocalVectorField:
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
-    phi, psi, rho = projections(v, metric)
-    alpha, beta, delta = frame_derivative_coeffs(v, metric)
-    flow = variational_flow(v, metric)
+    proj = projections(v, metric)
+    phi, psi, rho = proj
+    alpha, beta, delta = _frame_coeffs(v, proj, metric)
+    flow = _variational_flow(v, proj, metric)
+    # One table serves all four components: it reaches their highest orders.
+    table = prolong(flow, jet_orders(*u.components()), _HALF * _A_INV * rho)
+    xf, xh, xg, xl = (apply_prolongation(c, table) for c in u.components())
     psi1 = total_derivative(psi)
     e12 = metric.eps12
 
-    def xi(component: DiffPoly) -> DiffPoly:
-        return _apply_xi(component, flow, rho)
-
-    new_f = xi(u.f) - alpha * u.f - beta * u.h + e12 * _A_INV * delta * u.l
-    new_h = xi(u.h) + phi * u.f - metric.eps1 * beta * u.g - e12 * _A_INV * psi1 * u.l
-    new_g = xi(u.g) + metric.eps1 * phi * u.h + alpha * u.g + metric.eps2 * psi * u.l
-    new_l = xi(u.l) + psi * u.f + _A_INV * psi1 * u.h + metric.eps1 * _A_INV * delta * u.g
+    new_f = xf - alpha * u.f - beta * u.h + e12 * _A_INV * delta * u.l
+    new_h = xh + phi * u.f - metric.eps1 * beta * u.g - e12 * _A_INV * psi1 * u.l
+    new_g = xg + metric.eps1 * phi * u.h + alpha * u.g + metric.eps2 * psi * u.l
+    new_l = xl + psi * u.f + _A_INV * psi1 * u.h + metric.eps1 * _A_INV * delta * u.g
     return LocalVectorField(new_f, new_h, new_g, new_l)
 
 

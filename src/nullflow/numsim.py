@@ -73,6 +73,9 @@ class SimConfig:
     stability_c: float = 0.1
 
     def __post_init__(self):
+        for name in ("domain_length", "dt", "t_end", "a", "stability_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % (name,))
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
         if self.grid_points < 16:
@@ -409,6 +412,8 @@ def reconstruct_curve(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    if not (np.isfinite(grid.k1).all() and np.isfinite(grid.k2).all()):
+        raise ValueError("curvature grid holds non-finite values")
     if initial_frame is None:
         initial_frame = standard_initial_frame(config.eps1, config.eps2)
     gamma0, t0, w10, n0, w20, eta = initial_frame

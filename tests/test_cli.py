@@ -72,6 +72,9 @@ def test_parse_errors_exit_two(capsys):
     assert main(["bracket", "k1'", "k1', 0"]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err
+    deep = "(" * 5000 + "k1" + ")" * 5000 + ", k2"
+    assert main(["bracket", deep, "k1, k2"]) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
 
 
 def test_not_exact_exits_three(capsys):

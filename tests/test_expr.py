@@ -16,7 +16,7 @@ from nullflow.diffalg import (
     total_derivative,
     zero,
 )
-from nullflow.expr import ParseError, parse_expr, parse_flow, render
+from nullflow.expr import MAX_NESTING, ParseError, parse_expr, parse_flow, render
 
 K1 = gen("k1")
 K2 = gen("k2")
@@ -68,6 +68,18 @@ def test_parse_errors_carry_offsets():
     for bad in ("", "(k1", "k1^", "k1'^(3)", "k1/k2", "1/0", "k1/b", "k1^-2"):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+@pytest.mark.parametrize(
+    "opener, closer, value",
+    [("(", ")", const(1)), ("D(", ")", zero()), ("-", "", const(1))],
+)
+def test_nesting_past_the_limit_is_a_parse_error(opener, closer, value):
+    assert parse_expr(opener * MAX_NESTING + "1" + closer * MAX_NESTING) == value
+    with pytest.raises(ParseError) as err:
+        parse_expr(opener * 5000 + "1" + closer * 5000)
+    # The first token nested deeper than the limit.
+    assert err.value.offset == (MAX_NESTING + 1) * len(opener)
 
 
 def test_division_of_invertible_monomials():

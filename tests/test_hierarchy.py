@@ -1,5 +1,7 @@
 """Hierarchy generation, reference forms, and commutation."""
 
+import hashlib
+
 import pytest
 
 from nullflow.diffalg import const, lie_bracket_flows, order_of, param
@@ -91,9 +93,21 @@ def test_adjacent_flows_commute():
     assert bracket.is_zero()
 
 
+# SHA-256 of the canonical text of generate(5): for each entry in index
+# order, field f, h, g, l and then flow k1, k2, one component per line.
+# Any refactor of the exact layer must reproduce these bytes.
+GENERATE5_SHA256 = "1983af3baa18ed61783eeaaf6de59b221cd6e5aeb4b402ea291fea5d82b8a1be"
+
+
 def test_extended_generation_reaches_index_five():
     entries = generate(5)
     assert [e.index for e in entries] == [0, 1, 2, 3, 4, 5]
     assert order_of(entries[4].flow.p1) == 9
     assert order_of(entries[5].flow.p1) == 11
     assert entries[4].constants_used == ("b", "c1", "c2", "c5", "c6")
+    text = "\n".join(
+        str(comp)
+        for e in entries
+        for comp in e.field.components() + e.flow.components()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE5_SHA256

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ import pytest
 from nullflow.diffalg import (
     DiffAlgError,
     DiffPoly,
+    FlowPair,
     const,
+    frechet,
     gen,
     lie_bracket_flows,
     param,
@@ -203,6 +206,28 @@ def test_rho_free_pairs_realize_plain_flow_bracket():
         assert br_flow == plain
 
 
+def _random_poly(rng: random.Random) -> DiffPoly:
+    out = zero()
+    for _ in range(rng.randrange(1, 4)):
+        term = const(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        for _ in range(rng.randrange(1, 3)):
+            term = term * gen(rng.choice(("k1", "k2")), rng.randrange(0, 3))
+        out = out + term
+    return out
+
+
+def test_scalar_action_of_rho_free_field_is_the_frechet_derivative():
+    # With rho = 0 the corrected derivation is the plain evolution derivation
+    # of the field's curvature flow: the prolongation kernel with and without
+    # its arc-length correction.
+    rng = random.Random(349)
+    for _ in range(8):
+        v = make_X(*_admissible_pair(rng), rng.randrange(-1, 2), rng.randrange(-1, 2))
+        p = _random_poly(rng)
+        plain = frechet(FlowPair(p, zero()), variational_flow(v)).p1
+        assert scalar_action(v, p) == plain
+
+
 def test_plain_flow_bracket_needs_zero_rho():
     # Witness that the previous identity genuinely needs rho = 0: this pair
     # has rho != 0 and the two sides differ.
@@ -255,3 +280,42 @@ def test_gamma_bracket_jacobi():
             gamma_bracket(fields[2], fields[0], metric), fields[1], metric
         )
         assert total.is_zero()
+
+
+def _golden_fields() -> list[LocalVectorField]:
+    """Fixed criterion-4 X*_P fields (rho != 0) and criterion-3 make_X fields."""
+    rng = random.Random(401)
+    stars = [_star_field(rng) for _ in range(3)]
+    arcs = [
+        make_X(*_admissible_pair(rng), rng.randrange(-1, 2), rng.randrange(-1, 2))
+        for _ in range(2)
+    ]
+    return stars + arcs
+
+
+def _golden_texts() -> dict[str, list[DiffPoly]]:
+    """Outputs of d_v, gamma_bracket and scalar_action on the golden fields."""
+    fields = _golden_fields()
+    u = LocalVectorField(K1, -K2, const(1), gen("k1", 1))
+    out: dict[str, list[DiffPoly]] = {"d_v": [], "gamma_bracket": [], "scalar_action": []}
+    for v, w in zip(fields, fields[1:] + fields[:1]):
+        out["d_v"] += d_v(v, u).components() + d_v(v, w).components()
+        out["gamma_bracket"] += gamma_bracket(v, w).components()
+        targets = variational_flow(w).components() + (w.f, w.g)
+        out["scalar_action"] += [scalar_action(v, t) for t in targets]
+    return out
+
+
+# SHA-256 of the canonical text of _golden_texts(), one polynomial per line.
+# A refactor of the derivation kernel must reproduce these bytes.
+GOLDEN_SHA256 = {
+    "d_v": "c1c179b0e5e26e913253e00896708b384a7181b117173235eed1fafe257189e8",
+    "gamma_bracket": "f114a3f4105060d4e75666ed295a19981119d2fea02aa97d7a8dea74b1990a84",
+    "scalar_action": "fc96c295d65ee4189888f38a4541e58c4d0bea402e98a46432367609a3f69d80",
+}
+
+
+def test_field_actions_are_bit_identical_to_pinned_digests():
+    for name, polys in _golden_texts().items():
+        text = "\n".join(str(p) for p in polys)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name], name

@@ -80,6 +80,17 @@ def test_config_validation():
         SimConfig(domain_length=-1.0)
     with pytest.raises(ValueError):
         SimConfig(domain_length=1.0, a=0.0)
+    for name in ("domain_length", "dt", "t_end", "a", "stability_c"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(**{"domain_length": 1.0, name: bad})
+
+
+def test_reconstruction_rejects_non_finite_curvature():
+    config = SimConfig(domain_length=2 * np.pi, grid_points=64)
+    for k1, k2 in ((math.nan, 0.3), (0.4, lambda s: np.where(s > 3, np.inf, 0.3))):
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct_curve(uniform_grid(config, k1, k2), config)
 
 
 def test_unbound_parameter_is_reported_by_name():
