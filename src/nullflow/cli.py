@@ -10,8 +10,9 @@ Flow pairs on the command line are comma-separated expressions; frame
 fields are semicolon-separated (f;h;g;l).  Exit codes: 0 success,
 2 parse error (also argparse's own usage errors), 3 not exact,
 4 verification failure, 5 numeric blow-up, 1 anything else (unbound
-parameters, derivative-order cap, bad files).  The environment variable
-NULLFLOW_MAX_ORDER caps the derivative order (default 12).
+parameters, unknown or misused symbols, derivative-order cap, bad
+files).  The environment variable NULLFLOW_MAX_ORDER caps the derivative
+order (default 12).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .diffalg import NonZeroConstantTerm, NotExact, OrderLimitError, lie_bracket_flows
+from .diffalg import DiffAlgError, NonZeroConstantTerm, NotExact, lie_bracket_flows
 from .expr import ParseError, parse_expr, parse_flow, render
 from .hierarchy import commute_check, generate, seed, verify_reference_forms
 from .nullcurve import LocalVectorField, classify
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     except BlowUp as exc:
         print("blow-up: %s" % exc, file=sys.stderr)
         return 5
-    except (OrderLimitError, UnboundParameter, ValueError, OSError) as exc:
+    except (DiffAlgError, UnboundParameter, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -159,18 +159,15 @@ class DiffPoly:
     stored, so structural equality is dict equality.  str() renders the
     canonical serialization (terms ordered by total generator degree, then
     lexicographically), which the expression parser maps back bit-for-bit.
+
+    The constructor stores the dict it is given, unchecked: callers pass
+    canonical keys and nonzero Fraction values, and hand over the dict.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[_TermKey, Fraction] = {}
-        if terms:
-            for key, value in terms.items():
-                value = Fraction(value)
-                if value != 0:
-                    clean[key] = value
-        self._terms = clean
+        self._terms: dict[_TermKey, Fraction] = {} if terms is None else terms
 
     # -- construction helpers -------------------------------------------
 
@@ -374,6 +371,43 @@ def param(name: str, exp: int = 1) -> DiffPoly:
         return one()
     _validate_powers(((name, exp),))
     return DiffPoly({((), ((name, exp),), 0, 0): Fraction(1)})
+
+
+def specialize(
+    f: Polylike, values: dict[str, Union[int, Fraction]], rename: dict | None = None
+) -> DiffPoly:
+    """Substitute exact rationals for parameters and rename variables.
+
+    values maps parameter names, eps1 and eps2 included, to ints or
+    Fractions; a sign must become +-1 and a nonzero.  rename maps curvature
+    variables to new names.
+    """
+    for name, value in values.items():
+        is_sign = name in ("eps1", "eps2")
+        if not is_sign:
+            _param_rank(name)
+        if type(value) not in (int, Fraction) or (
+            value not in (1, -1) if is_sign else name == "a" and value == 0
+        ):
+            raise DiffAlgError("cannot specialize %s to %r" % (name, value))
+    rename = rename or {}
+    for target in rename.values():
+        Generator(target, 0)
+    acc: dict[_TermKey, Fraction] = {}
+    for (gens, pows, e1, e2), q in _as_poly(f)._terms.items():
+        kept = []
+        for name, exp in pows:
+            if name in values:
+                q *= Fraction(values[name]) ** exp
+            else:
+                kept.append((name, exp))
+        if e1 and "eps1" in values:
+            q, e1 = q * values["eps1"], 0
+        if e2 and "eps2" in values:
+            q, e2 = q * values["eps2"], 0
+        moved = _merge_factors((((rename.get(v, v), m), e) for (v, m), e in gens), ())
+        _accumulate(acc, (tuple(sorted(moved.items())), tuple(kept), e1, e2), q)
+    return DiffPoly(acc)
 
 
 # -- flow pairs -------------------------------------------------------------

@@ -44,6 +44,8 @@ class HierarchyEntry:
 
 def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     """Seed entries: index 0 (translation, scale b) or 1 (third order, scale c)."""
+    if constant in ("a", "G", "eps1", "eps2"):
+        raise ValueError("%s is a metric symbol, not a scale constant" % (constant,))
     if index == 0:
         name = constant or "b"
         field = make_X(const(0), const(0), 0, param(name), _FLAT)

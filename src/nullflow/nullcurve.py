@@ -47,7 +47,6 @@ from .diffalg import (
 
 _K1 = gen("k1")
 _K2 = gen("k2")
-_A = param("a")
 _A_INV = param("a", -1)
 _HALF = Fraction(1, 2)
 
@@ -347,19 +346,11 @@ def classify(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> str:
     if total_derivative(v.g) != -metric.eps1 * metric.a * v.h:
         return "X_P"
     try:
-        p = anti_derivative(v.h)
-        q = anti_derivative(_K1 * v.h - _K2 * v.l)
+        # g' = -eps1 a h, so D(c1) = 0: c1 is a constant.
+        c1 = v.g + metric.eps1 * metric.a * anti_derivative(v.h)
+        base = make_X(v.h, v.l, c1, 0, metric)
     except NotExact:
         return "X*_P"
-    c1 = v.g + metric.eps1 * metric.a * p
-    if not c1.is_constant():
-        return "X*_P"
-    f_base = -_HALF * _A_INV * (
-        total_derivative(v.h)
-        + metric.a * _K1 * p
-        - metric.a * q
-        - metric.eps1 * c1 * _K1
-    )
-    if (v.f - f_base).is_constant():
+    if (v.f - base.f).is_constant():
         return "T_PLambda"
     return "X*_P"

@@ -228,14 +228,17 @@ class _CompiledPoly:
 def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     """Bind parameters and return rhs(k1, k2) -> (dk1/dt, dk2/dt).
 
-    a, eps1, eps2 come from the config; params supplies the rest and may
-    not rebind those three to different values.
+    a, eps1, eps2 come from the config; params supplies the rest, must be
+    finite, and may not rebind those three to different values.
     """
     bindings = config.bindings()
     for name, value in params.items():
-        if name in bindings and float(value) != bindings[name]:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("parameter %s must be finite, got %r" % (name, value))
+        if name in bindings and value != bindings[name]:
             raise ValueError("%s is fixed by the config" % (name,))
-        bindings[name] = float(value)
+        bindings[name] = value
     p1 = _CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = _CompiledPoly(flow.p2, bindings, flow.variables)
     orders = [

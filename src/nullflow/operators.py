@@ -6,7 +6,13 @@ The building blocks are the scalar operators
     theta(f) = (1/a) f''' + k1 f' + (k1 f)'
     s(f)     = (k2 f)' + k2 f'
 
-and the 2x2 matrix operators assembled from them.  Two conventions matter
+and the 2x2 matrix operators assembled from them.  The recursion operator
+R = Theta J is computed once, as theta_matrix_apply after j_matrix_apply.
+The projection route a_matrix_apply / b_matrix_apply goes through the
+frame field instead (nullcurve.make_X, then nullcurve.projections, then
+Theta with the sign of psi flipped), so the two routes are independent
+and the tests compare them.  The classical (u, v) hierarchy is R itself,
+specialized at a = 2, eps1 = 1, eps2 = -1.  Two conventions matter
 throughout and are covered by tests:
 
 * Anti-derivatives of sums are always taken of the combined integrand
@@ -14,17 +20,16 @@ throughout and are covered by tests:
   input class constrains the combination, and splitting it would reject
   admissible inputs with a spurious NotExact.
 * Integration constants enter at two fixed sites per operator application.
-  For a_matrix_apply(h, l, (c1, c2)) the sites are Dinv(h) -> Dinv(h)
-  - eps1*c1/a and the combined integral -> +2*c2; for j_matrix_apply the
-  same sites carry -2*eps1*c1/a and +4*c2, which makes the two factored
-  routes to the recursion operator agree term for term.
+  a_matrix_apply(h, l, (c1, c2)) hands them to make_X, which adds c1 to
+  g = -eps1 a Dinv(h) and c2 to f; j_matrix_apply puts -2*eps1*c1/a on
+  Dinv(x) and +4*c2 on the combined integral, which makes the two routes
+  to the recursion operator agree term for term.
 
 NotExact from any anti-derivative site aborts the whole application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -36,8 +41,11 @@ from .diffalg import (
     const,
     gen,
     param,
+    specialize,
     total_derivative,
+    zero,
 )
+from .nullcurve import FrameMetric, Projections, make_X, projections
 
 _K1 = gen("k1")
 _K2 = gen("k2")
@@ -45,6 +53,7 @@ _A = param("a")
 _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS12 = param("eps1") * param("eps2")
+_FLAT = FrameMetric(G=const(0))
 
 Constant = Union[DiffPoly, int, Fraction]
 
@@ -55,14 +64,6 @@ def _as_constant(value: Constant, site: str) -> DiffPoly:
     if not value.is_constant():
         raise DiffAlgError("integration constant at %s must be constant" % (site,))
     return value
-
-
-@dataclass(frozen=True)
-class ProjectionPair:
-    """The (phi, psi) projections produced by the symplectic-side operator."""
-
-    phi: DiffPoly
-    psi: DiffPoly
 
 
 def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> DiffPoly:
@@ -127,23 +128,14 @@ def a_matrix_apply(
     h: DiffPoly,
     l: DiffPoly,
     constants: tuple[Constant, Constant] = (0, 0),
-) -> ProjectionPair:
-    """Projections (phi, psi) of the field built from tangential data (h, l)."""
-    c1 = _as_constant(constants[0], "a first site")
-    c2 = _as_constant(constants[1], "a second site")
-    p_site = anti_derivative(h) - _EPS1 * c1 * _A_INV
-    q_site = anti_derivative(_K1 * h - _K2 * l) + 2 * c2
-    half = Fraction(1, 2)
-    phi = half * total_derivative(h) + half * _A * _K1 * p_site + half * _A * q_site
-    psi = total_derivative(l) - _EPS12 * _A * _K2 * p_site
-    return ProjectionPair(phi, psi)
+) -> Projections:
+    """Projections of the flat-space field make_X(h, l, c1, c2); rho is zero."""
+    return projections(make_X(h, l, *constants, _FLAT), _FLAT)
 
 
-def b_matrix_apply(pp: ProjectionPair) -> FlowPair:
-    """Curvature flow from projections: (1/a)[[theta,-s],[s, eps1 eps2 theta]]."""
-    first = _A_INV * (theta_apply(pp.phi) - s_apply(pp.psi))
-    second = _A_INV * (s_apply(pp.phi) + _EPS12 * theta_apply(pp.psi))
-    return FlowPair(first, second)
+def b_matrix_apply(pp: Projections) -> FlowPair:
+    """Curvature flow from projections: Theta applied to (phi, -psi)."""
+    return theta_matrix_apply((pp.phi, -pp.psi))
 
 
 def recursion_curvature(
@@ -156,57 +148,28 @@ def recursion_curvature(
 
 # -- classical two-component hierarchy ---------------------------------------
 
-_U = gen("u")
-_V = gen("v")
+_CLASSIC_VALUES = {"a": 2, "eps1": 1, "eps2": -1}
+_CLASSIC_NAMES = {"k1": "u", "k2": "v"}
 
 
 def hs_classic_sigma(n: int) -> FlowPair:
     """n-th flow of the classical coupled (u, v) hierarchy.
 
-    sigma_0 is translation, sigma_1 the coupled third-order system, and
-    sigma_{n} = ThetaJ sigma_{n-2} with zero integration constants.  Raises
-    NotExact if an anti-derivative site fails at some level.
+    The chain runs on the symbolic recursion operator R: sigma_0 =
+    R(0; constants 0, 1) is translation, sigma_1 = R(0; -eps1 a^2, 0) the
+    coupled third-order system, and sigma_n = 4 R(sigma_{n-2}) with zero
+    integration constants.  Only the end result is specialized to a = 2,
+    eps1 = 1, eps2 = -1 with (k1, k2) -> (u, v): on specialized input R's
+    integrand k1 x + 2 eps1 eps2 k2 y is exact only at eps1 eps2 = -1, so
+    the symbolic R raises NotExact there.  Raises NotExact if an
+    anti-derivative site fails at some level.
     """
     if n < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    if n == 0:
-        return FlowPair(gen("u", 1), gen("v", 1), ("u", "v"))
-    if n == 1:
-        first = (
-            Fraction(1, 2) * gen("u", 3)
-            + 3 * _U * gen("u", 1)
-            - 6 * _V * gen("v", 1)
-        )
-        second = -gen("v", 3) - 3 * _U * gen("v", 1)
-        return FlowPair(first, second, ("u", "v"))
-    x, y = hs_classic_sigma(n - 2).components()
-    jx, jy = _hs_j_apply(x, y)
-    return FlowPair(*_hs_theta_apply(jx, jy), ("u", "v"))
-
-
-def _hs_j_apply(x: DiffPoly, y: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    jx = (
-        Fraction(1, 2) * total_derivative(x)
-        + _U * anti_derivative(x)
-        + anti_derivative(_U * x - 2 * _V * y)
+    seed_constants = (-_EPS1 * param("a", 2), 0) if n % 2 else (0, 1)
+    sigma = recursion_curvature((zero(), zero()), seed_constants).components()
+    for _ in range(n // 2):
+        sigma = tuple(4 * c for c in recursion_curvature(sigma).components())
+    return FlowPair(
+        *(specialize(c, _CLASSIC_VALUES, _CLASSIC_NAMES) for c in sigma), ("u", "v")
     )
-    jy = -2 * _V * anti_derivative(x) - 2 * total_derivative(y)
-    return jx, jy
-
-
-def _hs_theta_apply(p: DiffPoly, q: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    tp = (
-        Fraction(1, 2) * total_derivative(p, 3)
-        + _U * total_derivative(p)
-        + total_derivative(_U * p)
-        + total_derivative(_V * q)
-        + _V * total_derivative(q)
-    )
-    tq = (
-        total_derivative(_V * p)
-        + _V * total_derivative(p)
-        + Fraction(1, 2) * total_derivative(q, 3)
-        + _U * total_derivative(q)
-        + total_derivative(_U * q)
-    )
-    return tp, tq

@@ -87,6 +87,17 @@ def test_order_cap_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bad_scale_constant_exits_one(capsys):
+    # An unknown symbol, and the metric symbols that are no scale at all.
+    for name in ("zz", "a", "G", "eps1", "eps2"):
+        assert main(["flow", "--seed", "1", "--const", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err and "Traceback" not in captured.err
+    assert main(["flow", "--seed", "0", "--const", "c3"]) == 0
+    assert capsys.readouterr().out.strip() == "c3*k1', c3*k2'"
+
+
 def test_simulate_translation_writes_files(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(
@@ -167,3 +178,8 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(base) == 1  # missing --flow-file
     assert main(base + ["--flow-file", str(flow_file), "--param", "G"]) == 1
     assert "error" in capsys.readouterr().err
+    for bad in (["--param", "c=nan"], ["--flow", "translation", "--param", "b=inf"]):
+        args = ["simulate", "--n", "64", "--dt", "1e-4", "--t-end", "1e-3",
+                "--length", "10", "--out", str(tmp_path / "y")] + bad
+        assert main(args) == 1
+        assert "must be finite" in capsys.readouterr().err

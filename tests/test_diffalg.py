@@ -26,6 +26,7 @@ from nullflow.diffalg import (
     order_of,
     param,
     partial_derivative,
+    specialize,
     total_derivative,
     zero,
 )
@@ -227,3 +228,51 @@ def test_flow_pair_rejects_stray_variables():
     with pytest.raises(DiffAlgError):
         FlowPair(gen("u", 1), zero())
     FlowPair(gen("u", 1), gen("v", 1), variables=("u", "v"))
+
+
+def test_specialize_substitutes_and_renames():
+    a, eps1, eps2 = param("a"), param("eps1"), param("eps2")
+    f = a * eps1 * K1 + param("a", -1) * eps2 * K2 + param("b") * K1 * K2
+    got = specialize(f, {"a": 2, "eps1": -1, "eps2": 1}, {"k1": "u", "k2": "v"})
+    u, v = gen("u"), gen("v")
+    assert got == -2 * u + Fraction(1, 2) * v + param("b") * u * v
+    assert specialize(eps1 * K1 + K1, {"eps1": -1}).is_zero()
+    assert specialize(K1 * K2 + K1 * K1, {}, {"k2": "k1"}) == 2 * K1 * K1
+    assert specialize(param("G") * K1, {"G": 0}).is_zero()
+    assert specialize(f, {}) == f
+
+
+def test_specialize_rejections():
+    for values in ({"eps1": 2}, {"eps2": 0}, {"a": 0}, {"a": 2.0}, {"zz": 1}):
+        with pytest.raises(DiffAlgError):
+            specialize(K1, values)
+    with pytest.raises(DiffAlgError):
+        specialize(K1, {}, {"k1": "not a name"})
+
+
+def test_stored_values_stay_nonzero_fractions():
+    # The constructor trusts its callers: every builder must hand it
+    # nonzero Fraction values, through cancellation and specialization.
+    rng = random.Random(17)
+    signed = [param("eps1"), param("eps2"), param("a", -1), one()]
+    for _ in range(30):
+        f = _random_poly(rng, constant_free=True) * rng.choice(signed)
+        for _ in range(6):
+            g = _random_poly(rng, constant_free=True) * rng.choice(signed)
+            step = rng.randrange(6)
+            if step == 0:
+                f = f * g
+            elif step == 1:
+                f = f + g - f
+            elif step == 2:
+                f = -(f - f) - f
+            elif step == 3:
+                f = total_derivative(f) + f
+            elif step == 4:
+                f = anti_derivative(total_derivative(f))
+            else:
+                f = f + specialize(
+                    f, {"eps1": rng.choice([1, -1]), "a": rng.choice([1, -2])}
+                )
+            for value in f._terms.values():
+                assert type(value) is Fraction and value != 0

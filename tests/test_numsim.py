@@ -84,6 +84,12 @@ def test_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(**{"domain_length": 1.0, name: bad})
+    config = SimConfig(domain_length=2 * np.pi, grid_points=64)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            compile_flow(seed(1).flow, {"c": bad}, config)
+        with pytest.raises(ValueError, match="finite"):
+            compile_flow(TRANSLATION, {"b": bad}, config)
 
 
 def test_reconstruction_rejects_non_finite_curvature():
