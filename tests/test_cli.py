@@ -183,3 +183,10 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
                 "--length", "10", "--out", str(tmp_path / "y")] + bad
         assert main(args) == 1
         assert "must be finite" in capsys.readouterr().err
+
+
+def test_simulate_step_budget_exits_one(tmp_path, capsys):
+    args = ["simulate", "--n", "64", "--dt", "1e-300", "--t-end", "1",
+            "--out", str(tmp_path / "z")]
+    assert main(args) == 1
+    assert "MAX_STEPS" in capsys.readouterr().err

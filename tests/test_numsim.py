@@ -1,6 +1,7 @@
 """Grid evolution and reconstruction against independent oracles."""
 
 import csv
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -8,10 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nullflow import numsim
 from nullflow.expr import parse_flow
 from nullflow.hierarchy import seed
 from nullflow.numsim import (
+    MAX_STEPS,
     BlowUp,
+    CurvatureGrid,
+    FramePath,
     SimConfig,
     UnboundParameter,
     compile_flow,
@@ -345,3 +350,176 @@ def test_run_report_and_writers(tmp_path):
     with open(report_file) as fh:
         data = json.load(fh)
     assert data["config"]["derivative_stencil"] == "central4"
+
+
+# SHA-256 of the bytes csv.writer produced for the fixed inputs below; the
+# values are built with + - * / only, so they are the same IEEE doubles on
+# every platform.
+WRITER_DIGESTS = {
+    "path": "47f088cb005769920d1e0c494f3291996958331b9499b4aa496cb538b159d6fb",
+    "k1": "688cfa954c5ba7dcfc7dea4ad74a5bfb212aa666597a31b4686f5538eaac39ed",
+    "k2": "05eff1a27c2d893b1d0858cf8bf333c2e583f374fa4c21d528e3b881cd3ce68b",
+}
+
+
+def test_writers_output_is_byte_stable(tmp_path):
+    n = 9
+    raw = (np.arange((n + 1) * 20, dtype=float).reshape(n + 1, 5, 4) - 61.0) / 7.0
+    raw *= np.array([1.0, -1e-17, 3e5, 1.0 / 3.0, 2.0**-30])[None, :, None]
+    raw[2, 1, 3] = -0.0
+    sigma = np.arange(n + 1) * (2.0 / 3.0)
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    path = FramePath(sigma, *raw.transpose(1, 0, 2), eta, 1.0, 1, 1)
+    nodes = np.arange(16) * 0.1
+    base = (np.arange(16, dtype=float) - 5.0) / 3.0
+    history = [
+        CurvatureGrid(nodes, base * (t + 1), base / (t + 7.0), t / 3.0) for t in range(3)
+    ]
+    write_path_csv(tmp_path / "path.csv", path)
+    write_curvature_csv(tmp_path / "k1.csv", history, "k1")
+    write_curvature_csv(tmp_path / "k2.csv", history, "k2")
+    for name, digest in WRITER_DIGESTS.items():
+        data = (tmp_path / ("%s.csv" % name)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# -- reference routes: per-sample loops the array code must match -----------
+
+def _roll_derivative(values, m, dx, accuracy):
+    offsets, weights = fd_weights(m, accuracy)
+    out = np.zeros_like(values)
+    for j, w in zip(offsets, weights):
+        if w:
+            out += float(w) * np.roll(values, -j)
+    return out / dx**m
+
+
+def _periodic_sampler(values):
+    """6-point Lagrange interpolation in grid units (s = sigma / dx)."""
+    n = len(values)
+    nodes = list(range(-2, 4))
+
+    def at(s):
+        j0 = math.floor(s)
+        u = s - j0
+        total = 0.0
+        for i in nodes:
+            w = 1.0
+            for m in nodes:
+                if m != i:
+                    w *= (u - m) / (i - m)
+            total += w * values[(j0 + i) % n]
+        return total
+
+    return at
+
+
+def _reference_reconstruction(grid, config, substeps):
+    """Scalar RK4 on the 20-vector (gamma, T, W1, N, W2), substep by substep."""
+    gamma0, t0, w10, n0, w20, _ = standard_initial_frame(config.eps1, config.eps2)
+    a, e1, e2 = float(config.a), float(config.eps1), float(config.eps2)
+    k1_at, k2_at = _periodic_sampler(grid.k1), _periodic_sampler(grid.k2)
+    dx, n = grid.dx, len(grid.sigma)
+
+    def rate(s, y):
+        k1v, k2v = k1_at(s), k2_at(s)
+        gamma, tangent, w1, normal, w2 = y.reshape(5, 4)
+        return np.concatenate(
+            [
+                tangent,
+                a * w1,
+                -k1v * tangent + a * e1 * normal,
+                -e1 * k1v * w1 + e2 * k2v * w2,
+                k2v * tangent,
+            ]
+        )
+
+    y = np.concatenate([gamma0, t0, w10, n0, w20]).astype(float)
+    h = 1.0 / substeps
+    out = np.empty((n + 1, 5, 4))
+    out[0] = y.reshape(5, 4)
+    s = 0.0
+    for node in range(1, n + 1):
+        for _ in range(substeps):
+            f1 = rate(s, y)
+            f2 = rate(s + 0.5 * h, y + 0.5 * h * dx * f1)
+            f3 = rate(s + 0.5 * h, y + 0.5 * h * dx * f2)
+            f4 = rate(s + h, y + h * dx * f3)
+            y = y + (h * dx / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            s += h
+        s = float(node)
+        out[node] = y.reshape(5, 4)
+    return out
+
+
+def _assert_matches_reference(grid, config, substeps):
+    expected = _reference_reconstruction(grid, config, substeps)
+    path = reconstruct_curve(grid, config, substeps=substeps)
+    got = np.stack([path.gamma, path.tangent, path.w1, path.normal, path.w2], axis=1)
+    assert np.array_equal(path.sigma, np.arange(len(grid.sigma) + 1) * grid.dx)
+    assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+def test_reconstruction_matches_the_scalar_reference():
+    for eps1, eps2 in ((1, 1), (1, -1), (-1, 1)):
+        config = SimConfig(
+            domain_length=2 * np.pi, grid_points=64, a=1.3, eps1=eps1, eps2=eps2
+        )
+        grid = uniform_grid(
+            config, lambda s: 0.4 + 0.2 * np.sin(s), lambda s: 0.3 * np.cos(2 * s) - 0.1
+        )
+        for substeps in (1, 3, 4):
+            _assert_matches_reference(grid, config, substeps)
+
+
+def test_long_domain_reconstruction_matches_the_scalar_reference():
+    length = 60.0
+    config = SimConfig(domain_length=length)
+    grid = uniform_grid(
+        config,
+        _soliton(0.5, center=length / 2),
+        lambda s: 0.1 * np.sin(2 * np.pi * s / length),
+    )
+    _assert_matches_reference(grid, config, 4)
+
+
+def test_padded_stencil_equals_the_roll_formula():
+    rng = np.random.default_rng(7)
+    for n in (16, 512):
+        values = rng.standard_normal(n)
+        for accuracy in (4, 6):
+            for m in range(1, 7):
+                got = spatial_derivative(values, m, 0.37, accuracy)
+                assert np.array_equal(got, _roll_derivative(values, m, 0.37, accuracy))
+
+
+def test_compiled_poly_equals_the_full_array_route():
+    rng = np.random.default_rng(3)
+    n = 64
+    derivs = [{o: rng.standard_normal(n) for o in range(4)} for _ in range(2)]
+    bindings = {"a": 1.3, "eps1": -1.0, "eps2": 1.0, "c": 0.7}
+    flow = seed(1).flow
+    extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
+    for poly in (flow.p1, flow.p2, extra.p1, extra.p2):
+        compiled = numsim._CompiledPoly(poly, bindings, flow.variables)
+        expected = np.zeros(n)
+        for value, factors in compiled.terms:
+            term = np.full(n, value)
+            for vi, order, exp in factors:
+                term *= derivs[vi][order] ** exp
+            expected += term
+        assert np.array_equal(compiled(derivs), expected)
+
+
+def test_evolve_refuses_more_than_max_steps():
+    calls = []
+
+    def rhs(k1, k2):
+        calls.append(1)
+        return k1, k2
+
+    for dt in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
+        config = SimConfig(domain_length=2 * np.pi, grid_points=16, dt=dt, t_end=1.0)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            evolve(uniform_grid(config, np.sin), rhs, config)
+    assert not calls
