@@ -12,6 +12,17 @@ the package needs: Euler operators, anti-derivatives on the image of D, the
 prolongation of an evolutionary vector field (prolong, apply_prolongation),
 and through it Frechet derivatives of flow pairs and the Lie bracket of
 evolution flows.
+
+Canonical form.  A polynomial is a dict from term keys (gens, powers, eps1,
+eps2) to nonzero Fractions.  gens is a tuple of ((variable, order), exponent)
+pairs, strictly increasing in (variable, order), with exponents >= 1;
+powers is a tuple of (name, exponent) pairs in parameter-rank order (a, b,
+c, G, c1, c2, ...) with nonzero exponents, negative only on a; eps1 and
+eps2 are bits, 0 or 1.  Every kernel keeps this invariant and relies on it,
+so equal terms always meet at one key: D, partial derivatives and
+integration edit one slot of an already sorted key, a product merges two
+sorted keys, and sums add into one dict term by term.  Nothing is
+re-sorted, and no cache outlives a call.
 """
 
 from __future__ import annotations
@@ -63,6 +74,10 @@ def _param_rank(name: str) -> tuple[int, int]:
     if len(name) > 1 and name[0] == "c" and name[1] != "0" and name[1:].isdigit():
         return (4, int(name[1:]))
     raise DiffAlgError("unknown parameter symbol %r" % (name,))
+
+
+def _power_rank(item: tuple[str, int]) -> tuple[int, int]:
+    return _param_rank(item[0])
 
 
 def _validate_powers(powers: tuple[tuple[str, int], ...]) -> None:
@@ -119,36 +134,91 @@ class ParamCoeff:
             object.__setattr__(self, "eps1", 0)
             object.__setattr__(self, "eps2", 0)
             return
-        powers = tuple(sorted(self.powers, key=lambda it: _param_rank(it[0])))
+        powers = tuple(sorted(self.powers, key=_power_rank))
         _validate_powers(powers)
         object.__setattr__(self, "powers", powers)
 
 
-# Internal term keys are (gens, powers, eps1, eps2) where gens is a sorted
-# tuple of ((variable, order), exponent) pairs and powers is a sorted tuple
-# of (name, exponent) pairs.  Values are nonzero Fractions.
+# Term keys are canonical; see the module docstring.
 _GenPart = tuple[tuple[tuple[str, int], int], ...]
 _TermKey = tuple[_GenPart, tuple[tuple[str, int], ...], int, int]
 
 
-def _merge_factors(items: Iterable[tuple], extra: Iterable[tuple]) -> dict:
-    merged: dict = {}
-    for key, exp in items:
-        merged[key] = merged.get(key, 0) + exp
-    for key, exp in extra:
-        merged[key] = merged.get(key, 0) + exp
-    return {k: e for k, e in merged.items() if e != 0}
+def _merge_gens(g1: _GenPart, g2: _GenPart) -> _GenPart:
+    """Product of two generator monomials; exponents only add, never cancel."""
+    out = []
+    i = j = 0
+    n1, n2 = len(g1), len(g2)
+    while i < n1 and j < n2:
+        left, right = g1[i], g2[j]
+        if left[0] < right[0]:
+            out.append(left)
+            i += 1
+        elif right[0] < left[0]:
+            out.append(right)
+            j += 1
+        else:
+            out.append((left[0], left[1] + right[1]))
+            i += 1
+            j += 1
+    return tuple(out) + g1[i:] + g2[j:]
+
+
+def _merge_powers(p1: tuple, p2: tuple) -> tuple:
+    """Product of two parameter monomials; powers of 'a' may cancel."""
+    merged = dict(p1)
+    for name, exp in p2:
+        exp += merged.get(name, 0)
+        if exp:
+            merged[name] = exp
+        else:
+            del merged[name]
+    return tuple(sorted(merged.items(), key=_power_rank))
 
 
 def _accumulate(acc: dict, key: _TermKey, value: Fraction) -> None:
-    total = acc.get(key, _ZERO_FRAC) + value
-    if total == 0:
-        acc.pop(key, None)
+    old = acc.get(key)
+    if old is None:
+        if value:  # specialize can hand in zeros
+            acc[key] = value
+        return
+    value += old
+    if value:
+        acc[key] = value
     else:
-        acc[key] = total
+        del acc[key]
 
 
-_ZERO_FRAC = Fraction(0)
+def _add_into(acc: dict, items: Iterable[tuple[_TermKey, Fraction]]) -> None:
+    for key, value in items:
+        _accumulate(acc, key, value)
+
+
+def _negated(terms: dict) -> Iterator[tuple[_TermKey, Fraction]]:
+    return ((key, -value) for key, value in terms.items())
+
+
+def _mul_into(acc: dict, left: dict, right: dict) -> None:
+    """Add the product of two term dicts into acc."""
+    # Few distinct parameter monomials meet: merge each pair once per call.
+    pow_products: dict = {}
+    for (g1, p1, a1, b1), q1 in left.items():
+        for (g2, p2, a2, b2), q2 in right.items():
+            if not p2:
+                pows = p1
+            elif not p1:
+                pows = p2
+            else:
+                pows = pow_products.get((p1, p2))
+                if pows is None:
+                    pows = pow_products[(p1, p2)] = _merge_powers(p1, p2)
+            gens = _merge_gens(g1, g2) if g1 and g2 else g1 or g2
+            _accumulate(acc, (gens, pows, a1 ^ a2, b1 ^ b2), q1 * q2)
+
+
+def _coordinates(f: "DiffPoly") -> set[tuple[str, int]]:
+    """The (variable, order) pairs present in f."""
+    return {vo for (gens, _, _, _) in f._terms for vo, _exp in gens}
 
 
 class DiffPoly:
@@ -192,14 +262,10 @@ class DiffPoly:
             yield gens, ParamCoeff(q, pows, e1, e2)
 
     def generators(self) -> set[Generator]:
-        out = set()
-        for (gens, _, _, _) in self._terms:
-            for (var, order), _exp in gens:
-                out.add(Generator(var, order))
-        return out
+        return {Generator(var, order) for var, order in _coordinates(self)}
 
     def variables(self) -> set[str]:
-        return {g.variable for g in self.generators()}
+        return {var for var, _order in _coordinates(self)}
 
     def parameters(self) -> set[str]:
         out = set()
@@ -232,37 +298,26 @@ class DiffPoly:
         return self._terms == other._terms
 
     def __add__(self, other: "Polylike") -> "DiffPoly":
-        other = _as_poly(other)
         acc = dict(self._terms)
-        for key, value in other._terms.items():
-            _accumulate(acc, key, value)
+        _add_into(acc, _as_poly(other)._terms.items())
         return DiffPoly(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({k: -v for k, v in self._terms.items()})
+        return DiffPoly(dict(_negated(self._terms)))
 
     def __sub__(self, other: "Polylike") -> "DiffPoly":
-        return self + (-_as_poly(other))
+        acc = dict(self._terms)
+        _add_into(acc, _negated(_as_poly(other)._terms))
+        return DiffPoly(acc)
 
     def __rsub__(self, other: "Polylike") -> "DiffPoly":
-        return _as_poly(other) + (-self)
+        return _as_poly(other) - self
 
     def __mul__(self, other: "Polylike") -> "DiffPoly":
-        other = _as_poly(other)
         acc: dict[_TermKey, Fraction] = {}
-        for (g1, p1, a1, b1), q1 in self._terms.items():
-            for (g2, p2, a2, b2), q2 in other._terms.items():
-                gens = tuple(sorted(_merge_factors(g1, g2).items()))
-                pows = _merge_factors(p1, p2)
-                key = (
-                    gens,
-                    tuple(sorted(pows.items(), key=lambda it: _param_rank(it[0]))),
-                    (a1 + a2) % 2,
-                    (b1 + b2) % 2,
-                )
-                _accumulate(acc, key, q1 * q2)
+        _mul_into(acc, self._terms, _as_poly(other)._terms)
         return DiffPoly(acc)
 
     __rmul__ = __mul__
@@ -405,7 +460,10 @@ def specialize(
             q, e1 = q * values["eps1"], 0
         if e2 and "eps2" in values:
             q, e2 = q * values["eps2"], 0
-        moved = _merge_factors((((rename.get(v, v), m), e) for (v, m), e in gens), ())
+        moved: dict = {}
+        for (v, m), e in gens:
+            coord = (rename.get(v, v), m)
+            moved[coord] = moved.get(coord, 0) + e
         _accumulate(acc, (tuple(sorted(moved.items())), tuple(kept), e1, e2), q)
     return DiffPoly(acc)
 
@@ -453,19 +511,29 @@ def total_derivative(f: Polylike, n: int = 1) -> DiffPoly:
 
 
 def _d_once(f: DiffPoly) -> DiffPoly:
+    # D moves one power of v^(m) at index i to v^(m+1).  In a canonical key
+    # v^(m+1) can only sit at index i+1, so the new key is two splices.
     acc: dict[_TermKey, Fraction] = {}
     for (gens, pows, e1, e2), q in f._terms.items():
-        for idx, ((var, order), exp) in enumerate(gens):
-            if order + 1 > MAX_ORDER:
+        n = len(gens)
+        for i, (coord, exp) in enumerate(gens):
+            var, order = coord
+            if order >= MAX_ORDER:
                 raise OrderLimitError(
                     "total derivative would exceed MAX_ORDER=%d on %s"
                     % (MAX_ORDER, var)
                 )
-            bumped = _merge_factors(
-                gens, (((var, order), -1), ((var, order + 1), 1))
-            )
-            key = (tuple(sorted(bumped.items())), pows, e1, e2)
-            _accumulate(acc, key, q * exp)
+            up = (var, order + 1)
+            j = i + 1
+            if j < n and gens[j][0] == up:
+                tail = ((up, gens[j][1] + 1),) + gens[j + 1:]
+            else:
+                tail = ((up, 1),) + gens[j:]
+            if exp == 1:
+                head, value = gens[:i], q
+            else:
+                head, value = gens[:i] + ((coord, exp - 1),), q * exp
+            _accumulate(acc, (head + tail, pows, e1, e2), value)
     return DiffPoly(acc)
 
 
@@ -475,15 +543,19 @@ def partial_derivative(f: Polylike, generator) -> DiffPoly:
         target = (generator.variable, generator.order)
     else:
         target = (generator[0], generator[1])
-    acc: dict[_TermKey, Fraction] = {}
+    # Lowering one exponent is injective on keys, so no two terms collide.
+    out: dict[_TermKey, Fraction] = {}
     for (gens, pows, e1, e2), q in _as_poly(f)._terms.items():
-        for (var_order, exp) in gens:
-            if var_order == target:
-                reduced = _merge_factors(gens, ((var_order, -1),))
-                key = (tuple(sorted(reduced.items())), pows, e1, e2)
-                _accumulate(acc, key, q * exp)
+        for i, (coord, exp) in enumerate(gens):
+            if coord == target:
+                if exp == 1:
+                    lowered, value = gens[:i] + gens[i + 1:], q
+                else:
+                    lowered = gens[:i] + ((coord, exp - 1),) + gens[i + 1:]
+                    value = q * exp
+                out[(lowered, pows, e1, e2)] = value
                 break
-    return DiffPoly(acc)
+    return DiffPoly(out)
 
 
 def euler_operator(f: Polylike, variable: str) -> DiffPoly:
@@ -493,15 +565,12 @@ def euler_operator(f: Polylike, variable: str) -> DiffPoly:
     makes this the exactness oracle behind anti_derivative.
     """
     f = _as_poly(f)
-    orders = sorted({g.order for g in f.generators() if g.variable == variable})
-    total = zero()
-    for m in orders:
-        part = partial_derivative(f, (variable, m))
-        part = total_derivative(part, m)
-        if m % 2:
-            part = -part
-        total = total + part
-    return total
+    acc: dict[_TermKey, Fraction] = {}
+    for var, m in sorted(_coordinates(f)):
+        if var == variable:
+            part = total_derivative(partial_derivative(f, (var, m)), m)._terms
+            _add_into(acc, _negated(part) if m % 2 else part.items())
+    return DiffPoly(acc)
 
 
 def order_of(f: Polylike) -> int:
@@ -509,27 +578,20 @@ def order_of(f: Polylike) -> int:
     return max(jet_orders(_as_poly(f)).values(), default=-1)
 
 
-def _max_generator(f: DiffPoly) -> tuple[str, int]:
+def _top_coordinate(f: DiffPoly) -> tuple[int, str]:
     # Lexicographic on (order, variable): the pivot for integration by parts.
-    best = None
-    for g in f.generators():
-        key = (g.order, g.variable)
-        if best is None or key > best:
-            best = key
-    assert best is not None
-    return (best[1], best[0])
+    return max(((order, var) for var, order in _coordinates(f)), default=(-1, ""))
 
 
 def _integrate_in(f: DiffPoly, var: str, order: int) -> DiffPoly:
     """Polynomial integration in the single jet coordinate (var, order)."""
+    # Raising one exponent is injective on keys, so no two terms collide.
     target = (var, order)
-    acc: dict[_TermKey, Fraction] = {}
+    out: dict[_TermKey, Fraction] = {}
     for (gens, pows, e1, e2), q in f._terms.items():
         exp = dict(gens).get(target, 0)
-        raised = _merge_factors(gens, ((target, 1),))
-        key = (tuple(sorted(raised.items())), pows, e1, e2)
-        _accumulate(acc, key, q / (exp + 1))
-    return DiffPoly(acc)
+        out[(_merge_gens(gens, ((target, 1),)), pows, e1, e2)] = q / (exp + 1)
+    return DiffPoly(out)
 
 
 def anti_derivative(f: Polylike) -> DiffPoly:
@@ -550,22 +612,21 @@ def anti_derivative(f: Polylike) -> DiffPoly:
         if not euler_operator(f, variable).is_zero():
             raise NotExact("Euler operator in %s is nonzero" % (variable,))
 
-    result = zero()
-    work = f
+    result: dict[_TermKey, Fraction] = {}
+    work = DiffPoly(dict(f._terms))  # private: reduced in place below
     while not work.is_zero():
-        var, m = _max_generator(work)
-        if m == 0:
+        m, var = _top_coordinate(work)
+        if m <= 0:
             raise NotExact("residual of order zero after integration by parts")
         coeff = partial_derivative(work, (var, m))
-        for g in coeff.generators():
-            if (g.order, g.variable) > (m - 1, var):
-                raise NotExact(
-                    "coefficient of %s^(%d) is not of lower order" % (var, m)
-                )
+        if _top_coordinate(coeff) > (m - 1, var):
+            raise NotExact(
+                "coefficient of %s^(%d) is not of lower order" % (var, m)
+            )
         piece = _integrate_in(coeff, var, m - 1)
-        result = result + piece
-        work = work - total_derivative(piece)
-    return result
+        _add_into(result, piece._terms.items())
+        _add_into(work._terms, _negated(total_derivative(piece)._terms))
+    return DiffPoly(result)
 
 
 # -- flow calculus ----------------------------------------------------------
@@ -609,10 +670,10 @@ def apply_prolongation(
     target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
 ) -> DiffPoly:
     """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
-    out = zero()
-    for g in sorted(target.generators()):
-        out = out + partial_derivative(target, g) * table[(g.variable, g.order)]
-    return out
+    acc: dict[_TermKey, Fraction] = {}
+    for coord in sorted(_coordinates(target)):
+        _mul_into(acc, partial_derivative(target, coord)._terms, table[coord]._terms)
+    return DiffPoly(acc)
 
 
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:

@@ -100,6 +100,8 @@ class SimConfig:
             raise ValueError("dt and t_end must be nonnegative")
         if self.output_stride < 0:
             raise ValueError("output_stride must be nonnegative")
+        if self.stability_c <= 0:
+            raise ValueError("stability_c must be positive")
 
     @property
     def dx(self) -> float:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullflow import diffalg
 from nullflow.diffalg import (
     DiffAlgError,
     DiffPoly,
@@ -29,6 +30,7 @@ from nullflow.diffalg import (
     specialize,
     total_derivative,
     zero,
+    _param_rank,
 )
 
 K1 = gen("k1")
@@ -170,6 +172,23 @@ def test_order_limit_is_enforced():
         total_derivative(top)
 
 
+def test_order_limit_holds_wherever_the_top_order_sits():
+    top = diffalg.MAX_ORDER
+    below = gen("k1", top - 1) * gen("k2", 1)
+    assert total_derivative(below) == (
+        gen("k1", top) * gen("k2", 1) + gen("k1", top - 1) * gen("k2", 2)
+    )
+    for f in (
+        K1 * gen("k2", top),
+        gen("k1", top) ** 2 * K2 + K1,
+        param("a", -1) * param("eps2") * K1 * gen("k1", top) * gen("k2", 3),
+    ):
+        with pytest.raises(OrderLimitError):
+            total_derivative(f)
+        with pytest.raises(OrderLimitError):
+            frechet(FlowPair(f, zero()), FlowPair(gen("k1", 1), gen("k2", 1)))
+
+
 def test_frechet_known_value():
     a = FlowPair(K1 * gen("k1", 1), zero())
     b = FlowPair(gen("k1", 1), zero())
@@ -250,16 +269,30 @@ def test_specialize_rejections():
         specialize(K1, {}, {"k1": "not a name"})
 
 
+def _assert_canonical(f: DiffPoly) -> None:
+    for (gens, pows, e1, e2), value in f._terms.items():
+        assert type(value) is Fraction and value != 0
+        coords = [coord for coord, _ in gens]
+        assert all(x < y for x, y in zip(coords, coords[1:])), gens
+        assert all(type(exp) is int and exp >= 1 for _, exp in gens), gens
+        ranks = [_param_rank(name) for name, _ in pows]
+        assert all(x < y for x, y in zip(ranks, ranks[1:])), pows
+        assert all(type(exp) is int and exp != 0 for _, exp in pows), pows
+        assert e1 in (0, 1) and e2 in (0, 1)
+
+
 def test_stored_values_stay_nonzero_fractions():
     # The constructor trusts its callers: every builder must hand it
-    # nonzero Fraction values, through cancellation and specialization.
+    # nonzero Fraction values and canonical keys, through cancellation,
+    # specialization and renaming; a key out of order would split equal
+    # terms silently.
     rng = random.Random(17)
-    signed = [param("eps1"), param("eps2"), param("a", -1), one()]
+    signed = [param("eps1"), param("eps2"), param("a", -1), param("c1"), one()]
     for _ in range(30):
         f = _random_poly(rng, constant_free=True) * rng.choice(signed)
         for _ in range(6):
             g = _random_poly(rng, constant_free=True) * rng.choice(signed)
-            step = rng.randrange(6)
+            step = rng.randrange(9)
             if step == 0:
                 f = f * g
             elif step == 1:
@@ -270,9 +303,112 @@ def test_stored_values_stay_nonzero_fractions():
                 f = total_derivative(f) + f
             elif step == 4:
                 f = anti_derivative(total_derivative(f))
-            else:
+            elif step == 5:
                 f = f + specialize(
                     f, {"eps1": rng.choice([1, -1]), "a": rng.choice([1, -2])}
                 )
-            for value in f._terms.values():
-                assert type(value) is Fraction and value != 0
+            elif step == 6:
+                f = specialize(f, {}, {"k2": "k1"}) - g
+            elif step == 7:
+                f = f + euler_operator(f * g, rng.choice(["k1", "k2"]))
+            else:
+                coords = sorted(f.generators()) or [Generator("k1", 0)]
+                f = f - g * partial_derivative(f, rng.choice(coords))
+            _assert_canonical(f)
+
+
+# -- the merge-and-sort key construction the kernels replaced --------------
+#
+# Each reference rebuilds every key through a dict of factor exponents,
+# drops zero exponents and sorts again; the kernels edit sorted keys in
+# place and must build exactly the same term dicts.
+
+
+def _ref_merge(*factor_lists) -> dict:
+    merged: dict = {}
+    for factors in factor_lists:
+        for key, exp in factors:
+            merged[key] = merged.get(key, 0) + exp
+    return {k: e for k, e in merged.items() if e != 0}
+
+
+def _ref_accumulate(acc: dict, key, value: Fraction) -> None:
+    total = acc.get(key, Fraction(0)) + value
+    if total == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = total
+
+
+def _ref_d_once(f: DiffPoly) -> dict:
+    acc: dict = {}
+    for (gens, pows, e1, e2), q in f._terms.items():
+        for (var, order), exp in gens:
+            bumped = _ref_merge(gens, (((var, order), -1), ((var, order + 1), 1)))
+            _ref_accumulate(acc, (tuple(sorted(bumped.items())), pows, e1, e2), q * exp)
+    return acc
+
+
+def _ref_partial(f: DiffPoly, target: tuple) -> dict:
+    acc: dict = {}
+    for (gens, pows, e1, e2), q in f._terms.items():
+        for coord, exp in gens:
+            if coord == target:
+                reduced = _ref_merge(gens, ((coord, -1),))
+                _ref_accumulate(acc, (tuple(sorted(reduced.items())), pows, e1, e2), q * exp)
+    return acc
+
+
+def _ref_mul(f: DiffPoly, g: DiffPoly) -> dict:
+    acc: dict = {}
+    for (g1, p1, a1, b1), q1 in f._terms.items():
+        for (g2, p2, a2, b2), q2 in g._terms.items():
+            pows = _ref_merge(p1, p2)
+            key = (
+                tuple(sorted(_ref_merge(g1, g2).items())),
+                tuple(sorted(pows.items(), key=lambda it: _param_rank(it[0]))),
+                (a1 + a2) % 2,
+                (b1 + b2) % 2,
+            )
+            _ref_accumulate(acc, key, q1 * q2)
+    return acc
+
+
+_REF_PARAMS = ["a", "b", "c", "G", "c1", "c2", "c10"]
+
+
+def _random_terms(rng: random.Random, size: int) -> DiffPoly:
+    """Canonical keys drawn directly, without the kernel under test."""
+    terms: dict = {}
+    for _ in range(size):
+        gens: dict = {}
+        for _ in range(rng.randrange(4)):
+            coord = (rng.choice(["k1", "k2", "u"]), rng.randrange(5))
+            gens[coord] = gens.get(coord, 0) + 1
+        pows = {}
+        for name in rng.sample(_REF_PARAMS, rng.randrange(3)):
+            pows[name] = rng.choice([-2, -1, 1, 2]) if name == "a" else rng.randrange(1, 3)
+        key = (
+            tuple(sorted(gens.items())),
+            tuple(sorted(pows.items(), key=lambda it: _param_rank(it[0]))),
+            rng.randrange(2),
+            rng.randrange(2),
+        )
+        terms[key] = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 5]))
+    return DiffPoly(terms)
+
+
+def test_kernels_match_the_merge_and_sort_reference():
+    rng = random.Random(5)
+    for _ in range(60):
+        f = _random_terms(rng, rng.randrange(8))
+        g = _random_terms(rng, rng.randrange(8))
+        assert total_derivative(f)._terms == _ref_d_once(f)
+        assert (f * g)._terms == _ref_mul(f, g)
+        # Cancelling products: opposite signs and inverse powers of a.
+        h = f * param("a", -1) - g * param("a", 2)
+        assert (h * (f + g))._terms == _ref_mul(h, f + g)
+        assert (h * h)._terms == _ref_mul(h, h)
+        for coord in sorted(f.generators()) + [Generator("k2", 5)]:
+            target = (coord.variable, coord.order)
+            assert partial_derivative(f, target)._terms == _ref_partial(f, target)

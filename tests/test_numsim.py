@@ -85,6 +85,9 @@ def test_config_validation():
         SimConfig(domain_length=-1.0)
     with pytest.raises(ValueError):
         SimConfig(domain_length=1.0, a=0.0)
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="stability_c"):
+            SimConfig(domain_length=1.0, stability_c=bad)
     for name in ("domain_length", "dt", "t_end", "a", "stability_c"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
