@@ -8,7 +8,8 @@ exact: no floats, no simplification heuristics, one canonical form.
 
 The total derivative D treats parameters as constants and bumps generator
 orders.  On top of D the module provides the variational tools the rest of
-the package needs: Euler operators, anti-derivatives on the image of D, the
+the package needs: anti-derivatives on the image of D (by integration by
+parts alone; the Euler operator is kept as the tests' exactness oracle), the
 prolongation of an evolutionary vector field (prolong, apply_prolongation),
 and through it Frechet derivatives of flow pairs and the Lie bracket of
 evolution flows.
@@ -567,8 +568,11 @@ def partial_derivative(f: Polylike, generator) -> DiffPoly:
 def euler_operator(f: Polylike, variable: str) -> DiffPoly:
     """Variational derivative: sum over m of (-D)^m applied to df/dv^(m).
 
-    The result is zero exactly on (constants plus) total derivatives, which
-    makes this the exactness oracle behind anti_derivative.
+    The result is zero exactly on (constants plus) total derivatives (Olver,
+    Applications of Lie Groups to Differential Equations, Thm 4.7), which
+    makes it the independent exactness oracle the tests hold
+    anti_derivative to.  It takes D^m of df/dv^(m), so it needs f of order
+    at most MAX_ORDER / 2.
     """
     f = _as_poly(f)
     acc: dict[_TermKey, Fraction] = {}
@@ -604,20 +608,18 @@ def anti_derivative(f: Polylike) -> DiffPoly:
     """The unique g with zero constant term and D(g) = f, if one exists.
 
     Raises NonZeroConstantTerm when f has a constant part and NotExact when
-    f is not a total derivative.  Strategy: fail fast with the Euler
-    operator, then integrate by parts from the highest generator downward;
-    each step integrates the coefficient of the lex-maximal jet coordinate
-    and subtracts a total derivative, which strictly lowers that coordinate.
+    f is not a total derivative.  Integration by parts alone decides
+    exactness: each step integrates the coefficient of the lex-maximal jet
+    coordinate and subtracts a total derivative, which strictly lowers that
+    coordinate, so the loop either empties the residual or meets a term no
+    D can produce.  No D taken exceeds the order of f, so OrderLimitError
+    cannot arise here.
     """
     f = _as_poly(f)
     if f.is_zero():
         return zero()
     if not f.constant_part().is_zero():
         raise NonZeroConstantTerm("anti-derivative needs zero constant term")
-    for variable in sorted(f.variables()):
-        if not euler_operator(f, variable).is_zero():
-            raise NotExact("Euler operator in %s is nonzero" % (variable,))
-
     result: dict[_TermKey, Fraction] = {}
     work = DiffPoly(dict(f._terms))  # private: reduced in place below
     while not work.is_zero():

@@ -10,6 +10,9 @@ with differential-polynomial components.  The admissible classes are nested:
                normalization; these are exactly the fields produced by
                make_X and exactly the X*_P fields with rho = 0.
 
+The arc normalization is the symbol a throughout (the formulas divide by
+it); a FrameMetric carries only eps1, eps2 and G.
+
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
 not preserve arc length pick up the correction V(f)' + rho/(2a) f' when
@@ -47,6 +50,7 @@ from .diffalg import (
 
 _K1 = gen("k1")
 _K2 = gen("k2")
+_A = param("a")
 _A_INV = param("a", -1)
 _HALF = Fraction(1, 2)
 
@@ -59,32 +63,25 @@ def _default_eps2() -> DiffPoly:
     return param("eps2")
 
 
-def _default_a() -> DiffPoly:
-    return param("a")
-
-
 def _default_g() -> DiffPoly:
     return param("G")
 
 
 @dataclass(frozen=True)
 class FrameMetric:
-    """Ambient data: the signs eps1, eps2, the arc normalization a, and G.
+    """Ambient data: the signs eps1, eps2 and the curvature constant G.
 
     All fields are polynomials so the geometry can be run fully symbolically;
     eps1/eps2 may also be the constants +-1 and G any constant (set G to 0
-    for the flat ambient space).  `a` must stay the symbol: the formulas
-    divide by it.
+    for the flat ambient space).  There is no field for the arc
+    normalization: the formulas divide by it, so it is always the symbol a.
     """
 
     eps1: DiffPoly = field(default_factory=_default_eps1)
     eps2: DiffPoly = field(default_factory=_default_eps2)
-    a: DiffPoly = field(default_factory=_default_a)
     G: DiffPoly = field(default_factory=_default_g)
 
     def __post_init__(self) -> None:
-        if self.a != param("a"):
-            raise DiffAlgError("metric field a must be the symbol a")
         for eps in (self.eps1, self.eps2):
             if not eps.is_constant() or eps * eps != one():
                 raise DiffAlgError("eps1/eps2 must square to one")
@@ -147,12 +144,12 @@ class FrameCoeffs(NamedTuple):
 
 def projections(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> Projections:
     """Normal projections phi, psi and the arc-length defect rho of a field."""
-    phi = metric.a * v.f + total_derivative(v.h) - metric.eps1 * _K1 * v.g
+    phi = _A * v.f + total_derivative(v.h) - metric.eps1 * _K1 * v.g
     psi = total_derivative(v.l) + metric.eps2 * _K2 * v.g
     rho = (
-        -metric.a * total_derivative(v.f)
-        + 2 * metric.a * _K1 * v.h
-        - metric.a * _K2 * v.l
+        -_A * total_derivative(v.f)
+        + 2 * _A * _K1 * v.h
+        - _A * _K2 * v.l
         - total_derivative(phi)
         + metric.eps1 * _K1 * total_derivative(v.g)
     )
@@ -239,14 +236,14 @@ def make_X(
             raise DiffAlgError("%s must be a constant" % (name,))
     p = anti_derivative(h)
     q = anti_derivative(_K1 * h - _K2 * l)
-    g = -metric.eps1 * metric.a * p + c1
+    g = -metric.eps1 * _A * p + c1
     f = (
         -_HALF
         * _A_INV
         * (
             total_derivative(h)
-            + metric.a * _K1 * p
-            - metric.a * q
+            + _A * _K1 * p
+            - _A * q
             - metric.eps1 * c1 * _K1
         )
         + c2
@@ -343,11 +340,11 @@ def classify(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> str:
     constants: the candidate constants are read off from g and from the
     residual of f, and must come out constant.
     """
-    if total_derivative(v.g) != -metric.eps1 * metric.a * v.h:
+    if total_derivative(v.g) != -metric.eps1 * _A * v.h:
         return "X_P"
     try:
         # g' = -eps1 a h, so D(c1) = 0: c1 is a constant.
-        c1 = v.g + metric.eps1 * metric.a * anti_derivative(v.h)
+        c1 = v.g + metric.eps1 * _A * anti_derivative(v.h)
         base = make_X(v.h, v.l, c1, 0, metric)
     except NotExact:
         return "X*_P"

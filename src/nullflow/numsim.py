@@ -8,7 +8,9 @@ cached as floats, the profile is padded once with wrap-around points,
 and the derivative sums weighted slices of it.  Time stepping is
 fixed-step classical RK4; the stability bound stability_c * dx^3 for
 third-order flows is recorded in the run report, dt = 0 asks for exactly
-that bound, and a run of more than MAX_STEPS steps is refused.
+that bound, a run of more than MAX_STEPS steps is refused, and a state
+that leaves the finite range or exceeds BLOWUP_LIMIT stops the run with
+BlowUp.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -18,9 +20,9 @@ Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 with curvatures sampled between nodes by 6-point Lagrange interpolation.
 RK4 substeps, run on a batch of 5x5 identity matrices (one per node),
 turn them into the per-node propagators, which are chained from the
-initial frame.  Frames are never projected back onto the pairing table
-(<T,T> = <N,N> = 0, <T,N> = -1, <Wi,Wi> = eps_i); the drift is measured
-per node and reported.
+standard initial frame of the signature.  Frames are never projected
+back onto the pairing table (<T,T> = <N,N> = 0, <T,N> = -1,
+<Wi,Wi> = eps_i); the drift is measured per node and reported.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ class BlowUp(RuntimeError):
 
 _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 
-# evolve refuses a run that needs more RK4 steps than this.
+# evolve refuses a run that needs more RK4 steps than this, and stops with
+# BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.
 MAX_STEPS = 10**7
+BLOWUP_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class CurvatureGrid:
         return float(values.sum() * self.dx)
 
 
-def uniform_grid(config: SimConfig, k1, k2=None, time: float = 0.0) -> CurvatureGrid:
+def uniform_grid(config: SimConfig, k1, k2=None) -> CurvatureGrid:
     """Sample callables (or broadcastable values) on the periodic grid."""
     sigma = np.arange(config.grid_points) * config.dx
     k1v = np.asarray(k1(sigma) if callable(k1) else k1, dtype=float)
@@ -151,21 +155,16 @@ def uniform_grid(config: SimConfig, k1, k2=None, time: float = 0.0) -> Curvature
     else:
         k2v = np.asarray(k2(sigma) if callable(k2) else k2, dtype=float)
         k2v = np.broadcast_to(k2v, sigma.shape).copy()
-    return CurvatureGrid(sigma, k1v, k2v, time)
+    return CurvatureGrid(sigma, k1v, k2v)
 
 
 # -- finite differences ----------------------------------------------------
 
-_WEIGHTS: dict = {}
-
-
+@cache
 def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
     """Centered stencil offsets and exact weights for d^m/dx^m."""
     if m < 1:
         raise ValueError("derivative order must be >= 1")
-    key = (m, accuracy)
-    if key in _WEIGHTS:
-        return _WEIGHTS[key]
     npts = 2 * ((m + 1) // 2) - 1 + accuracy
     r = npts // 2
     offsets = list(range(-r, r + 1))
@@ -185,8 +184,7 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
                 factor = rows[k][col]
                 rows[k] = [x - factor * y for x, y in zip(rows[k], rows[col])]
                 rhs[k] -= factor * rhs[col]
-    _WEIGHTS[key] = (offsets, rhs)
-    return _WEIGHTS[key]
+    return offsets, rhs
 
 
 @cache
@@ -197,9 +195,7 @@ def _taps(m: int, accuracy: int) -> tuple[int, tuple[tuple[int, float], ...]]:
 
 
 def spatial_derivative(values: np.ndarray, m: int, dx: float, accuracy: int = 4) -> np.ndarray:
-    """m-th periodic derivative of a sampled profile."""
-    if m == 0:
-        return values.copy()
+    """m-th periodic derivative (m >= 1) of a sampled profile."""
     r, taps = _taps(m, accuracy)
     n = len(values)
     if 2 * r + 1 > n:
@@ -281,18 +277,14 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
 
 # -- time stepping -----------------------------------------------------------
 
-def evolve(
-    grid0: CurvatureGrid,
-    rhs: Callable,
-    config: SimConfig,
-    blowup_threshold: float = 1e8,
-) -> list[CurvatureGrid]:
+def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[CurvatureGrid]:
     """March to t_end with fixed-step RK4; returns the saved trajectory.
 
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
-    More than MAX_STEPS steps raise ValueError before the first one.
+    More than MAX_STEPS steps raise ValueError before the first one; a
+    non-finite state or one above BLOWUP_LIMIT raises BlowUp.
     """
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
@@ -318,7 +310,7 @@ def evolve(
         new_k2 = k2 + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         new_time = grid0.time + step * dt
         finite = np.isfinite(new_k1).all() and np.isfinite(new_k2).all()
-        if not finite or max(np.abs(new_k1).max(), np.abs(new_k2).max()) > blowup_threshold:
+        if not finite or max(np.abs(new_k1).max(), np.abs(new_k2).max()) > BLOWUP_LIMIT:
             raise BlowUp(new_time, step, CurvatureGrid(grid0.sigma, k1, k2, time))
         k1, k2, time = new_k1, new_k2, new_time
         if step % stride == 0 or step == steps:
@@ -409,25 +401,17 @@ class FramePath:
 _LAGRANGE_NODES = range(-2, 4)
 
 
-def reconstruct_curve(
-    grid: CurvatureGrid,
-    config: SimConfig,
-    initial_frame=None,
-    substeps: int = 4,
-) -> FramePath:
+def reconstruct_curve(grid: CurvatureGrid, config: SimConfig, substeps: int = 4) -> FramePath:
     """Integrate the frame equations across one period of the grid.
 
-    initial_frame is a (gamma0, T0, W10, N0, W20, eta) tuple satisfying
-    the pairing table exactly, or None for the standard frame of the
-    configured signature.
+    The curve starts from standard_initial_frame of the configured
+    signature, which satisfies the pairing table exactly.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     if not (np.isfinite(grid.k1).all() and np.isfinite(grid.k2).all()):
         raise ValueError("curvature grid holds non-finite values")
-    if initial_frame is None:
-        initial_frame = standard_initial_frame(config.eps1, config.eps2)
-    gamma0, t0, w10, n0, w20, eta = initial_frame
+    gamma0, t0, w10, n0, w20, eta = standard_initial_frame(config.eps1, config.eps2)
     a, e1, e2 = float(config.a), float(config.eps1), float(config.eps2)
     dx, n = grid.dx, len(grid.sigma)
 
@@ -483,11 +467,7 @@ def reconstruct_curve(
 
 
 def nlie_run(
-    config: SimConfig,
-    k1,
-    k2=None,
-    c: float = 1.0,
-    substeps: int = 4,
+    config: SimConfig, k1, k2=None, c: float = 1.0
 ) -> tuple[list[CurvatureGrid], list[FramePath]]:
     """Evolve under the third-order flow and reconstruct each saved state.
 
@@ -499,7 +479,7 @@ def nlie_run(
     grid0 = uniform_grid(config, k1, k2)
     rhs = compile_flow(seed(1).flow, {"c": c}, config)
     history = evolve(grid0, rhs, config)
-    paths = [reconstruct_curve(g, config, substeps=substeps) for g in history]
+    paths = [reconstruct_curve(g, config) for g in history]
     return history, paths
 
 

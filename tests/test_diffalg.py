@@ -137,6 +137,12 @@ def test_anti_derivative_round_trip():
     for _ in range(40):
         f = _random_poly(rng, constant_free=True)
         assert anti_derivative(total_derivative(f)) == f
+    # D(Dinv(D g)) == D g up to order 6, with constants and sign parameters.
+    rng = random.Random(61)
+    signed = [param("eps1"), param("eps2"), param("a", -1), param("c1"), one()]
+    for _ in range(60):
+        g = _random_poly(rng, max_order=6, max_degree=3, terms=4) * rng.choice(signed)
+        assert anti_derivative(total_derivative(g)) == g - g.constant_part()
 
 
 def test_anti_derivative_by_parts_chain():
@@ -155,6 +161,39 @@ def test_anti_derivative_rejections():
     with pytest.raises(NonZeroConstantTerm):
         anti_derivative(param("b") + gen("k1", 1))
     assert anti_derivative(zero()).is_zero()
+
+
+def test_anti_derivative_above_half_the_order_cap():
+    # The Euler operator takes D^m of df/dv^(m), so these exceed MAX_ORDER
+    # there; integration by parts never goes above the order of f.
+    g = gen("k1", 6) ** 2
+    assert anti_derivative(total_derivative(g)) == g
+    with pytest.raises(NotExact):
+        anti_derivative(gen("k1", 7) ** 2)
+
+
+def test_anti_derivative_agrees_with_the_euler_oracle():
+    # Exact exactly when every Euler operator vanishes; the order bound
+    # keeps the oracle's D^m within MAX_ORDER.
+    rng = random.Random(67)
+    top = diffalg.MAX_ORDER // 2
+    exact = inexact = 0
+    for _ in range(80):
+        f = total_derivative(_random_poly(rng, max_order=top - 1, max_degree=3))
+        if rng.random() < 0.5:
+            f = f + _random_poly(rng, max_order=top, max_degree=2, constant_free=True)
+        if f.is_zero():
+            continue
+        oracle = any(not euler_operator(f, v).is_zero() for v in ("k1", "k2"))
+        try:
+            g = anti_derivative(f)
+        except NotExact:
+            assert oracle, f
+            inexact += 1
+        else:
+            assert not oracle and total_derivative(g) == f, f
+            exact += 1
+    assert exact >= 20 and inexact >= 20
 
 
 def test_order_of():

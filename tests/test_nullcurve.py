@@ -54,7 +54,7 @@ def _field(f="0", h="0", g="0", l="0") -> LocalVectorField:
 
 def test_metric_validation():
     FrameMetric(eps1=const(-1), G=const(0))
-    with pytest.raises(DiffAlgError):
+    with pytest.raises(TypeError):  # a is always the symbol, not a field
         FrameMetric(a=const(2))
     with pytest.raises(DiffAlgError):
         FrameMetric(eps1=const(2))
