@@ -20,7 +20,6 @@ from .diffalg import (
     euler_operator,
     frechet,
     gen,
-    is_symmetry,
     lie_bracket_flows,
     one,
     order_of,

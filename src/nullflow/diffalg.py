@@ -705,8 +705,3 @@ def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:
     left = frechet(b, a)
     right = frechet(a, b)
     return FlowPair(left.p1 - right.p1, left.p2 - right.p2, a.variables)
-
-
-def is_symmetry(flow: FlowPair, candidate: FlowPair) -> bool:
-    """True when the candidate flow commutes with the given flow."""
-    return lie_bracket_flows(flow, candidate).is_zero()

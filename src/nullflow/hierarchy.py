@@ -27,9 +27,7 @@ from .diffalg import (
     param,
 )
 from .expr import parse_expr
-from .nullcurve import FrameMetric, LocalVectorField, make_X, variational_flow
-
-_FLAT = FrameMetric(G=const(0))
+from .nullcurve import FLAT, LocalVectorField, make_X, variational_flow
 
 ConstantPolicy = Union[str, tuple]
 
@@ -48,16 +46,14 @@ def seed(index: int, constant: str | None = None) -> HierarchyEntry:
         raise ValueError("%s is a metric symbol, not a scale constant" % (constant,))
     if index == 0:
         name = constant or "b"
-        field = make_X(const(0), const(0), 0, param(name), _FLAT)
+        field = make_X(const(0), const(0), 0, param(name))
     elif index == 1:
         name = constant or "c"
         c1 = -2 * param("eps1") * param("a", 2) * param(name)
-        field = make_X(const(0), const(0), c1, 0, _FLAT)
+        field = make_X(const(0), const(0), c1, 0)
     else:
         raise ValueError("seed index must be 0 or 1")
-    return HierarchyEntry(
-        index, field, variational_flow(field, _FLAT), (name,)
-    )
+    return HierarchyEntry(index, field, variational_flow(field, FLAT), (name,))
 
 
 def _mint(used: set[str], count: int) -> list[str]:
@@ -100,11 +96,11 @@ def recursion_step(
         c1, c2 = (p if isinstance(p, DiffPoly) else const(p) for p in policy)
     else:
         raise ValueError("constant policy must be 'fresh', 'zero', or a pair")
-    field = make_X(h, l, c1, c2, _FLAT)
+    field = make_X(h, l, c1, c2)
     return HierarchyEntry(
         entry.index + 2,
         field,
-        variational_flow(field, _FLAT),
+        variational_flow(field, FLAT),
         entry.constants_used + minted,
     )
 

@@ -10,8 +10,15 @@ with differential-polynomial components.  The admissible classes are nested:
                normalization; these are exactly the fields produced by
                make_X and exactly the X*_P fields with rho = 0.
 
-The arc normalization is the symbol a throughout (the formulas divide by
-it); a FrameMetric carries only eps1, eps2 and G.
+The arc normalization a and the signs eps1, eps2 are symbols throughout
+(the formulas divide by a); a concrete signature comes from
+diffalg.specialize on a result.  A FrameMetric carries only the curvature
+constant G, so only the functions that read G take one; FLAT has G = 0.
+
+The induced curvature flow of a field is the operator Theta applied to
+(phi, -psi), plus a rho term and a G term.  theta_matrix_apply is the one
+Theta kernel: variational_flow uses it here, and operators builds the
+recursion operator R = Theta J on it.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
@@ -42,7 +49,6 @@ from .diffalg import (
     const,
     gen,
     jet_orders,
-    one,
     param,
     prolong,
     total_derivative,
@@ -52,15 +58,10 @@ _K1 = gen("k1")
 _K2 = gen("k2")
 _A = param("a")
 _A_INV = param("a", -1)
+_EPS1 = param("eps1")
+_EPS2 = param("eps2")
+_EPS12 = _EPS1 * _EPS2
 _HALF = Fraction(1, 2)
-
-
-def _default_eps1() -> DiffPoly:
-    return param("eps1")
-
-
-def _default_eps2() -> DiffPoly:
-    return param("eps2")
 
 
 def _default_g() -> DiffPoly:
@@ -69,28 +70,21 @@ def _default_g() -> DiffPoly:
 
 @dataclass(frozen=True)
 class FrameMetric:
-    """Ambient data: the signs eps1, eps2 and the curvature constant G.
+    """Ambient data: the curvature constant G (the symbol G, or a constant).
 
-    All fields are polynomials so the geometry can be run fully symbolically;
-    eps1/eps2 may also be the constants +-1 and G any constant (set G to 0
-    for the flat ambient space).  There is no field for the arc
-    normalization: the formulas divide by it, so it is always the symbol a.
+    Set G to 0 (FLAT) for the flat ambient space.  The signs eps1, eps2 and
+    the arc normalization a are always symbols; a concrete signature comes
+    from diffalg.specialize on the result.
     """
 
-    eps1: DiffPoly = field(default_factory=_default_eps1)
-    eps2: DiffPoly = field(default_factory=_default_eps2)
     G: DiffPoly = field(default_factory=_default_g)
 
     def __post_init__(self) -> None:
-        for eps in (self.eps1, self.eps2):
-            if not eps.is_constant() or eps * eps != one():
-                raise DiffAlgError("eps1/eps2 must square to one")
         if not self.G.is_constant():
             raise DiffAlgError("metric G must be constant")
 
-    @property
-    def eps12(self) -> DiffPoly:
-        return self.eps1 * self.eps2
+
+FLAT = FrameMetric(G=const(0))
 
 
 @dataclass(frozen=True)
@@ -142,16 +136,16 @@ class FrameCoeffs(NamedTuple):
     delta: DiffPoly
 
 
-def projections(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> Projections:
+def projections(v: LocalVectorField) -> Projections:
     """Normal projections phi, psi and the arc-length defect rho of a field."""
-    phi = _A * v.f + total_derivative(v.h) - metric.eps1 * _K1 * v.g
-    psi = total_derivative(v.l) + metric.eps2 * _K2 * v.g
+    phi = _A * v.f + total_derivative(v.h) - _EPS1 * _K1 * v.g
+    psi = total_derivative(v.l) + _EPS2 * _K2 * v.g
     rho = (
         -_A * total_derivative(v.f)
         + 2 * _A * _K1 * v.h
         - _A * _K2 * v.l
         - total_derivative(phi)
-        + metric.eps1 * _K1 * total_derivative(v.g)
+        + _EPS1 * _K1 * total_derivative(v.g)
     )
     return Projections(phi, psi, rho)
 
@@ -160,7 +154,7 @@ def frame_derivative_coeffs(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FrameCoeffs:
     """The alpha, beta, delta coefficients of the frame transport along v."""
-    return _frame_coeffs(v, projections(v, metric), metric)
+    return _frame_coeffs(v, projections(v), metric)
 
 
 def _frame_coeffs(
@@ -171,48 +165,51 @@ def _frame_coeffs(
     beta = _A_INV * (
         total_derivative(alpha) + _K1 * phi - _K2 * psi - metric.G * v.g
     )
-    delta = (
-        _A_INV * total_derivative(psi, 2)
-        + _K1 * psi
-        + metric.eps12 * _K2 * phi
-    )
+    delta = _A_INV * total_derivative(psi, 2) + _K1 * psi + _EPS12 * _K2 * phi
     return FrameCoeffs(alpha, beta, delta)
+
+
+def theta_apply(f: DiffPoly) -> DiffPoly:
+    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential."""
+    return (
+        _A_INV * total_derivative(f, 3)
+        + _K1 * total_derivative(f)
+        + total_derivative(_K1 * f)
+    )
+
+
+def s_apply(f: DiffPoly) -> DiffPoly:
+    """s(f) = (k2 f)' + k2 f'; purely differential."""
+    return total_derivative(_K2 * f) + _K2 * total_derivative(f)
+
+
+def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
+    """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
+    p, q = pq
+    first = _A_INV * (theta_apply(p) + s_apply(q))
+    second = _A_INV * (s_apply(p) - _EPS12 * theta_apply(q))
+    return FlowPair(first, second)
 
 
 def variational_flow(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FlowPair:
     """The induced curvature evolution (V(k1), V(k2)) of a field in X*_P."""
-    return _variational_flow(v, projections(v, metric), metric)
+    return _variational_flow(v, projections(v), metric)
 
 
 def _variational_flow(
     v: LocalVectorField, proj: Projections, metric: FrameMetric
 ) -> FlowPair:
+    # Theta applied to (phi, -psi), plus the arc-length defect and G terms.
     phi, psi, rho = proj
-    a2 = param("a", -2)
-
-    def sym(weight: DiffPoly, f: DiffPoly) -> DiffPoly:
-        return total_derivative(weight * f) + weight * total_derivative(f)
-
-    vk1 = (
-        a2 * total_derivative(phi, 3)
-        + _A_INV * sym(_K1, phi)
-        - _A_INV * sym(_K2, psi)
-        + _A_INV
-        * (
-            _HALF * _A_INV * total_derivative(rho, 2)
-            + _K1 * rho
-            - 2 * metric.G * total_derivative(v.g)
-        )
+    theta = theta_matrix_apply((phi, -psi))
+    vk1 = theta.p1 + _A_INV * (
+        _HALF * _A_INV * total_derivative(rho, 2)
+        + _K1 * rho
+        - 2 * metric.G * total_derivative(v.g)
     )
-    vk2 = (
-        metric.eps12 * a2 * total_derivative(psi, 3)
-        + metric.eps12 * _A_INV * sym(_K1, psi)
-        + _A_INV * sym(_K2, phi)
-        + _A_INV * _K2 * rho
-        - metric.eps2 * metric.G * v.l
-    )
+    vk2 = theta.p2 + _A_INV * _K2 * rho - _EPS2 * metric.G * v.l
     return FlowPair(vk1, vk2)
 
 
@@ -221,7 +218,6 @@ def make_X(
     l: DiffPoly,
     c1: DiffPoly | int = 0,
     c2: DiffPoly | int = 0,
-    metric: FrameMetric = FrameMetric(),
 ) -> LocalVectorField:
     """Arc-length preserving field with tangential data (h, l).
 
@@ -236,7 +232,7 @@ def make_X(
             raise DiffAlgError("%s must be a constant" % (name,))
     p = anti_derivative(h)
     q = anti_derivative(_K1 * h - _K2 * l)
-    g = -metric.eps1 * _A * p + c1
+    g = -_EPS1 * _A * p + c1
     f = (
         -_HALF
         * _A_INV
@@ -244,7 +240,7 @@ def make_X(
             total_derivative(h)
             + _A * _K1 * p
             - _A * q
-            - metric.eps1 * c1 * _K1
+            - _EPS1 * c1 * _K1
         )
         + c2
     )
@@ -260,7 +256,7 @@ def scalar_action(
     arc-length correction rho/(2a) on each derivative slot; the two agree
     exactly when rho vanishes.
     """
-    proj = projections(v, metric)
+    proj = projections(v)
     flow = _variational_flow(v, proj, metric)
     table = prolong(flow, jet_orders(target), _HALF * _A_INV * proj.rho)
     return apply_prolongation(target, table)
@@ -270,7 +266,7 @@ def d_v(
     v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> LocalVectorField:
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
-    proj = projections(v, metric)
+    proj = projections(v)
     phi, psi, rho = proj
     alpha, beta, delta = _frame_coeffs(v, proj, metric)
     flow = _variational_flow(v, proj, metric)
@@ -278,12 +274,11 @@ def d_v(
     table = prolong(flow, jet_orders(*u.components()), _HALF * _A_INV * rho)
     xf, xh, xg, xl = (apply_prolongation(c, table) for c in u.components())
     psi1 = total_derivative(psi)
-    e12 = metric.eps12
 
-    new_f = xf - alpha * u.f - beta * u.h + e12 * _A_INV * delta * u.l
-    new_h = xh + phi * u.f - metric.eps1 * beta * u.g - e12 * _A_INV * psi1 * u.l
-    new_g = xg + metric.eps1 * phi * u.h + alpha * u.g + metric.eps2 * psi * u.l
-    new_l = xl + psi * u.f + _A_INV * psi1 * u.h + metric.eps1 * _A_INV * delta * u.g
+    new_f = xf - alpha * u.f - beta * u.h + _EPS12 * _A_INV * delta * u.l
+    new_h = xh + phi * u.f - _EPS1 * beta * u.g - _EPS12 * _A_INV * psi1 * u.l
+    new_g = xg + _EPS1 * phi * u.h + alpha * u.g + _EPS2 * psi * u.l
+    new_l = xl + psi * u.f + _A_INV * psi1 * u.h + _EPS1 * _A_INV * delta * u.g
     return LocalVectorField(new_f, new_h, new_g, new_l)
 
 
@@ -299,16 +294,9 @@ def gamma_bracket(
     return d_v(v1, v2, metric) - d_v(v2, v1, metric)
 
 
-def inner(
-    v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
-) -> DiffPoly:
+def inner(v: LocalVectorField, u: LocalVectorField) -> DiffPoly:
     """Frame inner product: -f1 g2 - g1 f2 + eps1 h1 h2 + eps2 l1 l2."""
-    return (
-        -v.f * u.g
-        - v.g * u.f
-        + metric.eps1 * v.h * u.h
-        + metric.eps2 * v.l * u.l
-    )
+    return -v.f * u.g - v.g * u.f + _EPS1 * v.h * u.h + _EPS2 * v.l * u.l
 
 
 def curvature_identity_residual(
@@ -327,25 +315,23 @@ def curvature_identity_residual(
         - d_v(v1, d_v(v2, u, metric), metric)
         + d_v(v2, d_v(v1, u, metric), metric)
     )
-    rhs = v2.scale(metric.G * inner(u, v1, metric)) - v1.scale(
-        metric.G * inner(u, v2, metric)
-    )
+    rhs = v2.scale(metric.G * inner(u, v1)) - v1.scale(metric.G * inner(u, v2))
     return lhs - rhs
 
 
-def classify(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> str:
+def classify(v: LocalVectorField) -> str:
     """Largest admissible class: 'X_P', 'X*_P', or 'T_PLambda'.
 
     Membership in the smaller classes is decided up to the free additive
     constants: the candidate constants are read off from g and from the
     residual of f, and must come out constant.
     """
-    if total_derivative(v.g) != -metric.eps1 * _A * v.h:
+    if total_derivative(v.g) != -_EPS1 * _A * v.h:
         return "X_P"
     try:
         # g' = -eps1 a h, so D(c1) = 0: c1 is a constant.
-        c1 = v.g + metric.eps1 * _A * anti_derivative(v.h)
-        base = make_X(v.h, v.l, c1, 0, metric)
+        c1 = v.g + _EPS1 * _A * anti_derivative(v.h)
+        base = make_X(v.h, v.l, c1, 0)
     except NotExact:
         return "X*_P"
     if (v.f - base.f).is_constant():

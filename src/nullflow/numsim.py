@@ -141,21 +141,25 @@ class CurvatureGrid:
         return float(self.sigma[1] - self.sigma[0])
 
     def mass(self, variable: str = "k1") -> float:
-        values = self.k1 if variable == "k1" else self.k2
-        return float(values.sum() * self.dx)
+        if variable not in ("k1", "k2"):
+            raise ValueError("variable must be k1 or k2")
+        return float(getattr(self, variable).sum() * self.dx)
 
 
 def uniform_grid(config: SimConfig, k1, k2=None) -> CurvatureGrid:
-    """Sample callables (or broadcastable values) on the periodic grid."""
+    """Sample callables (or broadcastable values) on the periodic grid.
+
+    Raises ValueError when a sample is NaN or infinite.
+    """
     sigma = np.arange(config.grid_points) * config.dx
-    k1v = np.asarray(k1(sigma) if callable(k1) else k1, dtype=float)
-    k1v = np.broadcast_to(k1v, sigma.shape).copy()
-    if k2 is None:
-        k2v = np.zeros_like(sigma)
-    else:
-        k2v = np.asarray(k2(sigma) if callable(k2) else k2, dtype=float)
-        k2v = np.broadcast_to(k2v, sigma.shape).copy()
-    return CurvatureGrid(sigma, k1v, k2v)
+    samples = []
+    for name, profile in (("k1", k1), ("k2", 0.0 if k2 is None else k2)):
+        values = np.asarray(profile(sigma) if callable(profile) else profile, dtype=float)
+        values = np.broadcast_to(values, sigma.shape).copy()
+        if not np.isfinite(values).all():
+            raise ValueError("initial %s profile holds non-finite values" % (name,))
+        samples.append(values)
+    return CurvatureGrid(sigma, *samples)
 
 
 # -- finite differences ----------------------------------------------------

@@ -6,13 +6,15 @@ The building blocks are the scalar operators
     theta(f) = (1/a) f''' + k1 f' + (k1 f)'
     s(f)     = (k2 f)' + k2 f'
 
-and the 2x2 matrix operators assembled from them.  The recursion operator
+and the 2x2 matrix operators assembled from them.  theta, s and Theta
+live in nullcurve, whose variational_flow is Theta applied to (phi, -psi)
+plus its rho and G terms; they are imported here.  The recursion operator
 R = Theta J is computed once, as theta_matrix_apply after j_matrix_apply.
 The projection route a_matrix_apply / b_matrix_apply goes through the
 frame field instead (nullcurve.make_X, then nullcurve.projections, then
-Theta with the sign of psi flipped), so the two routes are independent
-and the tests compare them.  The classical (u, v) hierarchy is R itself,
-specialized at a = 2, eps1 = 1, eps2 = -1.  Two conventions matter
+Theta with the sign of psi flipped), so the two routes share Theta but
+not J, and the tests compare them.  The classical (u, v) hierarchy is R
+itself, specialized at a = 2, eps1 = 1, eps2 = -1.  Two conventions matter
 throughout and are covered by tests:
 
 * Anti-derivatives of sums are always taken of the combined integrand
@@ -45,7 +47,14 @@ from .diffalg import (
     total_derivative,
     zero,
 )
-from .nullcurve import FrameMetric, Projections, make_X, projections
+from .nullcurve import (
+    Projections,
+    make_X,
+    projections,
+    s_apply,
+    theta_apply,
+    theta_matrix_apply,
+)
 
 _K1 = gen("k1")
 _K2 = gen("k2")
@@ -53,7 +62,6 @@ _A = param("a")
 _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS12 = param("eps1") * param("eps2")
-_FLAT = FrameMetric(G=const(0))
 
 Constant = Union[DiffPoly, int, Fraction]
 
@@ -82,28 +90,6 @@ def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> D
     )
 
 
-def theta_apply(f: DiffPoly) -> DiffPoly:
-    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential."""
-    return (
-        _A_INV * total_derivative(f, 3)
-        + _K1 * total_derivative(f)
-        + total_derivative(_K1 * f)
-    )
-
-
-def s_apply(f: DiffPoly) -> DiffPoly:
-    """s(f) = (k2 f)' + k2 f'; purely differential."""
-    return total_derivative(_K2 * f) + _K2 * total_derivative(f)
-
-
-def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
-    """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
-    p, q = pq
-    first = _A_INV * (theta_apply(p) + s_apply(q))
-    second = _A_INV * (s_apply(p) - _EPS12 * theta_apply(q))
-    return FlowPair(first, second)
-
-
 def j_matrix_apply(
     xy: tuple[DiffPoly, DiffPoly],
     constants: tuple[Constant, Constant] = (0, 0),
@@ -130,7 +116,7 @@ def a_matrix_apply(
     constants: tuple[Constant, Constant] = (0, 0),
 ) -> Projections:
     """Projections of the flat-space field make_X(h, l, c1, c2); rho is zero."""
-    return projections(make_X(h, l, *constants, _FLAT), _FLAT)
+    return projections(make_X(h, l, *constants))
 
 
 def b_matrix_apply(pp: Projections) -> FlowPair:

@@ -183,6 +183,12 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
                 "--length", "10", "--out", str(tmp_path / "y")] + bad
         assert main(args) == 1
         assert "must be finite" in capsys.readouterr().err
+    for bad in (["--profile", "constant", "--amplitude", "nan"],
+                ["--profile", "sine", "--k2-amplitude", "inf"]):
+        args = ["simulate", "--flow", "translation", "--n", "64", "--dt", "1e-3",
+                "--t-end", "0.01", "--out", str(tmp_path / "w")] + bad
+        assert main(args) == 1
+        assert "error: initial" in capsys.readouterr().err
 
 
 def test_simulate_step_budget_exits_one(tmp_path, capsys):

@@ -102,9 +102,20 @@ def test_config_validation():
 
 def test_reconstruction_rejects_non_finite_curvature():
     config = SimConfig(domain_length=2 * np.pi, grid_points=64)
-    for k1, k2 in ((math.nan, 0.3), (0.4, lambda s: np.where(s > 3, np.inf, 0.3))):
+    grid = uniform_grid(config, 0.4, 0.3)
+    nan_k1 = np.full_like(grid.k1, math.nan)
+    inf_k2 = np.where(grid.sigma > 3, np.inf, 0.3)
+    for k1, k2 in ((nan_k1, grid.k2), (grid.k1, inf_k2)):
         with pytest.raises(ValueError, match="non-finite"):
-            reconstruct_curve(uniform_grid(config, k1, k2), config)
+            reconstruct_curve(CurvatureGrid(grid.sigma, k1, k2), config)
+
+
+def test_uniform_grid_rejects_non_finite_profiles():
+    config = SimConfig(domain_length=2 * np.pi, grid_points=64)
+    inf_k2 = lambda s: np.where(s > 3, np.inf, 0.3)
+    for k1, k2, name in ((math.nan, 0.3, "k1"), (0.4, inf_k2, "k2")):
+        with pytest.raises(ValueError, match="%s profile holds non-finite" % name):
+            uniform_grid(config, k1, k2)
 
 
 def test_unbound_parameter_is_reported_by_name():
@@ -179,6 +190,8 @@ def test_k1_mass_is_conserved_and_k2_mass_is_not():
     drift2 = abs(final.mass("k2") - grid.mass("k2"))
     assert drift1 < 1e-12
     assert drift2 > 1e-6
+    with pytest.raises(ValueError, match="k1 or k2"):
+        grid.mass("k3")
 
 
 def test_output_stride_keeps_ordered_snapshots():
