@@ -109,6 +109,8 @@ def _cmd_classify(args) -> int:
 def _profiles(args, length: float):
     amp, amp2 = args.amplitude, args.k2_amplitude
     if args.profile == "soliton":
+        if amp < 0:
+            raise ValueError("--amplitude must be nonnegative for a soliton, got %r" % (amp,))
         width = math.sqrt(args.a * amp) / 2.0
         k1 = lambda s: amp / np.cosh(width * (s - length / 2)) ** 2
         k2 = lambda s: amp2 * np.sin(2 * np.pi * s / length)

@@ -15,7 +15,10 @@ and through it Frechet derivatives of flow pairs and the Lie bracket of
 evolution flows.
 
 Canonical form.  A polynomial is a dict from term keys (gens, powers, eps1,
-eps2) to nonzero Fractions.  gens is a tuple of ((variable, order), exponent)
+eps2) to nonzero int numerators over one positive int denominator, with
+the denominator coprime to the numerators' content (the zero polynomial has
+denominator 1); values become Fractions only at the edges (terms, str,
+const, specialize).  gens is a tuple of ((variable, order), exponent)
 pairs, strictly increasing in (variable, order), with exponents >= 1;
 powers is a tuple of (name, exponent) pairs in parameter-rank order (a, b,
 c, G, c1, c2, ...) with nonzero exponents, negative only on a; eps1 and
@@ -34,7 +37,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from math import gcd, lcm
+from typing import Iterator, Union
 
 
 def _read_max_order() -> int:
@@ -180,36 +184,51 @@ def _merge_powers(p1: tuple, p2: tuple) -> tuple:
     return tuple(sorted(merged.items(), key=_power_rank))
 
 
-def _accumulate(acc: dict, key: _TermKey, value: Fraction) -> None:
-    old = acc.get(key)
-    if old is None:
-        if value:  # specialize can hand in zeros
-            acc[key] = value
-        return
-    value += old
+def _accumulate(acc: dict, key: _TermKey, value) -> None:
+    value += acc.get(key, 0)
     if value:
         acc[key] = value
-    else:
-        del acc[key]
+    else:  # a cancellation, or a zero that specialize handed in
+        acc.pop(key, None)
 
 
-def _add_into(acc: dict, items: Iterable[tuple[_TermKey, Fraction]]) -> None:
-    for key, value in items:
-        _accumulate(acc, key, value)
+def _normalized(acc: dict, den: int) -> "DiffPoly":
+    """acc / den in canonical form: the only place shared content is divided out."""
+    if den != 1:
+        content = gcd(den, *acc.values())
+        if content != 1:
+            den //= content
+            acc = {key: value // content for key, value in acc.items()}
+    return DiffPoly(acc, den)
 
 
-def _negated(terms: dict) -> Iterator[tuple[_TermKey, Fraction]]:
-    return ((key, -value) for key, value in terms.items())
+def _add_into(acc: dict, den: int, terms: dict, tden: int, sign: int) -> int:
+    """Add sign * terms / tden into acc / den in place; returns the new denominator.
+
+    acc is rescaled to the lcm of the two denominators; its content is left
+    for _normalized.
+    """
+    common = lcm(den, tden)
+    if common != den:
+        up = common // den
+        for key in acc:
+            acc[key] *= up
+    scale = sign * (common // tden)
+    for key, value in terms.items():
+        _accumulate(acc, key, value * scale)
+    return common
 
 
-def _mul_into(acc: dict, left: dict, right: dict) -> None:
-    """Add the product of two term dicts into acc."""
+def _mul_into(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
+    """Add scale times the product of two numerator dicts into acc."""
     # Parameter monomials repeat: in a hierarchy pass 3 in 4 term pairs
     # carry parameters on both sides, and 9 in 10 of those meet a pair
     # already merged in the same call.  Merging each distinct pair once per
-    # call takes about a tenth off hierarchy and field_brackets.
+    # call takes about a fifth off a hierarchy pass, and equal monomials
+    # share one tuple.
     pow_products: dict = {}
     for (g1, p1, a1, b1), q1 in left.items():
+        q1 *= scale
         for (g2, p2, a2, b2), q2 in right.items():
             if not p2:
                 pows = p1
@@ -223,6 +242,12 @@ def _mul_into(acc: dict, left: dict, right: dict) -> None:
             _accumulate(acc, (gens, pows, a1 ^ a2, b1 ^ b2), q1 * q2)
 
 
+def _over_lcm(terms: dict) -> "DiffPoly":
+    """Nonzero Fraction values put over their lcm, which leaves them coprime."""
+    den = lcm(*(q.denominator for q in terms.values()))
+    return DiffPoly({k: q.numerator * (den // q.denominator) for k, q in terms.items()}, den)
+
+
 def _coordinates(f: "DiffPoly") -> set[tuple[str, int]]:
     """The (variable, order) pairs present in f."""
     return {vo for (gens, _, _, _) in f._terms for vo, _exp in gens}
@@ -232,19 +257,22 @@ class DiffPoly:
     """Immutable differential polynomial in canonical form.
 
     Terms live in a dict keyed by (generator monomial, parameter monomial,
-    eps1 bit, eps2 bit) with exact rational values; no zero coefficients are
-    stored, so structural equality is dict equality.  str() renders the
+    eps1 bit, eps2 bit) with nonzero int numerators over the one positive
+    denominator _den, coprime to their content (1 for zero); so structural
+    equality is dict and denominator equality.  str() renders the
     canonical serialization (terms ordered by total generator degree, then
     lexicographically), which the expression parser maps back bit-for-bit.
 
-    The constructor stores the dict it is given, unchecked: callers pass
-    canonical keys and nonzero Fraction values, and hand over the dict.
+    The constructor stores what it is given, unchecked: callers pass
+    canonical keys, nonzero int numerators and a coprime denominator, and
+    hand over the dict.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: dict | None = None):
-        self._terms: dict[_TermKey, Fraction] = {} if terms is None else terms
+    def __init__(self, terms: dict | None = None, den: int = 1):
+        self._terms: dict[_TermKey, int] = {} if terms is None else terms
+        self._den = den
 
     # -- construction helpers -------------------------------------------
 
@@ -253,7 +281,7 @@ class DiffPoly:
         if coeff.rational == 0:
             return DiffPoly()
         key = (tuple(sorted(gens)), coeff.powers, coeff.eps1, coeff.eps2)
-        return DiffPoly({key: coeff.rational})
+        return _over_lcm({key: coeff.rational})
 
     # -- queries ---------------------------------------------------------
 
@@ -266,7 +294,7 @@ class DiffPoly:
 
     def terms(self) -> Iterator[tuple[_GenPart, ParamCoeff]]:
         for (gens, pows, e1, e2), q in self._terms.items():
-            yield gens, ParamCoeff(q, pows, e1, e2)
+            yield gens, ParamCoeff(Fraction(q, self._den), pows, e1, e2)
 
     def generators(self) -> set[Generator]:
         return {Generator(var, order) for var, order in _coordinates(self)}
@@ -285,16 +313,14 @@ class DiffPoly:
         return out
 
     def constant_part(self) -> "DiffPoly":
-        return DiffPoly(
-            {k: v for k, v in self._terms.items() if not k[0]}
-        )
+        return _normalized({k: v for k, v in self._terms.items() if not k[0]}, self._den)
 
     def canonical_terms(self) -> list[tuple[_GenPart, ParamCoeff]]:
         """Terms in canonical order (total degree, then lexicographic)."""
         out = []
         for key in self._sorted_keys():
             gens, pows, e1, e2 = key
-            out.append((gens, ParamCoeff(self._terms[key], pows, e1, e2)))
+            out.append((gens, ParamCoeff(Fraction(self._terms[key], self._den), pows, e1, e2)))
         return out
 
     # -- arithmetic -------------------------------------------------------
@@ -302,30 +328,28 @@ class DiffPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __add__(self, other: "Polylike") -> "DiffPoly":
-        acc = dict(self._terms)
-        _add_into(acc, _as_poly(other)._terms.items())
-        return DiffPoly(acc)
+        other, acc = _as_poly(other), dict(self._terms)
+        return _normalized(acc, _add_into(acc, self._den, other._terms, other._den, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly(dict(_negated(self._terms)))
+        return DiffPoly({key: -value for key, value in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Polylike") -> "DiffPoly":
-        acc = dict(self._terms)
-        _add_into(acc, _negated(_as_poly(other)._terms))
-        return DiffPoly(acc)
+        other, acc = _as_poly(other), dict(self._terms)
+        return _normalized(acc, _add_into(acc, self._den, other._terms, other._den, -1))
 
     def __rsub__(self, other: "Polylike") -> "DiffPoly":
         return _as_poly(other) - self
 
     def __mul__(self, other: "Polylike") -> "DiffPoly":
-        acc: dict[_TermKey, Fraction] = {}
-        _mul_into(acc, self._terms, _as_poly(other)._terms)
-        return DiffPoly(acc)
+        other, acc = _as_poly(other), {}
+        _mul_into(acc, self._terms, other._terms)
+        return _normalized(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -353,7 +377,7 @@ class DiffPoly:
             return "0"
         chunks = []
         for key in self._sorted_keys():
-            q = self._terms[key]
+            q = Fraction(self._terms[key], self._den)
             body = _format_term(key, abs(q))
             if not chunks:
                 chunks.append(("-" if q < 0 else "") + body)
@@ -404,9 +428,7 @@ def _format_term(key: _TermKey, magnitude: Fraction) -> str:
 def const(value: Union[int, Fraction]) -> DiffPoly:
     """The constant polynomial with the given exact rational value."""
     q = Fraction(value)
-    if q == 0:
-        return DiffPoly()
-    return DiffPoly({((), (), 0, 0): q})
+    return _over_lcm({((), (), 0, 0): q} if q else {})
 
 
 def zero() -> DiffPoly:
@@ -420,19 +442,19 @@ def one() -> DiffPoly:
 def gen(variable: str, order: int = 0) -> DiffPoly:
     """The polynomial consisting of a single generator."""
     g = Generator(variable, order)
-    return DiffPoly({((((g.variable, g.order), 1),), (), 0, 0): Fraction(1)})
+    return DiffPoly({((((g.variable, g.order), 1),), (), 0, 0): 1})
 
 
 def param(name: str, exp: int = 1) -> DiffPoly:
     """A parameter symbol (a, b, c, G, c1, c2, ..., eps1, eps2) to a power."""
     if name == "eps1":
-        return DiffPoly({((), (), exp % 2, 0): Fraction(1)})
+        return DiffPoly({((), (), exp % 2, 0): 1})
     if name == "eps2":
-        return DiffPoly({((), (), 0, exp % 2): Fraction(1)})
+        return DiffPoly({((), (), 0, exp % 2): 1})
     if exp == 0:
         return one()
     _validate_powers(((name, exp),))
-    return DiffPoly({((), ((name, exp),), 0, 0): Fraction(1)})
+    return DiffPoly({((), ((name, exp),), 0, 0): 1})
 
 
 def specialize(
@@ -455,9 +477,10 @@ def specialize(
     rename = rename or {}
     for target in rename.values():
         Generator(target, 0)
+    f = _as_poly(f)
     acc: dict[_TermKey, Fraction] = {}
-    for (gens, pows, e1, e2), q in _as_poly(f)._terms.items():
-        kept = []
+    for (gens, pows, e1, e2), q in f._terms.items():
+        q, kept = Fraction(q, f._den), []
         for name, exp in pows:
             if name in values:
                 q *= Fraction(values[name]) ** exp
@@ -472,7 +495,7 @@ def specialize(
             coord = (rename.get(v, v), m)
             moved[coord] = moved.get(coord, 0) + e
         _accumulate(acc, (tuple(sorted(moved.items())), tuple(kept), e1, e2), q)
-    return DiffPoly(acc)
+    return _over_lcm(acc)
 
 
 # -- flow pairs -------------------------------------------------------------
@@ -520,7 +543,7 @@ def total_derivative(f: Polylike, n: int = 1) -> DiffPoly:
 def _d_once(f: DiffPoly) -> DiffPoly:
     # D moves one power of v^(m) at index i to v^(m+1).  In a canonical key
     # v^(m+1) can only sit at index i+1, so the new key is two splices.
-    acc: dict[_TermKey, Fraction] = {}
+    acc: dict[_TermKey, int] = {}
     for (gens, pows, e1, e2), q in f._terms.items():
         n = len(gens)
         for i, (coord, exp) in enumerate(gens):
@@ -541,7 +564,7 @@ def _d_once(f: DiffPoly) -> DiffPoly:
             else:
                 head, value = gens[:i] + ((coord, exp - 1),), q * exp
             _accumulate(acc, (head + tail, pows, e1, e2), value)
-    return DiffPoly(acc)
+    return _normalized(acc, f._den)
 
 
 def partial_derivative(f: Polylike, generator) -> DiffPoly:
@@ -551,8 +574,8 @@ def partial_derivative(f: Polylike, generator) -> DiffPoly:
     else:
         target = (generator[0], generator[1])
     # Lowering one exponent is injective on keys, so no two terms collide.
-    out: dict[_TermKey, Fraction] = {}
-    for (gens, pows, e1, e2), q in _as_poly(f)._terms.items():
+    f, out = _as_poly(f), {}
+    for (gens, pows, e1, e2), q in f._terms.items():
         for i, (coord, exp) in enumerate(gens):
             if coord == target:
                 if exp == 1:
@@ -562,7 +585,7 @@ def partial_derivative(f: Polylike, generator) -> DiffPoly:
                     value = q * exp
                 out[(lowered, pows, e1, e2)] = value
                 break
-    return DiffPoly(out)
+    return _normalized(out, f._den)
 
 
 def euler_operator(f: Polylike, variable: str) -> DiffPoly:
@@ -575,12 +598,12 @@ def euler_operator(f: Polylike, variable: str) -> DiffPoly:
     at most MAX_ORDER / 2.
     """
     f = _as_poly(f)
-    acc: dict[_TermKey, Fraction] = {}
+    acc, den = {}, 1
     for var, m in sorted(_coordinates(f)):
         if var == variable:
-            part = total_derivative(partial_derivative(f, (var, m)), m)._terms
-            _add_into(acc, _negated(part) if m % 2 else part.items())
-    return DiffPoly(acc)
+            part = total_derivative(partial_derivative(f, (var, m)), m)
+            den = _add_into(acc, den, part._terms, part._den, -1 if m % 2 else 1)
+    return _normalized(acc, den)
 
 
 def order_of(f: Polylike) -> int:
@@ -597,11 +620,11 @@ def _integrate_in(f: DiffPoly, var: str, order: int) -> DiffPoly:
     """Polynomial integration in the single jet coordinate (var, order)."""
     # Raising one exponent is injective on keys, so no two terms collide.
     target = (var, order)
-    out: dict[_TermKey, Fraction] = {}
-    for (gens, pows, e1, e2), q in f._terms.items():
-        exp = dict(gens).get(target, 0)
-        out[(_merge_gens(gens, ((target, 1),)), pows, e1, e2)] = q / (exp + 1)
-    return DiffPoly(out)
+    raised = [dict(gens).get(target, 0) + 1 for (gens, _, _, _) in f._terms]
+    common, out = lcm(*raised), {}
+    for ((gens, pows, e1, e2), q), up in zip(f._terms.items(), raised):
+        out[(_merge_gens(gens, ((target, 1),)), pows, e1, e2)] = q * (common // up)
+    return _normalized(out, f._den * common)
 
 
 def anti_derivative(f: Polylike) -> DiffPoly:
@@ -620,8 +643,8 @@ def anti_derivative(f: Polylike) -> DiffPoly:
         return zero()
     if not f.constant_part().is_zero():
         raise NonZeroConstantTerm("anti-derivative needs zero constant term")
-    result: dict[_TermKey, Fraction] = {}
-    work = DiffPoly(dict(f._terms))  # private: reduced in place below
+    result, den = {}, 1
+    work = DiffPoly(dict(f._terms), f._den)  # private: reduced in place below
     while not work.is_zero():
         m, var = _top_coordinate(work)
         if m <= 0:
@@ -632,9 +655,10 @@ def anti_derivative(f: Polylike) -> DiffPoly:
                 "coefficient of %s^(%d) is not of lower order" % (var, m)
             )
         piece = _integrate_in(coeff, var, m - 1)
-        _add_into(result, piece._terms.items())
-        _add_into(work._terms, _negated(total_derivative(piece)._terms))
-    return DiffPoly(result)
+        den = _add_into(result, den, piece._terms, piece._den, 1)
+        done = total_derivative(piece)
+        work._den = _add_into(work._terms, work._den, done._terms, done._den, -1)
+    return _normalized(result, den)
 
 
 # -- flow calculus ----------------------------------------------------------
@@ -678,10 +702,12 @@ def apply_prolongation(
     target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
 ) -> DiffPoly:
     """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
-    acc: dict[_TermKey, Fraction] = {}
-    for coord in sorted(_coordinates(target)):
-        _mul_into(acc, partial_derivative(target, coord)._terms, table[coord]._terms)
-    return DiffPoly(acc)
+    # One common denominator up front, so every product adds into one dict.
+    pairs = [(partial_derivative(target, c), table[c]) for c in sorted(_coordinates(target))]
+    den, acc = lcm(*(p._den * t._den for p, t in pairs)), {}
+    for p, t in pairs:
+        _mul_into(acc, p._terms, t._terms, den // (p._den * t._den))
+    return _normalized(acc, den)
 
 
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:

@@ -189,6 +189,11 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
                 "--t-end", "0.01", "--out", str(tmp_path / "w")] + bad
         assert main(args) == 1
         assert "error: initial" in capsys.readouterr().err
+    soliton = ["simulate", "--flow", "translation", "--profile", "soliton", "--n", "64",
+               "--dt", "1e-3", "--t-end", "0.01", "--out", str(tmp_path / "s"), "--amplitude"]
+    assert main(soliton + ["-1"]) == 1
+    assert "--amplitude must be nonnegative for a soliton, got -1.0" in capsys.readouterr().err
+    assert main(soliton + ["0"]) == 0
 
 
 def test_simulate_step_budget_exits_one(tmp_path, capsys):

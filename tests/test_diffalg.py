@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -308,8 +309,11 @@ def test_specialize_rejections():
 
 
 def _assert_canonical(f: DiffPoly) -> None:
+    assert type(f._den) is int and f._den > 0
+    assert math.gcd(f._den, *f._terms.values()) == 1
+    assert f._terms or f._den == 1
     for (gens, pows, e1, e2), value in f._terms.items():
-        assert type(value) is Fraction and value != 0
+        assert type(value) is int and value != 0
         coords = [coord for coord, _ in gens]
         assert all(x < y for x, y in zip(coords, coords[1:])), gens
         assert all(type(exp) is int and exp >= 1 for _, exp in gens), gens
@@ -319,11 +323,12 @@ def _assert_canonical(f: DiffPoly) -> None:
         assert e1 in (0, 1) and e2 in (0, 1)
 
 
-def test_stored_values_stay_nonzero_fractions():
+def test_stored_numerators_stay_nonzero_and_coprime():
     # The constructor trusts its callers: every builder must hand it
-    # nonzero Fraction values and canonical keys, through cancellation,
-    # specialization and renaming; a key out of order would split equal
-    # terms silently.
+    # nonzero int numerators over a coprime positive denominator and
+    # canonical keys, through cancellation, specialization and renaming; a
+    # key out of order would split equal terms silently, and content left
+    # undivided would make equal polynomials compare unequal.
     rng = random.Random(17)
     signed = [param("eps1"), param("eps2"), param("a", -1), param("c1"), one()]
     for _ in range(30):
@@ -355,11 +360,30 @@ def test_stored_values_stay_nonzero_fractions():
             _assert_canonical(f)
 
 
+def test_shared_content_is_divided_out():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    k1, k1_k1p = ((("k1", 0), 1),), ((("k1", 0), 1), (("k1", 1), 1))
+    f = K1 * half + K2 * third
+    cases = [
+        (K1 * half + K1 * half, {(k1, (), 0, 0): 1}),
+        ((K1 * third) * 3, {(k1, (), 0, 0): 1}),
+        (total_derivative(K1 ** 2 * half), {(k1_k1p, (), 0, 0): 1}),
+        (f - f, {}),
+    ]
+    for got, numerators in cases:
+        assert got._den == 1 and got._terms == numerators
+    assert f._den == 6 and f._terms == {(k1, (), 0, 0): 3, (((("k2", 0), 1),), (), 0, 0): 2}
+
+
 # -- the merge-and-sort key construction the kernels replaced --------------
 #
 # Each reference rebuilds every key through a dict of factor exponents,
-# drops zero exponents and sorts again; the kernels edit sorted keys in
-# place and must build exactly the same term dicts.
+# drops zero exponents and sorts again, on Fraction values; the kernels
+# edit sorted keys in place and must build exactly the same terms.
+
+
+def _decoded(f: DiffPoly) -> dict:
+    return {key: Fraction(value, f._den) for key, value in f._terms.items()}
 
 
 def _ref_merge(*factor_lists) -> dict:
@@ -380,7 +404,7 @@ def _ref_accumulate(acc: dict, key, value: Fraction) -> None:
 
 def _ref_d_once(f: DiffPoly) -> dict:
     acc: dict = {}
-    for (gens, pows, e1, e2), q in f._terms.items():
+    for (gens, pows, e1, e2), q in _decoded(f).items():
         for (var, order), exp in gens:
             bumped = _ref_merge(gens, (((var, order), -1), ((var, order + 1), 1)))
             _ref_accumulate(acc, (tuple(sorted(bumped.items())), pows, e1, e2), q * exp)
@@ -389,7 +413,7 @@ def _ref_d_once(f: DiffPoly) -> dict:
 
 def _ref_partial(f: DiffPoly, target: tuple) -> dict:
     acc: dict = {}
-    for (gens, pows, e1, e2), q in f._terms.items():
+    for (gens, pows, e1, e2), q in _decoded(f).items():
         for coord, exp in gens:
             if coord == target:
                 reduced = _ref_merge(gens, ((coord, -1),))
@@ -399,8 +423,8 @@ def _ref_partial(f: DiffPoly, target: tuple) -> dict:
 
 def _ref_mul(f: DiffPoly, g: DiffPoly) -> dict:
     acc: dict = {}
-    for (g1, p1, a1, b1), q1 in f._terms.items():
-        for (g2, p2, a2, b2), q2 in g._terms.items():
+    for (g1, p1, a1, b1), q1 in _decoded(f).items():
+        for (g2, p2, a2, b2), q2 in _decoded(g).items():
             pows = _ref_merge(p1, p2)
             key = (
                 tuple(sorted(_ref_merge(g1, g2).items())),
@@ -416,7 +440,7 @@ _REF_PARAMS = ["a", "b", "c", "G", "c1", "c2", "c10"]
 
 
 def _random_terms(rng: random.Random, size: int) -> DiffPoly:
-    """Canonical keys drawn directly, without the kernel under test."""
+    """Canonical terms drawn directly, without the kernel under test."""
     terms: dict = {}
     for _ in range(size):
         gens: dict = {}
@@ -433,7 +457,9 @@ def _random_terms(rng: random.Random, size: int) -> DiffPoly:
             rng.randrange(2),
         )
         terms[key] = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 5]))
-    return DiffPoly(terms)
+    # Over the lcm of the denominators the numerators are coprime to it.
+    den = math.lcm(*(q.denominator for q in terms.values()))
+    return DiffPoly({key: int(q * den) for key, q in terms.items()}, den)
 
 
 def test_kernels_match_the_merge_and_sort_reference():
@@ -441,12 +467,15 @@ def test_kernels_match_the_merge_and_sort_reference():
     for _ in range(60):
         f = _random_terms(rng, rng.randrange(8))
         g = _random_terms(rng, rng.randrange(8))
-        assert total_derivative(f)._terms == _ref_d_once(f)
-        assert (f * g)._terms == _ref_mul(f, g)
+        _assert_canonical(f)
+        checks = [(total_derivative(f), _ref_d_once(f)), (f * g, _ref_mul(f, g))]
         # Cancelling products: opposite signs and inverse powers of a.
         h = f * param("a", -1) - g * param("a", 2)
-        assert (h * (f + g))._terms == _ref_mul(h, f + g)
-        assert (h * h)._terms == _ref_mul(h, h)
+        checks += [(h * (f + g), _ref_mul(h, f + g)), (h * h, _ref_mul(h, h))]
         for coord in sorted(f.generators()) + [Generator("k2", 5)]:
             target = (coord.variable, coord.order)
-            assert partial_derivative(f, target)._terms == _ref_partial(f, target)
+            checks.append((partial_derivative(f, target), _ref_partial(f, target)))
+        # Canonical form makes the decoded terms determine the stored ones.
+        for got, want in checks:
+            _assert_canonical(got)
+            assert _decoded(got) == want

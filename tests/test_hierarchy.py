@@ -1,6 +1,10 @@
 """Hierarchy generation, reference forms, and commutation."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,25 @@ def test_extended_generation_reaches_index_five():
         for comp in e.field.components() + e.flow.components()
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATE5_SHA256
+
+
+# The same canonical text for generate(7), whose flows need derivative
+# orders past the default cap.  MAX_ORDER is read at import, so the run
+# gets a fresh interpreter with NULLFLOW_MAX_ORDER=24.
+GENERATE7_SHA256 = "64e28c699f9bec9e49ff577038dc2c2568a9f04c0c1cc2938fa16069492dfad3"
+_GENERATE7_SCRIPT = """
+import sys
+from nullflow.hierarchy import generate
+sys.stdout.write("\\n".join(
+    str(comp) for e in generate(7) for comp in e.field.components() + e.flow.components()
+))
+"""
+
+
+def test_generate_seven_matches_its_pinned_digest():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NULLFLOW_MAX_ORDER="24")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _GENERATE7_SCRIPT], env=env,
+                         capture_output=True, check=True, timeout=300)
+    assert hashlib.sha256(run.stdout).hexdigest() == GENERATE7_SHA256
