@@ -28,7 +28,7 @@ from .diffalg import (
     total_derivative,
     zero,
 )
-from .expr import ParseError, parse_expr, parse_flow, render
+from .expr import ParseError, parse_expr, parse_field, parse_flow, render
 from .hierarchy import (
     HierarchyEntry,
     commute_check,

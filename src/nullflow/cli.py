@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .diffalg import DiffAlgError, NonZeroConstantTerm, NotExact, lie_bracket_flows
-from .expr import ParseError, parse_expr, parse_flow, render
+from .expr import ParseError, parse_field, parse_flow, render
 from .hierarchy import commute_check, generate, seed, verify_reference_forms
 from .nullcurve import LocalVectorField, classify
 from .numsim import (
@@ -34,7 +34,6 @@ from .numsim import (
     UnboundParameter,
     compile_flow,
     evolve,
-    nlie_run,
     reconstruct_curve,
     run_report,
     uniform_grid,
@@ -98,11 +97,7 @@ def _cmd_hierarchy(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    parts = args.field.split(";")
-    if len(parts) != 4:
-        raise ParseError("expected four components f;h;g;l", 0)
-    f, h, g, l = (parse_expr(p.strip()) for p in parts)
-    print(classify(LocalVectorField(f, h, g, l)))
+    print(classify(LocalVectorField(*parse_field(args.field))))
     return 0
 
 
@@ -149,20 +144,21 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.flow == "nlie":
-        history, paths = nlie_run(config, k1, k2, c=params.pop("c", 1.0))
-        if params:
-            raise ValueError("unused --param bindings: %s" % ", ".join(sorted(params)))
+        flow = seed(1).flow
+        params.setdefault("c", 1.0)
+    elif args.flow == "translation":
+        flow = parse_flow("b*k1', b*k2'")
+        params.setdefault("b", 1.0)
     else:
-        if args.flow == "translation":
-            flow = parse_flow("b*k1', b*k2'")
-            params.setdefault("b", 1.0)
-        else:
-            if not args.flow_file:
-                raise ValueError("--flow file requires --flow-file")
-            with open(args.flow_file) as fh:
-                flow = parse_flow(fh.read().strip())
-        rhs = compile_flow(flow, params, config)
-        history = evolve(uniform_grid(config, k1, k2), rhs, config)
+        if not args.flow_file:
+            raise ValueError("--flow file requires --flow-file")
+        with open(args.flow_file) as fh:
+            flow = parse_flow(fh.read().strip())
+    rhs = compile_flow(flow, params, config)
+    history = evolve(uniform_grid(config, k1, k2), rhs, config)
+    if args.flow == "nlie":
+        paths = [reconstruct_curve(g, config) for g in history]
+    else:
         paths = [reconstruct_curve(history[-1], config)] if args.reconstruct else []
 
     written = []

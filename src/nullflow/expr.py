@@ -19,6 +19,10 @@ everything else is a parse error.  D evaluates the total derivative and Dinv
 the exact anti-derivative, so Dinv of a non-derivative raises NotExact from
 the algebra layer rather than a ParseError.  Parentheses, D/Dinv and unary
 minus nest at most MAX_NESTING deep; deeper input is a parse error.
+
+A flow pair is two expressions separated by ',' and a frame field four
+separated by ';'.  The separators are tokens of one parse over the whole
+text, so every error offset points into the text as given.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_ONE_CHAR = set("+-*/^()'")
+_ONE_CHAR = set("+-*/^()',;")
 
 #: Deepest nesting of parentheses, D/Dinv and unary minus that parses.  Each
 #: level costs the parser about five stack frames, well under the limit.
@@ -113,12 +117,22 @@ class _Parser:
 
     # ----- grammar ---------------------------------------------------------
 
-    def parse(self) -> DiffPoly:
-        value = self.expr()
+    def parse(self, count: int = 1, separator: str = ",") -> list[DiffPoly]:
+        """count expressions separated by separator tokens, then the end."""
+        values = [self.expr()]
+        while len(values) < count:
+            kind, text, offset = self.next()
+            if kind != separator:
+                raise ParseError(
+                    "expected %d %r-separated components, found %r"
+                    % (count, separator, text or "end of input"),
+                    offset,
+                )
+            values.append(self.expr())
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("trailing input %r" % (tok[1],), tok[2])
-        return value
+        return values
 
     def expr(self) -> DiffPoly:
         value = self.term()
@@ -225,22 +239,17 @@ def _inverted(value: DiffPoly, offset: int) -> DiffPoly:
 
 def parse_expr(text: str, variables: tuple[str, ...] = ("k1", "k2")) -> DiffPoly:
     """Parse text to a canonical DiffPoly; D and Dinv are evaluated eagerly."""
-    return _Parser(text, variables).parse()
+    return _Parser(text, variables).parse()[0]
 
 
 def parse_flow(text: str, variables: tuple[str, str] = ("k1", "k2")) -> FlowPair:
-    """Parse 'expr , expr' (top-level comma) into a FlowPair."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            left = parse_expr(text[:i], variables)
-            right = parse_expr(text[i + 1 :], variables)
-            return FlowPair(left, right, variables)
-    raise ParseError("expected two comma-separated components", len(text))
+    """Parse 'expr , expr' into a FlowPair."""
+    return FlowPair(*_Parser(text, variables).parse(2, ","), variables)
+
+
+def parse_field(text: str) -> list[DiffPoly]:
+    """Parse 'f ; h ; g ; l', the four components of a frame field."""
+    return _Parser(text, ("k1", "k2")).parse(4, ";")
 
 
 # ----- rendering ------------------------------------------------------------

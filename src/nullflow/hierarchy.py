@@ -4,8 +4,10 @@ Entries pair a frame field with its induced curvature flow.  The two seeds
 are the tangent field (index 0, curvature translation) and the third-order
 field (index 1); the recursion step feeds half the flow back in as new
 tangential data, raising the index by two.  Each step owns two integration
-constants; the policy decides whether they are minted fresh (c1, c2, then
-c3, c4, ...), pinned to zero, or supplied explicitly.
+constants, named after the index n it produces: c(2n-3) and c(2n-2), so
+index 2 carries c1, c2, index 3 carries c3, c4 and index 4 carries c5, c6,
+whichever lineage or call path reaches it.  The "zero" policy pins both to
+zero instead.
 
 The ambient curvature G is pinned to zero throughout this module: the
 hierarchy is a flat-space construction, and the G-terms of the general
@@ -16,20 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
-from .diffalg import (
-    DiffAlgError,
-    DiffPoly,
-    FlowPair,
-    const,
-    lie_bracket_flows,
-    param,
-)
+from .diffalg import DiffPoly, FlowPair, const, lie_bracket_flows, param
 from .expr import parse_expr
 from .nullcurve import FLAT, LocalVectorField, make_X, variational_flow
-
-ConstantPolicy = Union[str, tuple]
 
 
 @dataclass(frozen=True)
@@ -56,69 +49,46 @@ def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     return HierarchyEntry(index, field, variational_flow(field, FLAT), (name,))
 
 
-def _mint(used: set[str], count: int) -> list[str]:
-    top = 0
-    for name in used:
-        if len(name) > 1 and name[0] == "c" and name[1:].isdigit():
-            top = max(top, int(name[1:]))
-    return ["c%d" % (top + i + 1,) for i in range(count)]
+def recursion_step(entry: HierarchyEntry, policy: str = "fresh") -> HierarchyEntry:
+    """Apply the recursion once: index n - 2 -> n.
 
-
-def recursion_step(
-    entry: HierarchyEntry,
-    policy: ConstantPolicy = "fresh",
-    used_constants: set[str] | None = None,
-) -> HierarchyEntry:
-    """Apply the recursion once: index n -> n + 2.
-
-    policy is "fresh" (mint the next two c-symbols; `used_constants`, when
-    given, is consulted and updated so several lineages share one counter),
-    "zero", or an explicit pair of constants.
+    policy is "fresh" (the constants c(2n-3), c(2n-2) named after n; a
+    ValueError when the entry already uses either name) or "zero".
     """
-    half = Fraction(1, 2)
-    eps12 = param("eps1") * param("eps2")
-    h = half * entry.flow.p1
-    l = -eps12 * entry.flow.p2
-    minted: tuple[str, ...] = ()
+    n = entry.index + 2
     if policy == "fresh":
-        used = set(used_constants) if used_constants is not None else set()
-        used.update(entry.constants_used)
-        for comp in entry.field.components():
-            used.update(comp.parameters())
-        names = _mint(used, 2)
-        c1, c2 = param(names[0]), param(names[1])
-        minted = tuple(names)
-        if used_constants is not None:
-            used_constants.update(names)
+        minted = ("c%d" % (2 * n - 3,), "c%d" % (2 * n - 2,))
+        clash = [name for name in minted if name in entry.constants_used]
+        if clash:
+            raise ValueError(
+                "index %d mints %s, already used by the entry" % (n, ", ".join(clash))
+            )
+        c1, c2 = param(minted[0]), param(minted[1])
     elif policy == "zero":
+        minted = ()
         c1 = c2 = const(0)
-    elif isinstance(policy, tuple) and len(policy) == 2:
-        c1, c2 = (p if isinstance(p, DiffPoly) else const(p) for p in policy)
     else:
-        raise ValueError("constant policy must be 'fresh', 'zero', or a pair")
+        raise ValueError("constant policy must be 'fresh' or 'zero'")
+    eps12 = param("eps1") * param("eps2")
+    h = Fraction(1, 2) * entry.flow.p1
+    l = -eps12 * entry.flow.p2
     field = make_X(h, l, c1, c2)
     return HierarchyEntry(
-        entry.index + 2,
-        field,
-        variational_flow(field, FLAT),
-        entry.constants_used + minted,
+        n, field, variational_flow(field, FLAT), entry.constants_used + minted
     )
 
 
-def generate(upto: int, policy: ConstantPolicy = "fresh") -> list[HierarchyEntry]:
-    """Entries 0..upto, stepping the even and odd lineages in index order."""
+def generate(upto: int, policy: str = "fresh") -> list[HierarchyEntry]:
+    """Entries 0..upto: the two seeds, then one recursion step per index."""
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    shared: set[str] = set()
-    entries: dict[int, HierarchyEntry] = {}
+    entries: list[HierarchyEntry] = []
     for index in range(upto + 1):
-        if index in (0, 1):
-            entries[index] = seed(index)
+        if index < 2:
+            entries.append(seed(index))
         else:
-            entries[index] = recursion_step(
-                entries[index - 2], policy, shared if policy == "fresh" else None
-            )
-    return [entries[i] for i in range(upto + 1)]
+            entries.append(recursion_step(entries[index - 2], policy))
+    return entries
 
 
 def commute_check(e1: HierarchyEntry, e2: HierarchyEntry) -> bool:

@@ -6,7 +6,7 @@ rationals, so the stencil choice (central4 or central6) is a config
 field.  One stencil engine serves every order: the nonzero weights are
 cached as floats, the profile is padded once with wrap-around points,
 and the derivative sums weighted slices of it.  Time stepping is
-fixed-step classical RK4; the stability bound stability_c * dx^3 for
+fixed-step classical RK4; the stability bound STABILITY_C * dx^3 for
 third-order flows is recorded in the run report, dt = 0 asks for exactly
 that bound, a run of more than MAX_STEPS steps is refused, and a state
 that leaves the finite range or exceeds BLOWUP_LIMIT stops the run with
@@ -60,9 +60,11 @@ class BlowUp(RuntimeError):
 _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 
 # evolve refuses a run that needs more RK4 steps than this, and stops with
-# BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.
+# BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.  The
+# recorded stability bound is STABILITY_C * dx^3.
 MAX_STEPS = 10**7
 BLOWUP_LIMIT = 1e8
+STABILITY_C = 0.1
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,9 @@ class SimConfig:
     eps2: int = 1
     derivative_stencil: str = "central4"
     output_stride: int = 0
-    stability_c: float = 0.1
 
     def __post_init__(self):
-        for name in ("domain_length", "dt", "t_end", "a", "stability_c"):
+        for name in ("domain_length", "dt", "t_end", "a"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % (name,))
         if self.domain_length <= 0:
@@ -104,8 +105,6 @@ class SimConfig:
             raise ValueError("dt and t_end must be nonnegative")
         if self.output_stride < 0:
             raise ValueError("output_stride must be nonnegative")
-        if self.stability_c <= 0:
-            raise ValueError("stability_c must be positive")
 
     @property
     def dx(self) -> float:
@@ -117,7 +116,7 @@ class SimConfig:
 
     def stability_bound(self) -> float:
         """Largest dt the third-order stiffness scale admits."""
-        return self.stability_c * self.dx**3
+        return STABILITY_C * self.dx**3
 
     def bindings(self) -> dict:
         return {"a": float(self.a), "eps1": float(self.eps1), "eps2": float(self.eps2)}
@@ -248,9 +247,13 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     """Bind parameters and return rhs(k1, k2) -> (dk1/dt, dk2/dt).
 
     a, eps1, eps2 come from the config; params supplies the rest, must be
-    finite, and may not rebind those three to different values.
+    finite, may not rebind those three to different values, and may name
+    no parameter the flow lacks.
     """
     bindings = config.bindings()
+    unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
+    if unused:
+        raise ValueError("unused parameter bindings: %s" % ", ".join(sorted(unused)))
     for name, value in params.items():
         value = float(value)
         if not math.isfinite(value):
@@ -493,9 +496,8 @@ def run_report(
     config: SimConfig,
     history: Sequence[CurvatureGrid],
     paths: Sequence[FramePath] = (),
-    error_norms: dict | None = None,
 ) -> dict:
-    """Config echo, mass and drift series, stability bound, error norms."""
+    """Config echo, mass and drift series, stability bound."""
     report = {
         "config": asdict(config),
         "stability_bound": config.stability_bound(),
@@ -507,8 +509,6 @@ def run_report(
         report["gram_drift"] = [p.gram_drift() for p in paths]
         report["null_drift"] = [p.null_drift() for p in paths]
         report["accel_drift"] = [float(p.accel_series().max()) for p in paths]
-    if error_norms:
-        report["error_norms"] = dict(error_norms)
     return report
 
 

@@ -72,6 +72,10 @@ def test_parse_errors_exit_two(capsys):
     assert main(["bracket", "k1'", "k1', 0"]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err
+    assert main(["bracket", "k1, k2 + qq", "k1, k2"]) == 2
+    assert "(offset 9)" in capsys.readouterr().err
+    assert main(["classify", "k1; 0; 0; k2 + qq"]) == 2
+    assert "(offset 15)" in capsys.readouterr().err
     deep = "(" * 5000 + "k1" + ")" * 5000 + ", k2"
     assert main(["bracket", deep, "k1, k2"]) == 2
     assert "nesting deeper than" in capsys.readouterr().err
@@ -178,6 +182,11 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(base) == 1  # missing --flow-file
     assert main(base + ["--flow-file", str(flow_file), "--param", "G"]) == 1
     assert "error" in capsys.readouterr().err
+    for flow in ("nlie", "translation"):
+        args = ["simulate", "--flow", flow, "--n", "64", "--dt", "1e-4", "--t-end", "1e-3",
+                "--length", "10", "--out", str(tmp_path / "u"), "--param", "zz=3"]
+        assert main(args) == 1
+        assert "unused parameter bindings: zz" in capsys.readouterr().err
     for bad in (["--param", "c=nan"], ["--flow", "translation", "--param", "b=inf"]):
         args = ["simulate", "--n", "64", "--dt", "1e-4", "--t-end", "1e-3",
                 "--length", "10", "--out", str(tmp_path / "y")] + bad

@@ -16,7 +16,7 @@ from nullflow.diffalg import (
     total_derivative,
     zero,
 )
-from nullflow.expr import MAX_NESTING, ParseError, parse_expr, parse_flow, render
+from nullflow.expr import MAX_NESTING, ParseError, parse_expr, parse_field, parse_flow, render
 
 K1 = gen("k1")
 K2 = gen("k2")
@@ -65,6 +65,22 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_expr("k1 + qq")
     assert err.value.offset == 5
+    # Separated components are parsed in one pass over the whole text.
+    with pytest.raises(ParseError) as err:
+        parse_flow("k1, k2 + qq")
+    assert err.value.offset == 9
+    with pytest.raises(ParseError) as err:
+        parse_field("k1; 0; 0; k2 + qq")
+    assert err.value.offset == 15
+    with pytest.raises(ParseError) as err:
+        parse_field("k1; 0; 0")
+    assert err.value.offset == 8
+    with pytest.raises(ParseError) as err:
+        parse_flow("k1, k2, k1")
+    assert err.value.offset == 6
+    with pytest.raises(ParseError) as err:
+        parse_expr("k1, k2")
+    assert err.value.offset == 2
     for bad in ("", "(k1", "k1^", "k1'^(3)", "k1/k2", "1/0", "k1/b", "k1^-2"):
         with pytest.raises(ParseError):
             parse_expr(bad)

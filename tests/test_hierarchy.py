@@ -73,18 +73,22 @@ def test_zero_policy_differs_only_by_constant_terms():
         assert _minted_only(fresh[index].flow.p2 - pinned[index].flow.p2)
 
 
-def test_explicit_constant_pair_matches_fresh_minting():
-    stepped = recursion_step(seed(0), policy=(param("c1"), param("c2")))
-    fresh = generate(2)[2]
-    assert stepped.field.f == fresh.field.f
-    assert stepped.flow.p1 == fresh.flow.p1
+def test_step_names_constants_after_the_index_it_produces():
+    entries = generate(5)
+    for n in range(2, 6):
+        assert recursion_step(entries[n - 2]) == entries[n]
+    renamed = recursion_step(seed(0, "c3"))
+    assert renamed.constants_used == ("c3", "c1", "c2")
+    with pytest.raises(ValueError, match="c1"):
+        recursion_step(seed(0, "c1"))
 
 
 def test_policy_and_seed_validation():
     with pytest.raises(ValueError):
         seed(2)
-    with pytest.raises(ValueError):
-        recursion_step(seed(0), policy="maybe")
+    for policy in ("maybe", (param("c1"), param("c2"))):
+        with pytest.raises(ValueError):
+            recursion_step(seed(0), policy=policy)
     with pytest.raises(ValueError):
         generate(-1)
 
