@@ -34,6 +34,7 @@ from .numsim import (
     UnboundParameter,
     compile_flow,
     evolve,
+    nlie_run,
     reconstruct_curve,
     run_report,
     uniform_grid,
@@ -144,21 +145,18 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.flow == "nlie":
-        flow = seed(1).flow
-        params.setdefault("c", 1.0)
-    elif args.flow == "translation":
-        flow = parse_flow("b*k1', b*k2'")
-        params.setdefault("b", 1.0)
+        history, paths = nlie_run(config, k1, k2, **params)
     else:
-        if not args.flow_file:
-            raise ValueError("--flow file requires --flow-file")
-        with open(args.flow_file) as fh:
-            flow = parse_flow(fh.read().strip())
-    rhs = compile_flow(flow, params, config)
-    history = evolve(uniform_grid(config, k1, k2), rhs, config)
-    if args.flow == "nlie":
-        paths = [reconstruct_curve(g, config) for g in history]
-    else:
+        if args.flow == "translation":
+            flow = parse_flow("b*k1', b*k2'")
+            params.setdefault("b", 1.0)
+        else:
+            if not args.flow_file:
+                raise ValueError("--flow file requires --flow-file")
+            with open(args.flow_file) as fh:
+                flow = parse_flow(fh.read().strip())
+        rhs = compile_flow(flow, params, config)
+        history = evolve(uniform_grid(config, k1, k2), rhs, config)
         paths = [reconstruct_curve(history[-1], config)] if args.reconstruct else []
 
     written = []

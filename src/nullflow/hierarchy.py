@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .diffalg import DiffPoly, FlowPair, const, lie_bracket_flows, param
+from .diffalg import (
+    DiffPoly,
+    FlowPair,
+    const,
+    lie_bracket_flows,
+    param,
+)
 from .expr import parse_expr
 from .nullcurve import FLAT, LocalVectorField, make_X, variational_flow
 
@@ -49,7 +55,10 @@ def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     return HierarchyEntry(index, field, variational_flow(field, FLAT), (name,))
 
 
-def recursion_step(entry: HierarchyEntry, policy: str = "fresh") -> HierarchyEntry:
+def recursion_step(
+    entry: HierarchyEntry,
+    policy: str = "fresh",
+) -> HierarchyEntry:
     """Apply the recursion once: index n - 2 -> n.
 
     policy is "fresh" (the constants c(2n-3), c(2n-2) named after n; a
@@ -69,12 +78,16 @@ def recursion_step(entry: HierarchyEntry, policy: str = "fresh") -> HierarchyEnt
         c1 = c2 = const(0)
     else:
         raise ValueError("constant policy must be 'fresh' or 'zero'")
+    half = Fraction(1, 2)
     eps12 = param("eps1") * param("eps2")
-    h = Fraction(1, 2) * entry.flow.p1
+    h = half * entry.flow.p1
     l = -eps12 * entry.flow.p2
     field = make_X(h, l, c1, c2)
     return HierarchyEntry(
-        n, field, variational_flow(field, FLAT), entry.constants_used + minted
+        n,
+        field,
+        variational_flow(field, FLAT),
+        entry.constants_used + minted,
     )
 
 

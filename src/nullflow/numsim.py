@@ -474,17 +474,19 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig, substeps: int = 4)
 
 
 def nlie_run(
-    config: SimConfig, k1, k2=None, c: float = 1.0
+    config: SimConfig, k1, k2=None, /, **params
 ) -> tuple[list[CurvatureGrid], list[FramePath]]:
     """Evolve under the third-order flow and reconstruct each saved state.
 
-    All snapshots share the standard initial frame, so successive curves
-    are comparable up to the rigid motion that frame fixes.
+    params binds the flow's scale c (default 1.0); compile_flow rejects
+    any other name the flow lacks.  All snapshots share the standard
+    initial frame, so successive curves are comparable up to the rigid
+    motion that frame fixes.
     """
     from .hierarchy import seed
 
     grid0 = uniform_grid(config, k1, k2)
-    rhs = compile_flow(seed(1).flow, {"c": c}, config)
+    rhs = compile_flow(seed(1).flow, {"c": 1.0, **params}, config)
     history = evolve(grid0, rhs, config)
     paths = [reconstruct_curve(g, config) for g in history]
     return history, paths

@@ -183,10 +183,12 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(base + ["--flow-file", str(flow_file), "--param", "G"]) == 1
     assert "error" in capsys.readouterr().err
     for flow in ("nlie", "translation"):
-        args = ["simulate", "--flow", flow, "--n", "64", "--dt", "1e-4", "--t-end", "1e-3",
-                "--length", "10", "--out", str(tmp_path / "u"), "--param", "zz=3"]
-        assert main(args) == 1
-        assert "unused parameter bindings: zz" in capsys.readouterr().err
+        for name in ("zz", "k1", "config"):
+            args = ["simulate", "--flow", flow, "--n", "64", "--dt", "1e-4", "--t-end",
+                    "1e-3", "--length", "10", "--out", str(tmp_path / "u"),
+                    "--param", "%s=3" % name]
+            assert main(args) == 1
+            assert "unused parameter bindings: %s" % name in capsys.readouterr().err
     for bad in (["--param", "c=nan"], ["--flow", "translation", "--param", "b=inf"]):
         args = ["simulate", "--n", "64", "--dt", "1e-4", "--t-end", "1e-3",
                 "--length", "10", "--out", str(tmp_path / "y")] + bad
