@@ -11,7 +11,6 @@ from .diffalg import (
     DiffAlgError,
     DiffPoly,
     FlowPair,
-    Generator,
     NonZeroConstantTerm,
     NotExact,
     OrderLimitError,

@@ -17,8 +17,9 @@ evolution flows.
 Canonical form.  A polynomial is a dict from term keys (gens, powers, eps1,
 eps2) to nonzero int numerators over one positive int denominator, with
 the denominator coprime to the numerators' content (the zero polynomial has
-denominator 1); values become Fractions only at the edges (terms, str,
-const, specialize).  gens is a tuple of ((variable, order), exponent)
+denominator 1); values become Fractions only at the edges: terms, the
+one decoder (str and every reader outside this module walk it), const
+and specialize.  gens is a tuple of ((variable, order), exponent)
 pairs, strictly increasing in (variable, order), with exponents >= 1;
 powers is a tuple of (name, exponent) pairs in parameter-rank order (a, b,
 c, G, c1, c2, ...) with nonzero exponents, negative only on a; eps1 and
@@ -28,7 +29,7 @@ integration edit one slot of an already sorted key, a product merges two
 sorted generator tuples, and sums add into one dict term by term, all
 without sorting generators again.  What still sorts: the parameter
 monomial of a product whose two sides both carry parameters, the
-generators that specialize renames, and construction from raw terms.  No
+generators that specialize renames, and terms, into canonical order.  No
 cache outlives a call.
 """
 
@@ -86,65 +87,6 @@ def _param_rank(name: str) -> tuple[int, int]:
 
 def _power_rank(item: tuple[str, int]) -> tuple[int, int]:
     return _param_rank(item[0])
-
-
-def _validate_powers(powers: tuple[tuple[str, int], ...]) -> None:
-    seen = set()
-    for name, exp in powers:
-        _param_rank(name)
-        if name in seen:
-            raise DiffAlgError("repeated parameter %r in coefficient" % (name,))
-        seen.add(name)
-        if exp == 0:
-            raise DiffAlgError("zero exponent on parameter %r" % (name,))
-        if exp < 0 and name != "a":
-            raise DiffAlgError("negative power only allowed on 'a', got %r" % (name,))
-
-
-@dataclass(frozen=True, order=True)
-class Generator:
-    """One jet coordinate: a curvature variable differentiated `order` times."""
-
-    variable: str
-    order: int
-
-    def __post_init__(self) -> None:
-        if not self.variable or not self.variable.isidentifier():
-            raise DiffAlgError("bad generator variable %r" % (self.variable,))
-        if self.order < 0:
-            raise DiffAlgError("negative derivative order")
-        if self.order > MAX_ORDER:
-            raise OrderLimitError(
-                "derivative order %d exceeds MAX_ORDER=%d" % (self.order, MAX_ORDER)
-            )
-
-
-@dataclass(frozen=True)
-class ParamCoeff:
-    """Coefficient of one term: rational * parameter powers * sign symbols.
-
-    `powers` maps parameter names to integer exponents (as a sorted tuple of
-    pairs); only 'a' may carry a negative exponent.  eps1/eps2 are exponents
-    mod 2 since the signs square to one.
-    """
-
-    rational: Fraction
-    powers: tuple[tuple[str, int], ...] = ()
-    eps1: int = 0
-    eps2: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "eps1", self.eps1 % 2)
-        object.__setattr__(self, "eps2", self.eps2 % 2)
-        if self.rational == 0:
-            object.__setattr__(self, "powers", ())
-            object.__setattr__(self, "eps1", 0)
-            object.__setattr__(self, "eps2", 0)
-            return
-        powers = tuple(sorted(self.powers, key=_power_rank))
-        _validate_powers(powers)
-        object.__setattr__(self, "powers", powers)
 
 
 # Term keys are canonical; see the module docstring.
@@ -274,15 +216,6 @@ class DiffPoly:
         self._terms: dict[_TermKey, int] = {} if terms is None else terms
         self._den = den
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def from_coeff(coeff: ParamCoeff, gens: _GenPart = ()) -> "DiffPoly":
-        if coeff.rational == 0:
-            return DiffPoly()
-        key = (tuple(sorted(gens)), coeff.powers, coeff.eps1, coeff.eps2)
-        return _over_lcm({key: coeff.rational})
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -292,12 +225,21 @@ class DiffPoly:
         """True when no generator appears (a pure parameter expression)."""
         return all(not gens for (gens, _, _, _) in self._terms)
 
-    def terms(self) -> Iterator[tuple[_GenPart, ParamCoeff]]:
-        for (gens, pows, e1, e2), q in self._terms.items():
-            yield gens, ParamCoeff(Fraction(q, self._den), pows, e1, e2)
+    def terms(self) -> Iterator[tuple[_GenPart, Fraction, tuple, int, int]]:
+        """(gens, rational, powers, eps1, eps2) per term, in str's canonical order."""
+        def sort_key(key: _TermKey):
+            gens, pows, e1, e2 = key
+            degree = sum(exp for _, exp in gens)
+            pow_rank = tuple((_param_rank(n), e) for n, e in pows)
+            return (degree, gens, pow_rank, e1, e2)
 
-    def generators(self) -> set[Generator]:
-        return {Generator(var, order) for var, order in _coordinates(self)}
+        for key in sorted(self._terms, key=sort_key):
+            gens, pows, e1, e2 = key
+            yield gens, Fraction(self._terms[key], self._den), pows, e1, e2
+
+    def generators(self) -> set[tuple[str, int]]:
+        """The (variable, order) jet coordinates present."""
+        return _coordinates(self)
 
     def variables(self) -> set[str]:
         return {var for var, _order in _coordinates(self)}
@@ -314,14 +256,6 @@ class DiffPoly:
 
     def constant_part(self) -> "DiffPoly":
         return _normalized({k: v for k, v in self._terms.items() if not k[0]}, self._den)
-
-    def canonical_terms(self) -> list[tuple[_GenPart, ParamCoeff]]:
-        """Terms in canonical order (total degree, then lexicographic)."""
-        out = []
-        for key in self._sorted_keys():
-            gens, pows, e1, e2 = key
-            out.append((gens, ParamCoeff(Fraction(self._terms[key], self._den), pows, e1, e2)))
-        return out
 
     # -- arithmetic -------------------------------------------------------
 
@@ -363,22 +297,12 @@ class DiffPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _sorted_keys(self) -> list[_TermKey]:
-        def sort_key(key: _TermKey):
-            gens, pows, e1, e2 = key
-            degree = sum(exp for _, exp in gens)
-            pow_rank = tuple((_param_rank(n), e) for n, e in pows)
-            return (degree, gens, pow_rank, e1, e2)
-
-        return sorted(self._terms, key=sort_key)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         chunks = []
-        for key in self._sorted_keys():
-            q = Fraction(self._terms[key], self._den)
-            body = _format_term(key, abs(q))
+        for gens, q, pows, e1, e2 in self.terms():
+            body = _format_term(gens, abs(q), pows, e1, e2)
             if not chunks:
                 chunks.append(("-" if q < 0 else "") + body)
             else:
@@ -400,8 +324,7 @@ def _as_poly(value: Polylike) -> DiffPoly:
     raise TypeError("cannot coerce %r to DiffPoly" % (value,))
 
 
-def _format_term(key: _TermKey, magnitude: Fraction) -> str:
-    gens, pows, e1, e2 = key
+def _format_term(gens: _GenPart, magnitude: Fraction, pows: tuple, e1: int, e2: int) -> str:
     factors = []
     if magnitude != 1 or (not gens and not pows and not e1 and not e2):
         factors.append(str(magnitude))
@@ -441,8 +364,15 @@ def one() -> DiffPoly:
 
 def gen(variable: str, order: int = 0) -> DiffPoly:
     """The polynomial consisting of a single generator."""
-    g = Generator(variable, order)
-    return DiffPoly({((((g.variable, g.order), 1),), (), 0, 0): 1})
+    if not variable or not variable.isidentifier():
+        raise DiffAlgError("bad generator variable %r" % (variable,))
+    if order < 0:
+        raise DiffAlgError("negative derivative order")
+    if order > MAX_ORDER:
+        raise OrderLimitError(
+            "derivative order %d exceeds MAX_ORDER=%d" % (order, MAX_ORDER)
+        )
+    return DiffPoly({((((variable, order), 1),), (), 0, 0): 1})
 
 
 def param(name: str, exp: int = 1) -> DiffPoly:
@@ -453,7 +383,9 @@ def param(name: str, exp: int = 1) -> DiffPoly:
         return DiffPoly({((), (), 0, exp % 2): 1})
     if exp == 0:
         return one()
-    _validate_powers(((name, exp),))
+    _param_rank(name)
+    if exp < 0 and name != "a":
+        raise DiffAlgError("negative power only allowed on 'a', got %r" % (name,))
     return DiffPoly({((), ((name, exp),), 0, 0): 1})
 
 
@@ -476,7 +408,7 @@ def specialize(
             raise DiffAlgError("cannot specialize %s to %r" % (name, value))
     rename = rename or {}
     for target in rename.values():
-        Generator(target, 0)
+        gen(target)  # raises for a name that is no variable
     f = _as_poly(f)
     acc: dict[_TermKey, Fraction] = {}
     for (gens, pows, e1, e2), q in f._terms.items():
@@ -567,12 +499,8 @@ def _d_once(f: DiffPoly) -> DiffPoly:
     return _normalized(acc, f._den)
 
 
-def partial_derivative(f: Polylike, generator) -> DiffPoly:
-    """Partial derivative with respect to one jet coordinate."""
-    if isinstance(generator, Generator):
-        target = (generator.variable, generator.order)
-    else:
-        target = (generator[0], generator[1])
+def partial_derivative(f: Polylike, target: tuple[str, int]) -> DiffPoly:
+    """Partial derivative with respect to one (variable, order) jet coordinate."""
     # Lowering one exponent is injective on keys, so no two terms collide.
     f, out = _as_poly(f), {}
     for (gens, pows, e1, e2), q in f._terms.items():

@@ -34,7 +34,6 @@ from .diffalg import (
     DiffAlgError,
     DiffPoly,
     FlowPair,
-    ParamCoeff,
     anti_derivative,
     const,
     gen,
@@ -221,20 +220,18 @@ class _Parser:
 
 def _inverted(value: DiffPoly, offset: int) -> DiffPoly:
     """Invert a coefficient monomial; ParseError when not invertible."""
-    terms = value.canonical_terms()
+    terms = list(value.terms())
     if len(terms) != 1 or terms[0][0]:
         raise ParseError("divisor must be a coefficient monomial", offset)
-    coeff = terms[0][1]
+    _, rational, powers, eps1, eps2 = terms[0]
+    # The signs square to one, so each is its own inverse.
+    flipped = const(1 / rational) * param("eps1", eps1) * param("eps2", eps2)
     try:
-        flipped = ParamCoeff(
-            1 / coeff.rational,
-            tuple((name, -exp) for name, exp in coeff.powers),
-            coeff.eps1,
-            coeff.eps2,
-        )
+        for name, exp in powers:
+            flipped = flipped * param(name, -exp)
     except DiffAlgError:
         raise ParseError("divisor is not invertible here", offset) from None
-    return DiffPoly.from_coeff(flipped)
+    return flipped
 
 
 def parse_expr(text: str, variables: tuple[str, ...] = ("k1", "k2")) -> DiffPoly:
@@ -299,31 +296,28 @@ def _latex_gen(variable: str, order: int, exp: int) -> str:
 
 
 def _latex_poly(poly: DiffPoly) -> str:
-    terms = poly.canonical_terms()
-    if not terms:
-        return "0"
     chunks = []
-    for gens, coeff in terms:
+    for gens, rational, powers, eps1, eps2 in poly.terms():
         pieces = []
-        magnitude = abs(coeff.rational)
+        magnitude = abs(rational)
         if magnitude.denominator != 1:
             pieces.append(
                 "\\frac{%d}{%d}" % (magnitude.numerator, magnitude.denominator)
             )
-        elif magnitude != 1 or (not coeff.powers and not gens and not coeff.eps1 and not coeff.eps2):
+        elif magnitude != 1 or (not powers and not gens and not eps1 and not eps2):
             pieces.append(str(magnitude.numerator))
-        for name, exp in coeff.powers:
+        for name, exp in powers:
             base = _latex_name(name)
             pieces.append(base if exp == 1 else "%s^{%d}" % (base, exp))
-        if coeff.eps1:
+        if eps1:
             pieces.append(_GREEK["eps1"])
-        if coeff.eps2:
+        if eps2:
             pieces.append(_GREEK["eps2"])
         for (variable, order), exp in gens:
             pieces.append(_latex_gen(variable, order, exp))
         body = " ".join(pieces)
         if not chunks:
-            chunks.append(("-" if coeff.rational < 0 else "") + body)
+            chunks.append(("-" if rational < 0 else "") + body)
         else:
-            chunks.append((" - " if coeff.rational < 0 else " + ") + body)
-    return "".join(chunks)
+            chunks.append((" - " if rational < 0 else " + ") + body)
+    return "".join(chunks) or "0"

@@ -1,6 +1,9 @@
 """Grid evolution of curvature flows and null-curve reconstruction.
 
-Curvatures live on a uniform periodic grid.  Spatial derivatives use
+Curvatures live on a uniform periodic grid.  A flow is compiled by
+binding a, the signs and its named constants exactly through
+diffalg.specialize (a float enters as the Fraction it equals), so each
+coefficient is rounded to a float once.  Spatial derivatives use
 centered finite differences whose weights are solved exactly over the
 rationals, so the stencil choice (central4 or central6) is a config
 field.  One stencil engine serves every order: the nonzero weights are
@@ -36,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffalg import DiffPoly, FlowPair
+from .diffalg import DiffPoly, FlowPair, specialize
 
 
 class UnboundParameter(ValueError):
@@ -119,7 +122,7 @@ class SimConfig:
         return STABILITY_C * self.dx**3
 
     def bindings(self) -> dict:
-        return {"a": float(self.a), "eps1": float(self.eps1), "eps2": float(self.eps2)}
+        return {"a": Fraction(self.a), "eps1": self.eps1, "eps2": self.eps2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,18 +217,17 @@ def spatial_derivative(values: np.ndarray, m: int, dx: float, accuracy: int = 4)
 
 class _CompiledPoly:
     def __init__(self, poly: DiffPoly, bindings: dict, variables: Sequence[str]):
+        """bindings are exact (ints and Fractions); each coefficient is rounded once."""
         index = {name: i for i, name in enumerate(variables)}
         self.terms = []
-        for gens, coeff in poly.terms():
-            value = float(coeff.rational)
-            for name, exp in coeff.powers:
-                if name not in bindings:
-                    raise UnboundParameter(name)
-                value *= bindings[name] ** exp
-            if coeff.eps1:
-                value *= bindings["eps1"]
-            if coeff.eps2:
-                value *= bindings["eps2"]
+        for gens, q, powers, eps1, eps2 in specialize(poly, bindings).terms():
+            if powers or eps1 or eps2:
+                raise UnboundParameter(powers[0][0] if powers else "eps1" if eps1 else "eps2")
+            try:
+                value = float(q)
+            except OverflowError:
+                term = DiffPoly({(gens, (), 0, 0): 1})
+                raise ValueError("coefficient of %s overflows a float" % (term,)) from None
             factors = tuple(
                 (index[var], order, exp) for (var, order), exp in gens
             )
@@ -260,7 +262,7 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
             raise ValueError("parameter %s must be finite, got %r" % (name, value))
         if name in bindings and value != bindings[name]:
             raise ValueError("%s is fixed by the config" % (name,))
-        bindings[name] = value
+        bindings[name] = Fraction(value)
     p1 = _CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = _CompiledPoly(flow.p2, bindings, flow.variables)
     orders = [

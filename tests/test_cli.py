@@ -182,6 +182,10 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(base) == 1  # missing --flow-file
     assert main(base + ["--flow-file", str(flow_file), "--param", "G"]) == 1
     assert "error" in capsys.readouterr().err
+    # A binding whose exact coefficient leaves the float range.
+    flow_file.write_text("b^2*k1', b*k2'\n")
+    assert main(base + ["--flow-file", str(flow_file), "--param", "b=1e200"]) == 1
+    assert "error: coefficient of k1' overflows a float" in capsys.readouterr().err
     for flow in ("nlie", "translation"):
         for name in ("zz", "k1", "config"):
             args = ["simulate", "--flow", flow, "--n", "64", "--dt", "1e-4", "--t-end",

@@ -103,6 +103,12 @@ def test_division_of_invertible_monomials():
     assert parse_expr("k1/a") == param("a", -1) * K1
     assert parse_expr("k2/(2*a^2)") == Fraction(1, 2) * param("a", -2) * K2
     assert parse_expr("k1/eps1") == param("eps1") * K1
+    # A rational, a power of a and both signs in one divisor.
+    got = parse_expr("k1/(3*a^2*eps1*eps2)")
+    assert got == Fraction(1, 3) * param("a", -2) * param("eps1") * param("eps2") * K1
+    assert str(got) == "1/3*a^-2*eps1*eps2*k1"
+    # A negative power inverts the whole product.
+    assert parse_expr("(2*a)^-2*k1") == Fraction(1, 4) * param("a", -2) * K1
 
 
 def _random_poly(rng: random.Random):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nullflow.diffalg import const, lie_bracket_flows, order_of, param
-from nullflow.expr import parse_expr
+from nullflow.expr import parse_expr, render
 from nullflow.hierarchy import (
     HierarchyEntry,
     commute_check,
@@ -22,9 +22,9 @@ from nullflow.hierarchy import (
 
 def _minted_only(difference):
     """Every term of the difference carries a minted c-symbol."""
-    for _gens, coeff in difference.terms():
+    for _gens, _rational, powers, _eps1, _eps2 in difference.terms():
         if not any(
-            name[0] == "c" and name[1:].isdigit() for name, _ in coeff.powers
+            name[0] == "c" and name[1:].isdigit() for name, _ in powers
         ):
             return False
     return True
@@ -119,6 +119,20 @@ def test_extended_generation_reaches_index_five():
         for comp in e.field.components() + e.flow.components()
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATE5_SHA256
+
+
+# SHA-256 of render(comp, "latex") over the same components of generate(5),
+# one per line: pins the LaTeX renderer as the digest above pins str.
+GENERATE5_LATEX_SHA256 = "d74163963850f7f074785a8e542cfa4539c050f4a6ad032f998bd48dfbd8371e"
+
+
+def test_generate_five_latex_matches_its_pinned_digest():
+    text = "\n".join(
+        render(comp, "latex")
+        for e in generate(5)
+        for comp in e.field.components() + e.flow.components()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE5_LATEX_SHA256
 
 
 # The same canonical text for generate(7), whose flows need derivative

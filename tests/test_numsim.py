@@ -513,7 +513,7 @@ def test_compiled_poly_equals_the_full_array_route():
     rng = np.random.default_rng(3)
     n = 64
     derivs = [{o: rng.standard_normal(n) for o in range(4)} for _ in range(2)]
-    bindings = {"a": 1.3, "eps1": -1.0, "eps2": 1.0, "c": 0.7}
+    bindings = {"a": Fraction(1.3), "eps1": -1, "eps2": 1, "c": Fraction(0.7)}
     flow = seed(1).flow
     extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
     for poly in (flow.p1, flow.p2, extra.p1, extra.p2):

@@ -77,11 +77,11 @@ def _build(terms) -> tuple[DiffPoly, object]:
 
 def _to_sympy(f: DiffPoly):
     expr = sp.Integer(0)
-    for gens, coeff in f.terms():
-        term = sp.Rational(coeff.rational.numerator, coeff.rational.denominator)
-        for name, exp in coeff.powers:
+    for gens, rational, powers, eps1, eps2 in f.terms():
+        term = sp.Rational(rational.numerator, rational.denominator)
+        for name, exp in powers:
             term *= _symbol(name) ** exp
-        term *= EPS["eps1"] ** coeff.eps1 * EPS["eps2"] ** coeff.eps2
+        term *= EPS["eps1"] ** eps1 * EPS["eps2"] ** eps2
         for (var, order), exp in gens:
             term *= _coordinate(var, order) ** exp
         expr += term
