@@ -3,17 +3,17 @@
 Curvatures live on a uniform periodic grid.  A flow is compiled by
 binding a, the signs and its named constants exactly through
 diffalg.specialize (a float enters as the Fraction it equals), so each
-coefficient is rounded to a float once.  Spatial derivatives use
-centered finite differences whose weights are solved exactly over the
-rationals, so the stencil choice (central4 or central6) is a config
-field.  One stencil engine serves every order: the nonzero weights are
-cached as floats, the profile is padded once with wrap-around points,
-and the derivative sums weighted slices of it.  Time stepping is
-fixed-step classical RK4; the stability bound STABILITY_C * dx^3 for
-third-order flows is recorded in the run report, dt = 0 asks for exactly
-that bound, a run of more than MAX_STEPS steps is refused, and a state
-that leaves the finite range or exceeds BLOWUP_LIMIT stops the run with
-BlowUp.
+coefficient is rounded to a float once; one that rounds to 0 or inf is
+refused.  Centered finite-difference weights are solved exactly over the
+rationals (central4 or central6, a config field).  One stencil engine
+serves every order: the weights, reversed and cached as a float kernel
+per (order, accuracy), are convolved with the profile padded once with
+wrap-around points.  Time stepping is fixed-step classical RK4 with the
+stage sums and compiled terms formed in place.  The stability bound
+STABILITY_C * dx^3 for third-order flows must be a positive float; it
+is recorded in the run report and dt = 0 asks for exactly it.  A run of
+more than MAX_STEPS steps is refused, and a state that leaves the finite
+range or exceeds BLOWUP_LIMIT stops the run with BlowUp.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -108,6 +108,14 @@ class SimConfig:
             raise ValueError("dt and t_end must be nonnegative")
         if self.output_stride < 0:
             raise ValueError("output_stride must be nonnegative")
+        try:
+            bound = self.stability_bound()
+        except OverflowError:
+            bound = math.inf
+        if not 0 < bound < math.inf:
+            raise ValueError(
+                "domain_length / grid_points = %g puts the stability bound out of range" % self.dx
+            )
 
     @property
     def dx(self) -> float:
@@ -194,23 +202,21 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
 
 
 @cache
-def _taps(m: int, accuracy: int) -> tuple[int, tuple[tuple[int, float], ...]]:
-    """Stencil radius and the (offset, float weight) pairs with nonzero weight."""
-    offsets, weights = fd_weights(m, accuracy)
-    return len(offsets) // 2, tuple((j, float(w)) for j, w in zip(offsets, weights) if w)
+def _kernel(m: int, accuracy: int) -> np.ndarray:
+    """The stencil's float weights reversed for np.convolve, zero taps included."""
+    _, weights = fd_weights(m, accuracy)
+    return np.array([float(w) for w in reversed(weights)])
 
 
 def spatial_derivative(values: np.ndarray, m: int, dx: float, accuracy: int = 4) -> np.ndarray:
     """m-th periodic derivative (m >= 1) of a sampled profile."""
-    r, taps = _taps(m, accuracy)
+    kernel = _kernel(m, accuracy)
+    r = len(kernel) // 2
     n = len(values)
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
     padded = np.concatenate((values[n - r :], values, values[:r]))
-    out = np.zeros_like(values)
-    for j, w in taps:
-        out += w * padded[r + j : r + j + n]
-    return out / dx**m
+    return np.convolve(padded, kernel, "valid") / dx**m
 
 
 # -- compiling flows to grid functions --------------------------------------
@@ -226,8 +232,11 @@ class _CompiledPoly:
             try:
                 value = float(q)
             except OverflowError:
+                value = math.inf
+            if not value or math.isinf(value):
                 term = DiffPoly({(gens, (), 0, 0): 1})
-                raise ValueError("coefficient of %s overflows a float" % (term,)) from None
+                fault = "overflows" if value else "underflows"
+                raise ValueError("coefficient of %s %s a float" % (term, fault))
             factors = tuple(
                 (index[var], order, exp) for (var, order), exp in gens
             )
@@ -237,10 +246,10 @@ class _CompiledPoly:
         n = len(derivs[0][0])
         total = np.zeros(n)
         for value, factors in self.terms:
-            term = value
+            term = value  # float *= array makes a new array; later factors go in place
             for vi, order, exp in factors:
                 d = derivs[vi][order]
-                term = term * (d**exp if exp > 1 else d)
+                term *= d**exp if exp > 1 else d
             total += term
         return total
 
@@ -293,7 +302,8 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
     More than MAX_STEPS steps raise ValueError before the first one; a
-    non-finite state or one above BLOWUP_LIMIT raises BlowUp.
+    non-finite state or one above BLOWUP_LIMIT raises BlowUp.  rhs must
+    return new float arrays per call: the stage sums are formed in them.
     """
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
@@ -310,13 +320,22 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     k1, k2 = grid0.k1.copy(), grid0.k2.copy()
     time = grid0.time
     history = [CurvatureGrid(grid0.sigma, k1.copy(), k2.copy(), time)]
+    half = 0.5 * dt
     for step in range(1, steps + 1):
         a1, b1 = rhs(k1, k2)
-        a2, b2 = rhs(k1 + 0.5 * dt * a1, k2 + 0.5 * dt * b1)
-        a3, b3 = rhs(k1 + 0.5 * dt * a2, k2 + 0.5 * dt * b2)
+        a2, b2 = rhs(k1 + half * a1, k2 + half * b1)
+        a3, b3 = rhs(k1 + half * a2, k2 + half * b2)
         a4, b4 = rhs(k1 + dt * a3, k2 + dt * b3)
-        new_k1 = k1 + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        new_k2 = k2 + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        # s1 + 2 s2 + 2 s3 + s4, left to right, summed in place into s2
+        for s1, s2, s3, s4 in ((a1, a2, a3, a4), (b1, b2, b3, b4)):
+            s2 *= 2.0
+            s2 += s1
+            s3 *= 2.0
+            s2 += s3
+            s2 += s4
+            s2 *= dt / 6.0
+        new_k1 = k1 + a2
+        new_k2 = k2 + b2
         new_time = grid0.time + step * dt
         finite = np.isfinite(new_k1).all() and np.isfinite(new_k2).all()
         if not finite or max(np.abs(new_k1).max(), np.abs(new_k2).max()) > BLOWUP_LIMIT:

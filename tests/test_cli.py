@@ -211,6 +211,30 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(soliton + ["0"]) == 0
 
 
+def test_simulate_coefficient_underflow_exits_one(tmp_path, capsys):
+    # b^2 rounds to 0.0, which would drop the k1' term silently.
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("b^2*k1', b*k2'\n")
+    for b in ("1e-200", "1e-320"):
+        args = ["simulate", "--flow", "file", "--flow-file", str(flow_file), "--n", "64",
+                "--dt", "1e-3", "--t-end", "0.01", "--param", "b=" + b,
+                "--out", str(tmp_path / "x")]
+        assert main(args) == 1
+        assert "error: coefficient of k1' underflows a float" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "k1.csv").exists()
+
+
+def test_simulate_stability_bound_out_of_float_range_exits_one(tmp_path, capsys):
+    # 0.1 * dx^3 rounds to 0 for the first command and overflows for the second.
+    for extra in (["--length", "1e-120"], ["--length", "1e300", "--n", "16"]):
+        args = ["simulate", "--t-end", "1", "--out", str(tmp_path / "b")] + extra
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: domain_length / grid_points" in err
+        assert "puts the stability bound out of range" in err
+
+
 def test_simulate_step_budget_exits_one(tmp_path, capsys):
     args = ["simulate", "--n", "64", "--dt", "1e-300", "--t-end", "1",
             "--out", str(tmp_path / "z")]

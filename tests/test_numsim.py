@@ -527,6 +527,30 @@ def test_compiled_poly_equals_the_full_array_route():
         assert np.array_equal(compiled(derivs), expected)
 
 
+def test_rk4_steps_equal_the_textbook_loop():
+    # Near the zeros of the profiles the increment carries the bits of the
+    # stage sum, so a reordered sum shows up there.
+    config = SimConfig(
+        domain_length=2 * np.pi, grid_points=64, dt=5e-5, t_end=2.5e-4, eps1=-1,
+        output_stride=1,
+    )
+    grid = uniform_grid(config, lambda s: 0.4 * np.sin(s), lambda s: 0.3 * np.cos(2 * s))
+    rhs = compile_flow(seed(1).flow, {"c": 0.7}, config)
+    history = evolve(grid, rhs, config)
+    dt = config.t_end / 5
+    k1, k2 = grid.k1.copy(), grid.k2.copy()
+    assert len(history) == 6
+    for state in history[1:]:
+        a1, b1 = rhs(k1, k2)
+        a2, b2 = rhs(k1 + 0.5 * dt * a1, k2 + 0.5 * dt * b1)
+        a3, b3 = rhs(k1 + 0.5 * dt * a2, k2 + 0.5 * dt * b2)
+        a4, b4 = rhs(k1 + dt * a3, k2 + dt * b3)
+        k1 = k1 + (dt / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
+        k2 = k2 + (dt / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+        assert np.array_equal(state.k1, k1)
+        assert np.array_equal(state.k2, k2)
+
+
 def test_evolve_refuses_more_than_max_steps():
     calls = []
 
