@@ -142,7 +142,6 @@ def _cmd_simulate(args) -> int:
         output_stride=args.stride,
     )
     k1, k2 = _profiles(args, length)
-    os.makedirs(args.out, exist_ok=True)
 
     if args.flow == "nlie":
         history, paths = nlie_run(config, k1, k2, **params)
@@ -159,6 +158,7 @@ def _cmd_simulate(args) -> int:
         history = evolve(uniform_grid(config, k1, k2), rhs, config)
         paths = [reconstruct_curve(history[-1], config)] if args.reconstruct else []
 
+    os.makedirs(args.out, exist_ok=True)
     written = []
     for variable in ("k1", "k2"):
         target = os.path.join(args.out, "%s.csv" % variable)

@@ -14,23 +14,21 @@ prolongation of an evolutionary vector field (prolong, apply_prolongation),
 and through it Frechet derivatives of flow pairs and the Lie bracket of
 evolution flows.
 
-Canonical form.  A polynomial is a dict from term keys (gens, powers, eps1,
-eps2) to nonzero int numerators over one positive int denominator, with
-the denominator coprime to the numerators' content (the zero polynomial has
-denominator 1); values become Fractions only at the edges: terms, the
-one decoder (str and every reader outside this module walk it), const
-and specialize.  gens is a tuple of ((variable, order), exponent)
-pairs, strictly increasing in (variable, order), with exponents >= 1;
-powers is a tuple of (name, exponent) pairs in parameter-rank order (a, b,
-c, G, c1, c2, ...) with nonzero exponents, negative only on a; eps1 and
-eps2 are bits, 0 or 1.  Every kernel keeps this invariant and relies on it,
-so equal terms always meet at one key: D, partial derivatives and
-integration edit one slot of an already sorted key, a product merges two
-sorted generator tuples, and sums add into one dict term by term, all
-without sorting generators again.  What still sorts: the parameter
-monomial of a product whose two sides both carry parameters, the
-generators that specialize renames, and terms, into canonical order.  No
-cache outlives a call.
+Canonical form.  A polynomial is a dict from term keys to nonzero int
+numerators over one positive int denominator coprime to their content (the
+zero polynomial has denominator 1).  A key is one int of byte fields.  Byte
+0 holds the signs, eps1 at bit 0 and eps2 at bit 2, each with a carry bit
+above it.  Every other byte is the exponent of a parameter or of a jet
+coordinate v^(m); a variable owns MAX_ORDER + 1 adjacent bytes, one per
+order, so D moves one unit up a byte.  Bytes are handed out on a name's
+first use and never move, so a key stays valid.  The power of a sits in
+byte 1 under a bias of 64 (the constant 1 has key _BIAS).  A byte's top bit
+is a guard that no stored key sets: a product key is k1 + k2 - _BIAS with
+the sign carries masked off (so the signs multiply by XOR), and a product,
+D or integration that sets a guard raises ExponentLimitError, never wraps.
+Only terms, the one decoder (str and every reader outside this module walk
+it), and specialize decode keys; values become Fractions only there and in
+const.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -38,7 +36,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterator, Union
 
 
@@ -54,6 +54,11 @@ def _read_max_order() -> int:
 #: Hard cap on derivative orders.  Creating a generator beyond this raises
 #: OrderLimitError.  Overridable through the NULLFLOW_MAX_ORDER env var.
 MAX_ORDER = _read_max_order()
+
+#: Largest value an exponent field holds: a generator or parameter power
+#: lies in 1..MAX_EXPONENT and a power of a in -64..63 (its field is biased
+#: by 64).  Going past it raises ExponentLimitError.
+MAX_EXPONENT = 127
 
 
 class DiffAlgError(Exception):
@@ -72,6 +77,10 @@ class OrderLimitError(DiffAlgError):
     """A derivative order would exceed MAX_ORDER."""
 
 
+class ExponentLimitError(DiffAlgError):
+    """An exponent would leave its key field (see MAX_EXPONENT)."""
+
+
 _NAMED_PARAM_RANK = {"a": (0, 0), "b": (1, 0), "c": (2, 0), "G": (3, 0)}
 
 
@@ -85,48 +94,85 @@ def _param_rank(name: str) -> tuple[int, int]:
     raise DiffAlgError("unknown parameter symbol %r" % (name,))
 
 
-def _power_rank(item: tuple[str, int]) -> tuple[int, int]:
-    return _param_rank(item[0])
+# -- packed term keys (layout in the module docstring) ----------------------
+
+_A_BIAS = 64
+_BIAS = _A_BIAS << 8  # the key of the constant 1
+_CARRY = 0b1010  # the two sign carry bits
+_OUT_OF_FIELD = "an exponent leaves its field (1..%d; powers of a: -64..63)" % (MAX_EXPONENT,)
+# Append-only registry: the owner of byte i of a key is _owners[i], a
+# (name, order) pair with order None for a parameter (and for the sign
+# byte); _param_byte and _var_byte give a name's first byte.  _guard holds
+# every field's top bit and _var_bits every bit of a variable's fields.
+_owners: list[tuple[str, int | None]] = [("", None), ("a", None)]
+_param_byte = {"a": 1}
+_var_byte: dict[str, int] = {}
+_guard = 0x80 << 8
+_var_bits = 0
 
 
-# Term keys are canonical; see the module docstring.
-_GenPart = tuple[tuple[tuple[str, int], int], ...]
-_TermKey = tuple[_GenPart, tuple[tuple[str, int], ...], int, int]
+def _first_byte(name: str, width: int) -> int:
+    """First of a name's width bytes (1 for a parameter), handed out on first use."""
+    global _guard, _var_bits
+    names = _param_byte if width == 1 else _var_byte
+    first = names.get(name)
+    if first is None:
+        first = names[name] = len(_owners)
+        _owners.extend((name, None if width == 1 else m) for m in range(width))
+        _guard |= int.from_bytes(b"\x80" * width, "little") << 8 * first
+        if width > 1:
+            _var_bits |= (1 << 8 * width) - 1 << 8 * first
+    return first
 
 
-def _merge_gens(g1: _GenPart, g2: _GenPart) -> _GenPart:
-    """Product of two generator monomials; exponents only add, never cancel."""
-    out = []
-    i = j = 0
-    n1, n2 = len(g1), len(g2)
-    while i < n1 and j < n2:
-        left, right = g1[i], g2[j]
-        if left[0] < right[0]:
-            out.append(left)
-            i += 1
-        elif right[0] < left[0]:
-            out.append(right)
-            j += 1
+def _encode(gens, pows, e1: int, e2: int) -> int:
+    """Key of a term from (coordinate, exponent) and (parameter, exponent) pairs."""
+    key = _BIAS + e1 + 4 * e2
+    for (var, order), exp in gens:
+        if not 0 < exp <= MAX_EXPONENT:
+            raise ExponentLimitError(_OUT_OF_FIELD)
+        key += exp << 8 * (_first_byte(var, MAX_ORDER + 1) + order)
+    for name, exp in pows:
+        low, high = (-_A_BIAS, MAX_EXPONENT - _A_BIAS) if name == "a" else (1, MAX_EXPONENT)
+        if not low <= exp <= high:
+            raise ExponentLimitError(_OUT_OF_FIELD)
+        key += exp << 8 * _first_byte(name, 1)
+    return key
+
+
+_NONZERO = bytes(1) + b"\x01" * 255  # bytes.translate table: which bytes are set
+
+
+def _set_bytes(data: bytes) -> Iterator[int]:
+    """Indices of the nonzero bytes of data above the sign byte and a's."""
+    marks = data.translate(_NONZERO)
+    byte = marks.find(1, 2)
+    while byte >= 0:
+        yield byte
+        byte = marks.find(1, byte + 1)
+
+
+def _decode(key: int) -> tuple[tuple, tuple, int, int]:
+    """(gens, powers, eps1, eps2) of a key: gens sorted, powers in rank order."""
+    data = key.to_bytes(len(_owners), "little")
+    gens, pows = [], [("a", data[1] - _A_BIAS)] if data[1] != _A_BIAS else []
+    for byte in _set_bytes(data):
+        name, order = _owners[byte]
+        if order is None:
+            pows.append((name, data[byte]))
         else:
-            out.append((left[0], left[1] + right[1]))
-            i += 1
-            j += 1
-    return tuple(out) + g1[i:] + g2[j:]
+            gens.append(((name, order), data[byte]))
+    pows.sort(key=lambda item: _param_rank(item[0]))
+    return tuple(sorted(gens)), tuple(pows), data[0] & 1, data[0] >> 2 & 1
 
 
-def _merge_powers(p1: tuple, p2: tuple) -> tuple:
-    """Product of two parameter monomials; powers of 'a' may cancel."""
-    merged = dict(p1)
-    for name, exp in p2:
-        exp += merged.get(name, 0)
-        if exp:
-            merged[name] = exp
-        else:
-            del merged[name]
-    return tuple(sorted(merged.items(), key=_power_rank))
+def _fields(*polys: "DiffPoly") -> list[tuple[str, int, int]]:
+    """(variable, order, byte) of each jet coordinate present in the polys."""
+    seen = reduce(or_, (reduce(or_, f._terms, 0) for f in polys), 0) & _var_bits
+    return [(*_owners[byte], byte) for byte in _set_bytes(seen.to_bytes(len(_owners), "little"))]
 
 
-def _accumulate(acc: dict, key: _TermKey, value) -> None:
+def _accumulate(acc: dict, key: int, value) -> None:
     value += acc.get(key, 0)
     if value:
         acc[key] = value
@@ -163,25 +209,20 @@ def _add_into(acc: dict, den: int, terms: dict, tden: int, sign: int) -> int:
 
 def _mul_into(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """Add scale times the product of two numerator dicts into acc."""
-    # Parameter monomials repeat: in a hierarchy pass 3 in 4 term pairs
-    # carry parameters on both sides, and 9 in 10 of those meet a pair
-    # already merged in the same call.  Merging each distinct pair once per
-    # call takes about a fifth off a hierarchy pass, and equal monomials
-    # share one tuple.
-    pow_products: dict = {}
-    for (g1, p1, a1, b1), q1 in left.items():
+    # _accumulate inlined: this loop is most of the exact kernel's time.
+    guard, keep, get = _guard, ~_CARRY, acc.get
+    for k1, q1 in left.items():
         q1 *= scale
-        for (g2, p2, a2, b2), q2 in right.items():
-            if not p2:
-                pows = p1
-            elif not p1:
-                pows = p2
+        k1 -= _BIAS
+        for k2, q2 in right.items():
+            key = (k1 + k2) & keep
+            if key & guard:
+                raise ExponentLimitError(_OUT_OF_FIELD)
+            value = get(key, 0) + q1 * q2
+            if value:
+                acc[key] = value
             else:
-                pows = pow_products.get((p1, p2))
-                if pows is None:
-                    pows = pow_products[(p1, p2)] = _merge_powers(p1, p2)
-            gens = _merge_gens(g1, g2) if g1 and g2 else g1 or g2
-            _accumulate(acc, (gens, pows, a1 ^ a2, b1 ^ b2), q1 * q2)
+                del acc[key]
 
 
 def _over_lcm(terms: dict) -> "DiffPoly":
@@ -190,16 +231,11 @@ def _over_lcm(terms: dict) -> "DiffPoly":
     return DiffPoly({k: q.numerator * (den // q.denominator) for k, q in terms.items()}, den)
 
 
-def _coordinates(f: "DiffPoly") -> set[tuple[str, int]]:
-    """The (variable, order) pairs present in f."""
-    return {vo for (gens, _, _, _) in f._terms for vo, _exp in gens}
-
-
 class DiffPoly:
     """Immutable differential polynomial in canonical form.
 
-    Terms live in a dict keyed by (generator monomial, parameter monomial,
-    eps1 bit, eps2 bit) with nonzero int numerators over the one positive
+    Terms live in a dict keyed by packed int keys (see the module
+    docstring) with nonzero int numerators over the one positive
     denominator _den, coprime to their content (1 for zero); so structural
     equality is dict and denominator equality.  str() renders the
     canonical serialization (terms ordered by total generator degree, then
@@ -213,7 +249,7 @@ class DiffPoly:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict | None = None, den: int = 1):
-        self._terms: dict[_TermKey, int] = {} if terms is None else terms
+        self._terms: dict[int, int] = {} if terms is None else terms
         self._den = den
 
     # -- queries ---------------------------------------------------------
@@ -223,39 +259,39 @@ class DiffPoly:
 
     def is_constant(self) -> bool:
         """True when no generator appears (a pure parameter expression)."""
-        return all(not gens for (gens, _, _, _) in self._terms)
+        return not _fields(self)
 
-    def terms(self) -> Iterator[tuple[_GenPart, Fraction, tuple, int, int]]:
-        """(gens, rational, powers, eps1, eps2) per term, in str's canonical order."""
-        def sort_key(key: _TermKey):
-            gens, pows, e1, e2 = key
+    def terms(self) -> Iterator[tuple[tuple, Fraction, tuple, int, int]]:
+        """(gens, rational, powers, eps1, eps2) per term, in str's canonical order.
+
+        gens are sorted ((variable, order), exponent) pairs, powers rank-ordered.
+        """
+        def sort_key(item):
+            gens, pows, e1, e2 = item[0]
             degree = sum(exp for _, exp in gens)
             pow_rank = tuple((_param_rank(n), e) for n, e in pows)
             return (degree, gens, pow_rank, e1, e2)
 
-        for key in sorted(self._terms, key=sort_key):
-            gens, pows, e1, e2 = key
-            yield gens, Fraction(self._terms[key], self._den), pows, e1, e2
+        decoded = [(_decode(key), q) for key, q in self._terms.items()]
+        for (gens, pows, e1, e2), q in sorted(decoded, key=sort_key):
+            yield gens, Fraction(q, self._den), pows, e1, e2
 
     def generators(self) -> set[tuple[str, int]]:
         """The (variable, order) jet coordinates present."""
-        return _coordinates(self)
+        return {(var, order) for var, order, _ in _fields(self)}
 
     def variables(self) -> set[str]:
-        return {var for var, _order in _coordinates(self)}
+        return {var for var, _, _ in _fields(self)}
 
     def parameters(self) -> set[str]:
         out = set()
-        for (_, pows, e1, e2) in self._terms:
-            out.update(name for name, _ in pows)
-            if e1:
-                out.add("eps1")
-            if e2:
-                out.add("eps2")
+        for _, _, pows, e1, e2 in self.terms():
+            out.update([name for name, _ in pows], ["eps1"] * e1, ["eps2"] * e2)
         return out
 
     def constant_part(self) -> "DiffPoly":
-        return _normalized({k: v for k, v in self._terms.items() if not k[0]}, self._den)
+        kept = {k: v for k, v in self._terms.items() if not k & _var_bits}
+        return _normalized(kept, self._den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -324,7 +360,7 @@ def _as_poly(value: Polylike) -> DiffPoly:
     raise TypeError("cannot coerce %r to DiffPoly" % (value,))
 
 
-def _format_term(gens: _GenPart, magnitude: Fraction, pows: tuple, e1: int, e2: int) -> str:
+def _format_term(gens: tuple, magnitude: Fraction, pows: tuple, e1: int, e2: int) -> str:
     factors = []
     if magnitude != 1 or (not gens and not pows and not e1 and not e2):
         factors.append(str(magnitude))
@@ -351,7 +387,7 @@ def _format_term(gens: _GenPart, magnitude: Fraction, pows: tuple, e1: int, e2: 
 def const(value: Union[int, Fraction]) -> DiffPoly:
     """The constant polynomial with the given exact rational value."""
     q = Fraction(value)
-    return _over_lcm({((), (), 0, 0): q} if q else {})
+    return _over_lcm({_BIAS: q} if q else {})
 
 
 def zero() -> DiffPoly:
@@ -372,21 +408,21 @@ def gen(variable: str, order: int = 0) -> DiffPoly:
         raise OrderLimitError(
             "derivative order %d exceeds MAX_ORDER=%d" % (order, MAX_ORDER)
         )
-    return DiffPoly({((((variable, order), 1),), (), 0, 0): 1})
+    return DiffPoly({_encode((((variable, order), 1),), (), 0, 0): 1})
 
 
 def param(name: str, exp: int = 1) -> DiffPoly:
     """A parameter symbol (a, b, c, G, c1, c2, ..., eps1, eps2) to a power."""
     if name == "eps1":
-        return DiffPoly({((), (), exp % 2, 0): 1})
+        return DiffPoly({_encode((), (), exp % 2, 0): 1})
     if name == "eps2":
-        return DiffPoly({((), (), 0, exp % 2): 1})
+        return DiffPoly({_encode((), (), 0, exp % 2): 1})
     if exp == 0:
         return one()
     _param_rank(name)
     if exp < 0 and name != "a":
         raise DiffAlgError("negative power only allowed on 'a', got %r" % (name,))
-    return DiffPoly({((), ((name, exp),), 0, 0): 1})
+    return DiffPoly({_encode((), ((name, exp),), 0, 0): 1})
 
 
 def specialize(
@@ -410,8 +446,9 @@ def specialize(
     for target in rename.values():
         gen(target)  # raises for a name that is no variable
     f = _as_poly(f)
-    acc: dict[_TermKey, Fraction] = {}
-    for (gens, pows, e1, e2), q in f._terms.items():
+    acc: dict[int, Fraction] = {}
+    for key, q in f._terms.items():
+        gens, pows, e1, e2 = _decode(key)
         q, kept = Fraction(q, f._den), []
         for name, exp in pows:
             if name in values:
@@ -426,7 +463,7 @@ def specialize(
         for (v, m), e in gens:
             coord = (rename.get(v, v), m)
             moved[coord] = moved.get(coord, 0) + e
-        _accumulate(acc, (tuple(sorted(moved.items())), tuple(kept), e1, e2), q)
+        _accumulate(acc, _encode(moved.items(), kept, e1, e2), q)
     return _over_lcm(acc)
 
 
@@ -473,29 +510,24 @@ def total_derivative(f: Polylike, n: int = 1) -> DiffPoly:
 
 
 def _d_once(f: DiffPoly) -> DiffPoly:
-    # D moves one power of v^(m) at index i to v^(m+1).  In a canonical key
-    # v^(m+1) can only sit at index i+1, so the new key is two splices.
-    acc: dict[_TermKey, int] = {}
-    for (gens, pows, e1, e2), q in f._terms.items():
-        n = len(gens)
-        for i, (coord, exp) in enumerate(gens):
-            var, order = coord
-            if order >= MAX_ORDER:
-                raise OrderLimitError(
-                    "total derivative would exceed MAX_ORDER=%d on %s"
-                    % (MAX_ORDER, var)
-                )
-            up = (var, order + 1)
-            j = i + 1
-            if j < n and gens[j][0] == up:
-                tail = ((up, gens[j][1] + 1),) + gens[j + 1:]
-            else:
-                tail = ((up, 1),) + gens[j:]
-            if exp == 1:
-                head, value = gens[:i], q
-            else:
-                head, value = gens[:i] + ((coord, exp - 1),), q * exp
-            _accumulate(acc, (head + tail, pows, e1, e2), value)
+    # D moves one unit of v^(m) a byte up, to v^(m+1), times the exponent
+    # that byte held: the new key is key + 255 << 8 * byte.
+    steps = []
+    for var, order, byte in _fields(f):
+        if order >= MAX_ORDER:
+            message = "total derivative would exceed MAX_ORDER=%d on %s"
+            raise OrderLimitError(message % (MAX_ORDER, var))
+        steps.append((byte, 255 << 8 * byte))
+    guard, size, acc = _guard, len(_owners), {}
+    for key, q in f._terms.items():
+        data = key.to_bytes(size, "little")
+        for byte, step in steps:
+            exp = data[byte]
+            if exp:
+                moved = key + step
+                if moved & guard:
+                    raise ExponentLimitError(_OUT_OF_FIELD)
+                _accumulate(acc, moved, q * exp)
     return _normalized(acc, f._den)
 
 
@@ -503,16 +535,13 @@ def partial_derivative(f: Polylike, target: tuple[str, int]) -> DiffPoly:
     """Partial derivative with respect to one (variable, order) jet coordinate."""
     # Lowering one exponent is injective on keys, so no two terms collide.
     f, out = _as_poly(f), {}
-    for (gens, pows, e1, e2), q in f._terms.items():
-        for i, (coord, exp) in enumerate(gens):
-            if coord == target:
-                if exp == 1:
-                    lowered, value = gens[:i] + gens[i + 1:], q
-                else:
-                    lowered = gens[:i] + ((coord, exp - 1),) + gens[i + 1:]
-                    value = q * exp
-                out[(lowered, pows, e1, e2)] = value
-                break
+    var, order = target
+    if var in _var_byte and 0 <= order <= MAX_ORDER:
+        shift = 8 * (_var_byte[var] + order)
+        for key, q in f._terms.items():
+            exp = key >> shift & 0xFF
+            if exp:
+                out[key - (1 << shift)] = q * exp
     return _normalized(out, f._den)
 
 
@@ -527,7 +556,7 @@ def euler_operator(f: Polylike, variable: str) -> DiffPoly:
     """
     f = _as_poly(f)
     acc, den = {}, 1
-    for var, m in sorted(_coordinates(f)):
+    for var, m in sorted(f.generators()):
         if var == variable:
             part = total_derivative(partial_derivative(f, (var, m)), m)
             den = _add_into(acc, den, part._terms, part._den, -1 if m % 2 else 1)
@@ -541,17 +570,19 @@ def order_of(f: Polylike) -> int:
 
 def _top_coordinate(f: DiffPoly) -> tuple[int, str]:
     # Lexicographic on (order, variable): the pivot for integration by parts.
-    return max(((order, var) for var, order in _coordinates(f)), default=(-1, ""))
+    return max(((order, var) for var, order, _ in _fields(f)), default=(-1, ""))
 
 
 def _integrate_in(f: DiffPoly, var: str, order: int) -> DiffPoly:
     """Polynomial integration in the single jet coordinate (var, order)."""
     # Raising one exponent is injective on keys, so no two terms collide.
-    target = (var, order)
-    raised = [dict(gens).get(target, 0) + 1 for (gens, _, _, _) in f._terms]
+    shift = 8 * (_var_byte[var] + order)
+    raised = [(key >> shift & 0xFF) + 1 for key in f._terms]
+    if max(raised, default=0) > MAX_EXPONENT:
+        raise ExponentLimitError(_OUT_OF_FIELD)
     common, out = lcm(*raised), {}
-    for ((gens, pows, e1, e2), q), up in zip(f._terms.items(), raised):
-        out[(_merge_gens(gens, ((target, 1),)), pows, e1, e2)] = q * (common // up)
+    for (key, q), up in zip(f._terms.items(), raised):
+        out[key + (1 << shift)] = q * (common // up)
     return _normalized(out, f._den * common)
 
 
@@ -594,13 +625,8 @@ def anti_derivative(f: Polylike) -> DiffPoly:
 
 def jet_orders(*targets: DiffPoly) -> dict[str, int]:
     """Highest derivative order of each variable across the targets."""
-    top: dict[str, int] = {}
-    for target in targets:
-        for (gens, _, _, _) in target._terms:
-            for (var, order), _exp in gens:
-                if order > top.get(var, -1):
-                    top[var] = order
-    return top
+    # _fields lists each variable's orders increasing, so the last one wins.
+    return {var: order for var, order, _ in _fields(*targets)}
 
 
 def prolong(
@@ -626,16 +652,25 @@ def prolong(
     return table
 
 
+def _apply_signed(applications: list) -> DiffPoly:
+    """Sum of sign * (table's prolonged field applied to target) over (target, table, sign)."""
+    products = [
+        (partial_derivative(target, c), table[c], sign)
+        for target, table, sign in applications
+        for c in sorted(target.generators())
+    ]
+    # One common denominator up front, so every product adds into one dict.
+    den, acc = lcm(*(p._den * t._den for p, t, _ in products)), {}
+    for p, t, sign in products:
+        _mul_into(acc, p._terms, t._terms, sign * (den // (p._den * t._den)))
+    return _normalized(acc, den)
+
+
 def apply_prolongation(
     target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
 ) -> DiffPoly:
     """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
-    # One common denominator up front, so every product adds into one dict.
-    pairs = [(partial_derivative(target, c), table[c]) for c in sorted(_coordinates(target))]
-    den, acc = lcm(*(p._den * t._den for p, t in pairs)), {}
-    for p, t in pairs:
-        _mul_into(acc, p._terms, t._terms, den // (p._den * t._den))
-    return _normalized(acc, den)
+    return _apply_signed([(target, table, 1)])
 
 
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
@@ -653,9 +688,13 @@ def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
 def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:
     """Lie bracket [A, B] of evolution flows: applying A to B minus B to A.
 
-    Equal to frechet(B, A) - frechet(A, B); the flows commute when this
-    vanishes identically.
+    Equal to frechet(B, A) - frechet(A, B), each component summed in one
+    dict; the flows commute when this vanishes identically.
     """
-    left = frechet(b, a)
-    right = frechet(a, b)
-    return FlowPair(left.p1 - right.p1, left.p2 - right.p2, a.variables)
+    if a.variables != b.variables:
+        raise DiffAlgError("flow pairs over different variables")
+    along_a = prolong(a, jet_orders(*b.components()))
+    along_b = prolong(b, jet_orders(*a.components()))
+    pairs = zip(a.components(), b.components())
+    brackets = [_apply_signed([(cb, along_a, 1), (ca, along_b, -1)]) for ca, cb in pairs]
+    return FlowPair(*brackets, a.variables)

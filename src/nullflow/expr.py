@@ -18,7 +18,8 @@ to invertible coefficient monomials (rationals, powers of a, eps signs);
 everything else is a parse error.  D evaluates the total derivative and Dinv
 the exact anti-derivative, so Dinv of a non-derivative raises NotExact from
 the algebra layer rather than a ParseError.  Parentheses, D/Dinv and unary
-minus nest at most MAX_NESTING deep; deeper input is a parse error.
+minus nest at most MAX_NESTING deep; deeper input is a parse error, and
+so is a power whose exponent exceeds diffalg.MAX_EXPONENT in size.
 
 A flow pair is two expressions separated by ',' and a frame field four
 separated by ';'.  The separators are tokens of one parse over the whole
@@ -31,6 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .diffalg import (
+    MAX_EXPONENT,
     DiffAlgError,
     DiffPoly,
     FlowPair,
@@ -168,7 +170,10 @@ class _Parser:
         value = self.atom()
         if self.peek()[0] == "^":
             _, _, offset = self.next()
+            at = self.peek()[2]
             exponent = self.signed_int()
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError("exponent beyond MAX_EXPONENT=%d" % (MAX_EXPONENT,), at)
             if exponent >= 0:
                 value = value**exponent
             else:

@@ -64,10 +64,6 @@ _EPS12 = _EPS1 * _EPS2
 _HALF = Fraction(1, 2)
 
 
-def _default_g() -> DiffPoly:
-    return param("G")
-
-
 @dataclass(frozen=True)
 class FrameMetric:
     """Ambient data: the curvature constant G (the symbol G, or a constant).
@@ -77,7 +73,7 @@ class FrameMetric:
     from diffalg.specialize on the result.
     """
 
-    G: DiffPoly = field(default_factory=_default_g)
+    G: DiffPoly = field(default_factory=lambda: param("G"))
 
     def __post_init__(self) -> None:
         if not self.G.is_constant():

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffalg import DiffPoly, FlowPair, specialize
+from .diffalg import DiffPoly, FlowPair, gen, one, specialize
 
 
 class UnboundParameter(ValueError):
@@ -234,7 +234,7 @@ class _CompiledPoly:
             except OverflowError:
                 value = math.inf
             if not value or math.isinf(value):
-                term = DiffPoly({(gens, (), 0, 0): 1})
+                term = math.prod((gen(v, m) ** e for (v, m), e in gens), start=one())
                 fault = "overflows" if value else "underflows"
                 raise ValueError("coefficient of %s %s a float" % (term, fault))
             factors = tuple(

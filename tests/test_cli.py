@@ -79,6 +79,11 @@ def test_parse_errors_exit_two(capsys):
     deep = "(" * 5000 + "k1" + ")" * 5000 + ", k2"
     assert main(["bracket", deep, "k1, k2"]) == 2
     assert "nesting deeper than" in capsys.readouterr().err
+    # Exponents are capped before anything is multiplied out.
+    assert main(["bracket", "3^60000*k1, k2", "k1, k2"]) == 2
+    assert "MAX_EXPONENT=127 (offset 2)" in capsys.readouterr().err
+    assert main(["bracket", "k1^200, k2", "k1, k2"]) == 2
+    assert "MAX_EXPONENT=127 (offset 3)" in capsys.readouterr().err
 
 
 def test_not_exact_exits_three(capsys):
@@ -222,6 +227,7 @@ def test_simulate_coefficient_underflow_exits_one(tmp_path, capsys):
         assert main(args) == 1
         assert "error: coefficient of k1' underflows a float" in capsys.readouterr().err
         assert not (tmp_path / "x" / "k1.csv").exists()
+        assert not (tmp_path / "x").exists()
 
 
 def test_simulate_stability_bound_out_of_float_range_exits_one(tmp_path, capsys):

@@ -10,8 +10,10 @@ import pytest
 
 from nullflow import diffalg
 from nullflow.diffalg import (
+    MAX_EXPONENT,
     DiffAlgError,
     DiffPoly,
+    ExponentLimitError,
     FlowPair,
     NonZeroConstantTerm,
     NotExact,
@@ -307,11 +309,19 @@ def test_specialize_rejections():
         specialize(K1, {}, {"k1": "not a name"})
 
 
+def _key(key: int) -> tuple:
+    """The (gens, powers, eps1, eps2) tuple a packed term key stands for."""
+    return diffalg._decode(key)
+
+
 def _assert_canonical(f: DiffPoly) -> None:
     assert type(f._den) is int and f._den > 0
     assert math.gcd(f._den, *f._terms.values()) == 1
     assert f._terms or f._den == 1
-    for (gens, pows, e1, e2), value in f._terms.items():
+    for key, value in f._terms.items():
+        gens, pows, e1, e2 = _key(key)
+        assert type(key) is int and not key & diffalg._guard, key
+        assert diffalg._encode(gens, pows, e1, e2) == key, key
         assert type(value) is int and value != 0
         coords = [coord for coord, _ in gens]
         assert all(x < y for x, y in zip(coords, coords[1:])), gens
@@ -359,6 +369,43 @@ def test_stored_numerators_stay_nonzero_and_coprime():
             _assert_canonical(f)
 
 
+def test_packed_fields_overflow_raises_and_keys_outlive_registration():
+    top = K1 ** MAX_EXPONENT
+    k1p = gen("k1", 1)
+    for overflow in (
+        lambda: top * K1,  # a product
+        lambda: total_derivative(K1 * k1p ** MAX_EXPONENT),  # D into a full field
+        lambda: anti_derivative(top * k1p),  # integrating k1^127 raises it to 128
+        lambda: specialize(top * K2, {}, {"k2": "k1"}),  # renaming merges fields
+        lambda: param("b", MAX_EXPONENT + 1),
+    ):
+        with pytest.raises(ExponentLimitError):
+            overflow()
+    # The power of a sits under a bias of 64, so it ranges over -64..63.
+    floor = param("a", -64)
+    assert str(floor * param("a", 63)) == "a^-1"
+    for overflow in (lambda: floor * param("a", -1), lambda: param("a", -65),
+                     lambda: param("a", 63) * param("a")):
+        with pytest.raises(ExponentLimitError):
+            overflow()
+    assert str(top * param("a", -64)) == "a^-64*k1^127"
+
+    # Names get fields on first use; keys made before keep their meaning.
+    def build():
+        return [K1 * K2 ** 3 + param("a", -2) * param("eps1") * gen("k2", 4),
+                total_derivative(param("c1") * K1 * gen("k1", 2))]
+
+    before = build()
+    text = [str(p) for p in before]
+    late = next(v for v in ("u", "u_late", "u_later") if v not in diffalg._var_byte)
+    w = gen(late, 2) * param("c97")
+    assert before == build() and [str(p) for p in before] == text
+    assert str(before[0] * w) == str(w * build()[0])
+    assert specialize(before[0], {}, {"k1": late}) == specialize(build()[0], {}, {"k1": late})
+    for f in before + [w, before[0] * w]:
+        _assert_canonical(f)
+
+
 def test_shared_content_is_divided_out():
     half, third = Fraction(1, 2), Fraction(1, 3)
     k1, k1_k1p = ((("k1", 0), 1),), ((("k1", 0), 1), (("k1", 1), 1))
@@ -370,19 +417,22 @@ def test_shared_content_is_divided_out():
         (f - f, {}),
     ]
     for got, numerators in cases:
-        assert got._den == 1 and got._terms == numerators
-    assert f._den == 6 and f._terms == {(k1, (), 0, 0): 3, (((("k2", 0), 1),), (), 0, 0): 2}
+        assert got._den == 1 and {_key(k): q for k, q in got._terms.items()} == numerators
+    assert f._den == 6 and {_key(k): q for k, q in f._terms.items()} == {
+        (k1, (), 0, 0): 3, (((("k2", 0), 1),), (), 0, 0): 2
+    }
 
 
 # -- the merge-and-sort key construction the kernels replaced --------------
 #
-# Each reference rebuilds every key through a dict of factor exponents,
-# drops zero exponents and sorts again, on Fraction values; the kernels
-# edit sorted keys in place and must build exactly the same terms.
+# Each reference rebuilds every key as a tuple through a dict of factor
+# exponents, drops zero exponents and sorts again, on Fraction values; the
+# kernels add packed int keys and must build exactly the same terms once
+# decoded.
 
 
 def _decoded(f: DiffPoly) -> dict:
-    return {key: Fraction(value, f._den) for key, value in f._terms.items()}
+    return {_key(key): Fraction(value, f._den) for key, value in f._terms.items()}
 
 
 def _ref_merge(*factor_lists) -> dict:
@@ -449,7 +499,7 @@ def _random_terms(rng: random.Random, size: int) -> DiffPoly:
         pows = {}
         for name in rng.sample(_REF_PARAMS, rng.randrange(3)):
             pows[name] = rng.choice([-2, -1, 1, 2]) if name == "a" else rng.randrange(1, 3)
-        key = (
+        key = diffalg._encode(
             tuple(sorted(gens.items())),
             tuple(sorted(pows.items(), key=lambda it: _param_rank(it[0]))),
             rng.randrange(2),
