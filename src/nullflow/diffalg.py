@@ -18,17 +18,17 @@ Canonical form.  A polynomial is a dict from term keys to nonzero int
 numerators over one positive int denominator coprime to their content (the
 zero polynomial has denominator 1).  A key is one int of byte fields.  Byte
 0 holds the signs, eps1 at bit 0 and eps2 at bit 2, each with a carry bit
-above it.  Every other byte is the exponent of a parameter or of a jet
-coordinate v^(m); a variable owns MAX_ORDER + 1 adjacent bytes, one per
-order, so D moves one unit up a byte.  Bytes are handed out on a name's
-first use and never move, so a key stays valid.  The power of a sits in
-byte 1 under a bias of 64 (the constant 1 has key _BIAS).  A byte's top bit
-is a guard that no stored key sets: a product key is k1 + k2 - _BIAS with
-the sign carries masked off (so the signs multiply by XOR), and a product,
-D or integration that sets a guard raises ExponentLimitError, never wraps.
-Only terms, the one decoder (str and every reader outside this module walk
-it), and specialize decode keys; values become Fractions only there and in
-const.  No cache outlives a call.
+above it.  Every other byte is the exponent of one parameter or one jet
+coordinate v^(m), handed out on its first use and never moved, so a key
+stays valid (MAX_ORDER caps orders only); D moves one unit from the byte of
+v^(m) to that of v^(m+1).  The power of a sits in byte 1 under a bias of 64
+(the constant 1 has key _BIAS).  A byte's top bit is a guard that no stored
+key sets: a product key is k1 + k2 - _BIAS with the sign carries masked off
+(so the signs multiply by XOR), and a product, D or integration that sets a
+guard raises ExponentLimitError, never wraps.  Only terms, the one decoder
+(str and every reader outside this module walk it), and specialize decode
+keys; values become Fractions only there and in const.  No cache outlives a
+call.
 """
 
 from __future__ import annotations
@@ -102,27 +102,25 @@ _CARRY = 0b1010  # the two sign carry bits
 _OUT_OF_FIELD = "an exponent leaves its field (1..%d; powers of a: -64..63)" % (MAX_EXPONENT,)
 # Append-only registry: the owner of byte i of a key is _owners[i], a
 # (name, order) pair with order None for a parameter (and for the sign
-# byte); _param_byte and _var_byte give a name's first byte.  _guard holds
-# every field's top bit and _var_bits every bit of a variable's fields.
+# byte), and _byte maps an owner back to its byte.  _guard holds every
+# field's top bit and _var_bits every bit of a jet coordinate's field.
 _owners: list[tuple[str, int | None]] = [("", None), ("a", None)]
-_param_byte = {"a": 1}
-_var_byte: dict[str, int] = {}
+_byte = {("a", None): 1}
 _guard = 0x80 << 8
 _var_bits = 0
 
 
-def _first_byte(name: str, width: int) -> int:
-    """First of a name's width bytes (1 for a parameter), handed out on first use."""
+def _byte_of(name: str, order: int | None = None) -> int:
+    """Byte of a parameter (order None) or jet coordinate, handed out on first use."""
     global _guard, _var_bits
-    names = _param_byte if width == 1 else _var_byte
-    first = names.get(name)
-    if first is None:
-        first = names[name] = len(_owners)
-        _owners.extend((name, None if width == 1 else m) for m in range(width))
-        _guard |= int.from_bytes(b"\x80" * width, "little") << 8 * first
-        if width > 1:
-            _var_bits |= (1 << 8 * width) - 1 << 8 * first
-    return first
+    byte = _byte.get((name, order))
+    if byte is None:
+        byte = _byte[name, order] = len(_owners)
+        _owners.append((name, order))
+        _guard |= 0x80 << 8 * byte
+        if order is not None:
+            _var_bits |= 0xFF << 8 * byte
+    return byte
 
 
 def _encode(gens, pows, e1: int, e2: int) -> int:
@@ -131,12 +129,12 @@ def _encode(gens, pows, e1: int, e2: int) -> int:
     for (var, order), exp in gens:
         if not 0 < exp <= MAX_EXPONENT:
             raise ExponentLimitError(_OUT_OF_FIELD)
-        key += exp << 8 * (_first_byte(var, MAX_ORDER + 1) + order)
+        key += exp << 8 * _byte_of(var, order)
     for name, exp in pows:
         low, high = (-_A_BIAS, MAX_EXPONENT - _A_BIAS) if name == "a" else (1, MAX_EXPONENT)
         if not low <= exp <= high:
             raise ExponentLimitError(_OUT_OF_FIELD)
-        key += exp << 8 * _first_byte(name, 1)
+        key += exp << 8 * _byte_of(name)
     return key
 
 
@@ -510,14 +508,15 @@ def total_derivative(f: Polylike, n: int = 1) -> DiffPoly:
 
 
 def _d_once(f: DiffPoly) -> DiffPoly:
-    # D moves one unit of v^(m) a byte up, to v^(m+1), times the exponent
-    # that byte held: the new key is key + 255 << 8 * byte.
+    # D moves one unit from the byte of v^(m) to that of v^(m+1), times the
+    # exponent the first held.  v^(m+1) may get its byte here, so _guard and
+    # the key size are read after the steps.
     steps = []
     for var, order, byte in _fields(f):
         if order >= MAX_ORDER:
             message = "total derivative would exceed MAX_ORDER=%d on %s"
             raise OrderLimitError(message % (MAX_ORDER, var))
-        steps.append((byte, 255 << 8 * byte))
+        steps.append((byte, (1 << 8 * _byte_of(var, order + 1)) - (1 << 8 * byte)))
     guard, size, acc = _guard, len(_owners), {}
     for key, q in f._terms.items():
         data = key.to_bytes(size, "little")
@@ -536,8 +535,8 @@ def partial_derivative(f: Polylike, target: tuple[str, int]) -> DiffPoly:
     # Lowering one exponent is injective on keys, so no two terms collide.
     f, out = _as_poly(f), {}
     var, order = target
-    if var in _var_byte and 0 <= order <= MAX_ORDER:
-        shift = 8 * (_var_byte[var] + order)
+    if order is not None and (var, order) in _byte:  # order None names a parameter
+        shift = 8 * _byte[var, order]
         for key, q in f._terms.items():
             exp = key >> shift & 0xFF
             if exp:
@@ -576,7 +575,7 @@ def _top_coordinate(f: DiffPoly) -> tuple[int, str]:
 def _integrate_in(f: DiffPoly, var: str, order: int) -> DiffPoly:
     """Polynomial integration in the single jet coordinate (var, order)."""
     # Raising one exponent is injective on keys, so no two terms collide.
-    shift = 8 * (_var_byte[var] + order)
+    shift = 8 * _byte_of(var, order)
     raised = [(key >> shift & 0xFF) + 1 for key in f._terms]
     if max(raised, default=0) > MAX_EXPONENT:
         raise ExponentLimitError(_OUT_OF_FIELD)
@@ -625,8 +624,8 @@ def anti_derivative(f: Polylike) -> DiffPoly:
 
 def jet_orders(*targets: DiffPoly) -> dict[str, int]:
     """Highest derivative order of each variable across the targets."""
-    # _fields lists each variable's orders increasing, so the last one wins.
-    return {var: order for var, order, _ in _fields(*targets)}
+    # Sorted by (variable, order), so each variable's top order comes last and wins.
+    return dict(sorted((var, order) for var, order, _ in _fields(*targets)))
 
 
 def prolong(

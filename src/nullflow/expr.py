@@ -18,8 +18,9 @@ to invertible coefficient monomials (rationals, powers of a, eps signs);
 everything else is a parse error.  D evaluates the total derivative and Dinv
 the exact anti-derivative, so Dinv of a non-derivative raises NotExact from
 the algebra layer rather than a ParseError.  Parentheses, D/Dinv and unary
-minus nest at most MAX_NESTING deep; deeper input is a parse error, and
-so is a power whose exponent exceeds diffalg.MAX_EXPONENT in size.
+minus nest at most MAX_NESTING deep; deeper input is a parse error, and so
+is a power whose exponent exceeds diffalg.MAX_EXPONENT or whose result
+leaves an exponent field (diffalg.ExponentLimitError).
 
 A flow pair is two expressions separated by ',' and a frame field four
 separated by ';'.  The separators are tokens of one parse over the whole
@@ -35,6 +36,7 @@ from .diffalg import (
     MAX_EXPONENT,
     DiffAlgError,
     DiffPoly,
+    ExponentLimitError,
     FlowPair,
     anti_derivative,
     const,
@@ -174,10 +176,10 @@ class _Parser:
             exponent = self.signed_int()
             if abs(exponent) > MAX_EXPONENT:
                 raise ParseError("exponent beyond MAX_EXPONENT=%d" % (MAX_EXPONENT,), at)
-            if exponent >= 0:
-                value = value**exponent
-            else:
-                value = _inverted(value, offset) ** (-exponent)
+            try:
+                value = value**exponent if exponent >= 0 else _inverted(value, offset) ** -exponent
+            except ExponentLimitError as exc:
+                raise ParseError(str(exc), at) from None
         return value
 
     def signed_int(self) -> int:

@@ -68,6 +68,7 @@ _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 MAX_STEPS = 10**7
 BLOWUP_LIMIT = 1e8
 STABILITY_C = 0.1
+SUBSTEPS = 4  # RK4 substeps per grid cell in reconstruct_curve
 
 
 @dataclass(frozen=True)
@@ -429,23 +430,21 @@ class FramePath:
 _LAGRANGE_NODES = range(-2, 4)
 
 
-def reconstruct_curve(grid: CurvatureGrid, config: SimConfig, substeps: int = 4) -> FramePath:
+def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
     """Integrate the frame equations across one period of the grid.
 
     The curve starts from standard_initial_frame of the configured
     signature, which satisfies the pairing table exactly.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     if not (np.isfinite(grid.k1).all() and np.isfinite(grid.k2).all()):
         raise ValueError("curvature grid holds non-finite values")
     gamma0, t0, w10, n0, w20, eta = standard_initial_frame(config.eps1, config.eps2)
     a, e1, e2 = float(config.a), float(config.eps1), float(config.eps2)
     dx, n = grid.dx, len(grid.sigma)
 
-    # (k1, k2) at sigma = (node + u) dx for u = q / (2 substeps), by
+    # (k1, k2) at sigma = (node + u) dx for u = q / (2 SUBSTEPS), by
     # 6-point Lagrange interpolation over the nodes node-2 .. node+3.
-    u = np.arange(2 * substeps + 1) / (2 * substeps)
+    u = np.arange(2 * SUBSTEPS + 1) / (2 * SUBSTEPS)
     weights = np.ones((len(u), len(_LAGRANGE_NODES)))
     for col, i in enumerate(_LAGRANGE_NODES):
         for m in _LAGRANGE_NODES:
@@ -473,9 +472,9 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig, substeps: int = 4)
 
     # RK4 is linear in the state, so stepping the identity matrix of every
     # node multiplies the substep matrices into that node's propagator.
-    h = (1.0 / substeps) * dx
+    h = (1.0 / SUBSTEPS) * dx
     propagator = np.broadcast_to(np.eye(5)[:, None, :], (5, n, 5))
-    for q in range(0, 2 * substeps, 2):
+    for q in range(0, 2 * SUBSTEPS, 2):
         slope = apply_generator(q, propagator)
         total = slope.copy()
         slope = apply_generator(q + 1, propagator + 0.5 * h * slope)

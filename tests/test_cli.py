@@ -84,6 +84,10 @@ def test_parse_errors_exit_two(capsys):
     assert "MAX_EXPONENT=127 (offset 2)" in capsys.readouterr().err
     assert main(["bracket", "k1^200, k2", "k1, k2"]) == 2
     assert "MAX_EXPONENT=127 (offset 3)" in capsys.readouterr().err
+    # So is a power whose result leaves an exponent field.
+    for text, offset in (("a^100*k1, k2", 2), ("a^-65*k1, k2", 2), ("(k1^64)^2, k2", 8)):
+        assert main(["bracket", text, "k1, k2"]) == 2
+        assert "-64..63) (offset %d)" % offset in capsys.readouterr().err
 
 
 def test_not_exact_exits_three(capsys):

@@ -116,6 +116,10 @@ def test_partial_derivative():
     assert partial_derivative(f, ("k1", 2)) == 2 * K1 * gen("k1", 2)
     assert partial_derivative(f, ("k2", 0)).is_zero()
     assert partial_derivative(f, ("k1", 0)) == gen("k1", 2) ** 2
+    # A parameter, an order of None and a negative or unregistered order are no coordinate.
+    g = f * param("b") * param("a", -1)
+    for target in (("b", None), ("a", None), ("k1", None), ("k1", -1), ("k1", 999), ("b", 0)):
+        assert partial_derivative(g, target).is_zero()
 
 
 def test_euler_operator_known_value():
@@ -206,8 +210,8 @@ def test_order_of():
 
 def test_order_limit_is_enforced():
     with pytest.raises(OrderLimitError):
-        gen("k1", 13)
-    top = gen("k1", 12)
+        gen("k1", diffalg.MAX_ORDER + 1)
+    top = gen("k1", diffalg.MAX_ORDER)
     with pytest.raises(OrderLimitError):
         total_derivative(top)
 
@@ -397,7 +401,8 @@ def test_packed_fields_overflow_raises_and_keys_outlive_registration():
 
     before = build()
     text = [str(p) for p in before]
-    late = next(v for v in ("u", "u_late", "u_later") if v not in diffalg._var_byte)
+    taken = {name for name, _ in diffalg._byte}
+    late = next(v for v in ("u", "u_late", "u_later") if v not in taken)
     w = gen(late, 2) * param("c97")
     assert before == build() and [str(p) for p in before] == text
     assert str(before[0] * w) == str(w * build()[0])

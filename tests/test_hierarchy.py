@@ -1,14 +1,11 @@
 """Hierarchy generation, reference forms, and commutation."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from nullflow.diffalg import const, lie_bracket_flows, order_of, param
+from nullflow import diffalg
+from nullflow.diffalg import const, gen, lie_bracket_flows, order_of, param
 from nullflow.expr import parse_expr, render
 from nullflow.hierarchy import (
     HierarchyEntry,
@@ -136,22 +133,25 @@ def test_generate_five_latex_matches_its_pinned_digest():
 
 
 # The same canonical text for generate(7), whose flows need derivative
-# orders past the default cap.  MAX_ORDER is read at import, so the run
-# gets a fresh interpreter with NULLFLOW_MAX_ORDER=24.
+# orders past the default cap.  The cap is raised in process after k1 and
+# k2 hold their bytes, so a key layout that still depended on the cap
+# would give k1^(13) the byte of k2 and miss the digest.
 GENERATE7_SHA256 = "64e28c699f9bec9e49ff577038dc2c2568a9f04c0c1cc2938fa16069492dfad3"
-_GENERATE7_SCRIPT = """
-import sys
-from nullflow.hierarchy import generate
-sys.stdout.write("\\n".join(
-    str(comp) for e in generate(7) for comp in e.field.components() + e.flow.components()
-))
-"""
 
 
-def test_generate_seven_matches_its_pinned_digest():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, NULLFLOW_MAX_ORDER="24")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _GENERATE7_SCRIPT], env=env,
-                         capture_output=True, check=True, timeout=300)
-    assert hashlib.sha256(run.stdout).hexdigest() == GENERATE7_SHA256
+def test_generate_seven_matches_its_pinned_digest(monkeypatch):
+    assert gen("k1") != gen("k2")  # both hold their bytes before the cap moves
+    monkeypatch.setattr(diffalg, "MAX_ORDER", 24)
+    assert gen("k1", 13) != gen("k2")
+    text = "\n".join(
+        str(comp) for e in generate(7) for comp in e.field.components() + e.flow.components()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATE7_SHA256
+
+
+def test_max_order_is_read_from_the_environment(monkeypatch):
+    monkeypatch.delenv("NULLFLOW_MAX_ORDER", raising=False)
+    assert diffalg._read_max_order() == 12
+    for raw, cap in (("24", 24), ("0", 12), ("x", 12)):
+        monkeypatch.setenv("NULLFLOW_MAX_ORDER", raw)
+        assert diffalg._read_max_order() == cap

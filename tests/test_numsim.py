@@ -468,9 +468,9 @@ def _reference_reconstruction(grid, config, substeps):
     return out
 
 
-def _assert_matches_reference(grid, config, substeps):
-    expected = _reference_reconstruction(grid, config, substeps)
-    path = reconstruct_curve(grid, config, substeps=substeps)
+def _assert_matches_reference(grid, config):
+    expected = _reference_reconstruction(grid, config, numsim.SUBSTEPS)
+    path = reconstruct_curve(grid, config)
     got = np.stack([path.gamma, path.tangent, path.w1, path.normal, path.w2], axis=1)
     assert np.array_equal(path.sigma, np.arange(len(grid.sigma) + 1) * grid.dx)
     assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
@@ -484,8 +484,7 @@ def test_reconstruction_matches_the_scalar_reference():
         grid = uniform_grid(
             config, lambda s: 0.4 + 0.2 * np.sin(s), lambda s: 0.3 * np.cos(2 * s) - 0.1
         )
-        for substeps in (1, 3, 4):
-            _assert_matches_reference(grid, config, substeps)
+        _assert_matches_reference(grid, config)
 
 
 def test_long_domain_reconstruction_matches_the_scalar_reference():
@@ -496,7 +495,7 @@ def test_long_domain_reconstruction_matches_the_scalar_reference():
         _soliton(0.5, center=length / 2),
         lambda s: 0.1 * np.sin(2 * np.pi * s / length),
     )
-    _assert_matches_reference(grid, config, 4)
+    _assert_matches_reference(grid, config)
 
 
 def test_padded_stencil_equals_the_roll_formula():
