@@ -26,9 +26,9 @@ v^(m) to that of v^(m+1).  The power of a sits in byte 1 under a bias of 64
 key sets: a product key is k1 + k2 - _BIAS with the sign carries masked off
 (so the signs multiply by XOR), and a product, D or integration that sets a
 guard raises ExponentLimitError, never wraps.  Only terms, the one decoder
-(str and every reader outside this module walk it), and specialize decode
-keys; values become Fractions only there and in const.  No cache outlives a
-call.
+(format_terms and every reader outside this module walk it), and
+specialize decode keys; values become Fractions only there and in const.
+No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 def _read_max_order() -> int:
@@ -332,16 +332,7 @@ class DiffPoly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for gens, q, pows, e1, e2 in self.terms():
-            body = _format_term(gens, abs(q), pows, e1, e2)
-            if not chunks:
-                chunks.append(("-" if q < 0 else "") + body)
-            else:
-                chunks.append((" - " if q < 0 else " + ") + body)
-        return "".join(chunks)
+        return format_terms(self, str, _plain_symbol, _plain_coordinate, "*")
 
     def __repr__(self) -> str:
         return "DiffPoly(%s)" % (self,)
@@ -358,25 +349,40 @@ def _as_poly(value: Polylike) -> DiffPoly:
     raise TypeError("cannot coerce %r to DiffPoly" % (value,))
 
 
-def _format_term(gens: tuple, magnitude: Fraction, pows: tuple, e1: int, e2: int) -> str:
-    factors = []
-    if magnitude != 1 or (not gens and not pows and not e1 and not e2):
-        factors.append(str(magnitude))
-    for name, exp in pows:
-        factors.append(name if exp == 1 else "%s^%d" % (name, exp))
-    if e1:
-        factors.append("eps1")
-    if e2:
-        factors.append("eps2")
-    for (var, order), exp in gens:
-        if order <= 3:
-            base = var + "'" * order
+def format_terms(
+    poly: DiffPoly, number: Callable, symbol: Callable, coordinate: Callable, joiner: str
+) -> str:
+    """Lay out poly's terms; str and the LaTeX renderer differ only in the leaves.
+
+    A term is number(|q|), left out when it is 1 and other factors follow,
+    then symbol(name, exp) per parameter, the signs as (eps1, 1) and
+    (eps2, 1), then coordinate(variable, order, exp) per jet coordinate,
+    joined by joiner.  A leading negative term takes '-', later terms
+    ' - ' or ' + ', and zero is "0".
+    """
+    chunks = []
+    for gens, q, pows, e1, e2 in poly.terms():
+        signs = (("eps1", 1),) * e1 + (("eps2", 1),) * e2
+        factors = [symbol(name, exp) for name, exp in pows + signs]
+        factors += [coordinate(var, order, exp) for (var, order), exp in gens]
+        magnitude = abs(q)
+        if magnitude != 1 or not factors:
+            factors.insert(0, number(magnitude))
+        body = joiner.join(factors)
+        if chunks:
+            chunks.append((" - " if q < 0 else " + ") + body)
         else:
-            base = "%s^(%d)" % (var, order)
-        if exp != 1:
-            base += "^%d" % (exp,)
-        factors.append(base)
-    return "*".join(factors)
+            chunks.append(("-" if q < 0 else "") + body)
+    return "".join(chunks) or "0"
+
+
+def _plain_symbol(name: str, exp: int) -> str:
+    return name if exp == 1 else "%s^%d" % (name, exp)
+
+
+def _plain_coordinate(var: str, order: int, exp: int) -> str:
+    base = var + "'" * order if order <= 3 else "%s^(%d)" % (var, order)
+    return base if exp == 1 else "%s^%d" % (base, exp)
 
 
 # -- public constructors ---------------------------------------------------

@@ -11,6 +11,7 @@ are mutually inverse on canonical text.  Grammar, loosest to tightest:
             |  IDENT                      -- parameter, eps sign, or generator
             |  GEN ('\'')+                -- primes mark derivative orders 1..3
             |  GEN '^' '(' INT ')'        -- explicit derivative order
+    INT    :=  ('0' .. '9')+              -- ASCII digits only
 
 Primes bind tighter than '^', so k1'^2 is the square of k1'.  A power suffix
 may follow an explicit derivative order (k1^(4)^2).  Division is restricted
@@ -19,8 +20,9 @@ everything else is a parse error.  D evaluates the total derivative and Dinv
 the exact anti-derivative, so Dinv of a non-derivative raises NotExact from
 the algebra layer rather than a ParseError.  Parentheses, D/Dinv and unary
 minus nest at most MAX_NESTING deep; deeper input is a parse error, and so
-is a power whose exponent exceeds diffalg.MAX_EXPONENT or whose result
-leaves an exponent field (diffalg.ExponentLimitError).
+is an INT longer than int() converts, a power whose exponent exceeds
+diffalg.MAX_EXPONENT and one whose result leaves an exponent field
+(diffalg.ExponentLimitError).
 
 A flow pair is two expressions separated by ',' and a frame field four
 separated by ';'.  The separators are tokens of one parse over the whole
@@ -40,6 +42,7 @@ from .diffalg import (
     FlowPair,
     anti_derivative,
     const,
+    format_terms,
     gen,
     one,
     param,
@@ -56,6 +59,7 @@ class ParseError(ValueError):
 
 
 _ONE_CHAR = set("+-*/^()',;")
+_DIGITS = set("0123456789")
 
 #: Deepest nesting of parentheses, D/Dinv and unary minus that parses.  Each
 #: level costs the parser about five stack frames, well under the limit.
@@ -71,9 +75,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -187,13 +191,12 @@ class _Parser:
         if self.peek()[0] == "-":
             self.next()
             sign = -1
-        tok = self.expect("int")
-        return sign * int(tok[1])
+        return sign * _int_value(self.expect("int"))
 
     def atom(self) -> DiffPoly:
         kind, text, offset = self.next()
         if kind == "int":
-            return const(int(text))
+            return const(_int_value((kind, text, offset)))
         if kind == "(":
             value = self.expr()
             self.expect(")")
@@ -220,9 +223,16 @@ class _Parser:
         if order == 0 and self.peek()[0] == "^" and self.tokens[self.pos + 1][0] == "(":
             self.next()
             self.expect("(")
-            order = int(self.expect("int")[1])
+            order = _int_value(self.expect("int"))
             self.expect(")")
         return gen(variable, order)
+
+
+def _int_value(token: tuple[str, str, int]) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer of %d digits is too long" % len(token[1]), token[2]) from None
 
 
 def _inverted(value: DiffPoly, offset: int) -> DiffPoly:
@@ -275,56 +285,30 @@ def render(value: Union[DiffPoly, FlowPair], fmt: str = "plain") -> str:
     raise ValueError("unknown render format %r" % (fmt,))
 
 
-_GREEK = {"eps1": "\\varepsilon_1", "eps2": "\\varepsilon_2"}
+def _latex_poly(poly: DiffPoly) -> str:
+    return format_terms(poly, _latex_number, _latex_symbol, _latex_gen, " ")
+
+
+def _latex_number(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return "\\frac{%d}{%d}" % (q.numerator, q.denominator)
 
 
 def _latex_name(name: str) -> str:
-    if name in _GREEK:
-        return _GREEK[name]
-    if len(name) > 1 and name[1:].isdigit():
-        sub = name[1:]
-        if len(sub) == 1:
-            return "%s_%s" % (name[0], sub)
-        return "%s_{%s}" % (name[0], sub)
-    return name
+    base, sub = ("\\varepsilon", name[3:]) if name in ("eps1", "eps2") else (name[0], name[1:])
+    if not sub.isdigit():
+        return name
+    return "%s_%s" % (base, sub) if len(sub) == 1 else "%s_{%s}" % (base, sub)
+
+
+def _latex_symbol(name: str, exp: int) -> str:
+    base = _latex_name(name)
+    return base if exp == 1 else "%s^{%d}" % (base, exp)
 
 
 def _latex_gen(variable: str, order: int, exp: int) -> str:
-    base = _latex_name(variable)
-    if 1 <= order <= 3:
-        base += "'" * order
-    elif order > 3:
-        base += "^{(%d)}" % (order,)
+    base = _latex_name(variable) + ("'" * order if order <= 3 else "^{(%d)}" % (order,))
     if exp == 1:
         return base
-    if order >= 1:
-        return "\\left(%s\\right)^{%d}" % (base, exp)
-    return "%s^{%d}" % (base, exp)
-
-
-def _latex_poly(poly: DiffPoly) -> str:
-    chunks = []
-    for gens, rational, powers, eps1, eps2 in poly.terms():
-        pieces = []
-        magnitude = abs(rational)
-        if magnitude.denominator != 1:
-            pieces.append(
-                "\\frac{%d}{%d}" % (magnitude.numerator, magnitude.denominator)
-            )
-        elif magnitude != 1 or (not powers and not gens and not eps1 and not eps2):
-            pieces.append(str(magnitude.numerator))
-        for name, exp in powers:
-            base = _latex_name(name)
-            pieces.append(base if exp == 1 else "%s^{%d}" % (base, exp))
-        if eps1:
-            pieces.append(_GREEK["eps1"])
-        if eps2:
-            pieces.append(_GREEK["eps2"])
-        for (variable, order), exp in gens:
-            pieces.append(_latex_gen(variable, order, exp))
-        body = " ".join(pieces)
-        if not chunks:
-            chunks.append(("-" if rational < 0 else "") + body)
-        else:
-            chunks.append((" - " if rational < 0 else " + ") + body)
-    return "".join(chunks) or "0"
+    return ("\\left(%s\\right)^{%d}" if order else "%s^{%d}") % (base, exp)

@@ -4,8 +4,8 @@ Curvatures live on a uniform periodic grid.  A flow is compiled by
 binding a, the signs and its named constants exactly through
 diffalg.specialize (a float enters as the Fraction it equals), so each
 coefficient is rounded to a float once; one that rounds to 0 or inf is
-refused.  Centered finite-difference weights are solved exactly over the
-rationals (central4 or central6, a config field).  One stencil engine
+refused.  Centered finite-difference weights are read off the Lagrange
+basis exactly (central4 or central6, a config field).  One stencil engine
 serves every order: the weights, reversed and cached as a float kernel
 per (order, accuracy), are convolved with the profile padded once with
 wrap-around points.  Time stepping is fixed-step classical RK4 with the
@@ -177,29 +177,24 @@ def uniform_grid(config: SimConfig, k1, k2=None) -> CurvatureGrid:
 
 @cache
 def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
-    """Centered stencil offsets and exact weights for d^m/dx^m."""
+    """Centered stencil offsets and exact weights for d^m/dx^m.
+
+    Weight j is m! times the x^m coefficient of the Lagrange basis
+    polynomial of offset j (Fornberg, Math. Comp. 51, 1988).
+    """
     if m < 1:
         raise ValueError("derivative order must be >= 1")
     npts = 2 * ((m + 1) // 2) - 1 + accuracy
     r = npts // 2
     offsets = list(range(-r, r + 1))
-    rows = [[Fraction(j) ** i for j in offsets] for i in range(npts)]
-    rhs = [Fraction(math.factorial(m)) if i == m else Fraction(0) for i in range(npts)]
-    # Gaussian elimination with exact pivots; the Vandermonde matrix on
-    # distinct offsets is nonsingular, so a nonzero pivot always exists.
-    for col in range(npts):
-        pivot = next(k for k in range(col, npts) if rows[k][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        rhs[col] *= inv
-        for k in range(npts):
-            if k != col and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[col])]
-                rhs[k] -= factor * rhs[col]
-    return offsets, rhs
+    weights = []
+    for j in offsets:
+        basis = [Fraction(1)]  # coefficients in ascending powers of x
+        for i in offsets:
+            if i != j:  # times (x - i) / (j - i)
+                basis = [(lo - i * hi) / (j - i) for lo, hi in zip([0] + basis, basis + [0])]
+        weights.append(math.factorial(m) * basis[m])
+    return offsets, weights
 
 
 @cache

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, files."""
 
 import json
+import sys
 
 import pytest
 
@@ -88,6 +89,20 @@ def test_parse_errors_exit_two(capsys):
     for text, offset in (("a^100*k1, k2", 2), ("a^-65*k1, k2", 2), ("(k1^64)^2, k2", 8)):
         assert main(["bracket", text, "k1, k2"]) == 2
         assert "-64..63) (offset %d)" % offset in capsys.readouterr().err
+    # Only ASCII digits make an integer.
+    for text, offset in (("\u00b2, k2", 0), ("k1^\u00b2, k2", 3), ("k1^(\u0663), k2", 4)):
+        assert main(["bracket", text, "k1, k2"]) == 2
+        err = capsys.readouterr().err
+        assert "unexpected character %r (offset %d)" % (text[offset], offset) in err
+    # A literal longer than int() converts is a parse error at its offset.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        digits = "1" * (limit + 1)
+        for text, offset in ((digits + "*k1, k2", 0), ("k1^" + digits + ", k2", 3),
+                             ("k1^(" + digits + "), k2", 4)):
+            assert main(["bracket", text, "k1, k2"]) == 2
+            err = capsys.readouterr().err
+            assert "integer of %d digits is too long (offset %d)" % (limit + 1, offset) in err
 
 
 def test_not_exact_exits_three(capsys):

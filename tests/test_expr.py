@@ -164,6 +164,20 @@ def test_latex_rendering():
     assert render(parse_expr("k1^(7)"), "latex") == "k_1^{(7)}"
     assert render(parse_expr("-c1*k1"), "latex") == "-c_1 k_1"
     assert render(zero(), "latex") == "0"
+    # A two-digit constant subscript, eps2 without eps1, and a powered
+    # coordinate of order above 3; each in plain text and LaTeX.
+    for text, plain, latex in (
+        ("c10*k1 - 2/3*c12^2*k2", "c10*k1 - 2/3*c12^2*k2",
+         "c_{10} k_1 - \\frac{2}{3} c_{12}^{2} k_2"),
+        ("eps2*k1^(4)^3 - a^-2*eps2", "-a^-2*eps2 + eps2*k1^(4)^3",
+         "-a^{-2} \\varepsilon_2 + \\varepsilon_2 \\left(k_1^{(4)}\\right)^{3}"),
+        ("-k1^(5)^2*k2^(4)", "-k1^(5)^2*k2^(4)",
+         "-\\left(k_1^{(5)}\\right)^{2} k_2^{(4)}"),
+    ):
+        poly = parse_expr(text)
+        assert str(poly) == plain
+        assert render(poly, "latex") == latex
+        assert parse_expr(str(poly)) == poly
     with pytest.raises(ValueError):
         render(zero(), "html")
 

@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for D, the Euler operator and products.
+"""sympy as an independent oracle for D, the Euler operator, products and
+the finite-difference stencil weights.
 
 hypothesis draws low-degree differential polynomials as term lists; each
 list is built once as a DiffPoly and once as a sympy expression in k1(x),
@@ -26,6 +27,7 @@ from nullflow.diffalg import (  # noqa: E402
     total_derivative,
     zero,
 )
+from nullflow.numsim import fd_weights  # noqa: E402
 
 X = sp.Symbol("x")
 FUNCS = {name: sp.Function(name)(X) for name in ("k1", "k2")}
@@ -127,3 +129,13 @@ def test_product_matches_sympy(left, right):
     p_right, s_right = _build(right)
     assert _same(p_left * p_right, s_left * s_right)
     assert _same(p_left * p_right * p_left, s_left * s_right * s_left)
+
+
+def test_fd_weights_match_sympy():
+    # The NLIE needs m = 3 and central6 exists; the classical tables in
+    # test_numsim stop at m = 2, accuracy 4.
+    for accuracy in (4, 6):
+        for m in range(1, 9):
+            offsets, weights = fd_weights(m, accuracy)
+            expected = sp.finite_diff_weights(m, offsets, 0)[m][-1]
+            assert [sp.Rational(w.numerator, w.denominator) for w in weights] == expected
