@@ -158,6 +158,7 @@ def _cmd_simulate(args) -> int:
         history = evolve(uniform_grid(config, k1, k2), rhs, config)
         paths = [reconstruct_curve(history[-1], config)] if args.reconstruct else []
 
+    report = run_report(config, history, paths)
     os.makedirs(args.out, exist_ok=True)
     written = []
     for variable in ("k1", "k2"):
@@ -169,7 +170,7 @@ def _cmd_simulate(args) -> int:
         write_path_csv(target, paths[-1])
         written.append(target)
     target = os.path.join(args.out, "report.json")
-    write_report_json(target, run_report(config, history, paths))
+    write_report_json(target, report)
     written.append(target)
     print("wrote %s" % ", ".join(written))
     return 0
@@ -237,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # every numeric exit is checked
+            return args.func(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

@@ -64,8 +64,10 @@ _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 
 # evolve refuses a run that needs more RK4 steps than this, and stops with
 # BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.  The
-# recorded stability bound is STABILITY_C * dx^3.
+# recorded stability bound is STABILITY_C * dx^3.  SimConfig refuses more
+# than MAX_GRID_POINTS points (reconstruct_curve needs about 100 MB there).
 MAX_STEPS = 10**7
+MAX_GRID_POINTS = 2**16
 BLOWUP_LIMIT = 1e8
 STABILITY_C = 0.1
 SUBSTEPS = 4  # RK4 substeps per grid cell in reconstruct_curve
@@ -95,8 +97,8 @@ class SimConfig:
                 raise ValueError("%s must be finite" % (name,))
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
-        if self.grid_points < 16:
-            raise ValueError("need at least 16 grid points")
+        if not 16 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError("grid_points must lie in 16 .. MAX_GRID_POINTS = %d" % MAX_GRID_POINTS)
         if self.eps1 not in (-1, 1) or self.eps2 not in (-1, 1):
             raise ValueError("eps1 and eps2 must be +1 or -1")
         if (self.eps1, self.eps2) == (-1, -1):
@@ -184,6 +186,8 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
     """
     if m < 1:
         raise ValueError("derivative order must be >= 1")
+    if not (isinstance(accuracy, int) and accuracy > 0 and accuracy % 2 == 0):
+        raise ValueError("accuracy must be a positive even int, got %r" % (accuracy,))
     npts = 2 * ((m + 1) // 2) - 1 + accuracy
     r = npts // 2
     offsets = list(range(-r, r + 1))
@@ -291,6 +295,28 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
 
 # -- time stepping -----------------------------------------------------------
 
+def _rk4_step(slope: Callable, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of size h from y.
+
+    slope(stage, y) is the right-hand side at stage 0, 1 or 2 of the step
+    (start, middle, end) and must return a new array; stage 1 is asked
+    twice.  The sum s1 + 2 s2 + 2 s3 + s4 is formed left to right in
+    place in s2.
+    """
+    half = 0.5 * h
+    s1 = slope(0, y)
+    s2 = slope(1, y + half * s1)
+    s3 = slope(1, y + half * s2)
+    s4 = slope(2, y + h * s3)
+    s2 *= 2.0
+    s2 += s1
+    s3 *= 2.0
+    s2 += s3
+    s2 += s4
+    s2 *= h / 6.0
+    return y + s2
+
+
 def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[CurvatureGrid]:
     """March to t_end with fixed-step RK4; returns the saved trajectory.
 
@@ -298,8 +324,7 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
     More than MAX_STEPS steps raise ValueError before the first one; a
-    non-finite state or one above BLOWUP_LIMIT raises BlowUp.  rhs must
-    return new float arrays per call: the stage sums are formed in them.
+    non-finite state or one above BLOWUP_LIMIT raises BlowUp.
     """
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
@@ -313,32 +338,18 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     dt = config.t_end / steps
     stride = config.output_stride if config.output_stride > 0 else steps
 
-    k1, k2 = grid0.k1.copy(), grid0.k2.copy()
+    y = np.stack((grid0.k1, grid0.k2))
     time = grid0.time
-    history = [CurvatureGrid(grid0.sigma, k1.copy(), k2.copy(), time)]
-    half = 0.5 * dt
+    history = [CurvatureGrid(grid0.sigma, *y.copy(), time)]
+    slope = lambda stage, state: np.array(rhs(*state))  # a copy the sums may reuse
     for step in range(1, steps + 1):
-        a1, b1 = rhs(k1, k2)
-        a2, b2 = rhs(k1 + half * a1, k2 + half * b1)
-        a3, b3 = rhs(k1 + half * a2, k2 + half * b2)
-        a4, b4 = rhs(k1 + dt * a3, k2 + dt * b3)
-        # s1 + 2 s2 + 2 s3 + s4, left to right, summed in place into s2
-        for s1, s2, s3, s4 in ((a1, a2, a3, a4), (b1, b2, b3, b4)):
-            s2 *= 2.0
-            s2 += s1
-            s3 *= 2.0
-            s2 += s3
-            s2 += s4
-            s2 *= dt / 6.0
-        new_k1 = k1 + a2
-        new_k2 = k2 + b2
+        new_y = _rk4_step(slope, y, dt)
         new_time = grid0.time + step * dt
-        finite = np.isfinite(new_k1).all() and np.isfinite(new_k2).all()
-        if not finite or max(np.abs(new_k1).max(), np.abs(new_k2).max()) > BLOWUP_LIMIT:
-            raise BlowUp(new_time, step, CurvatureGrid(grid0.sigma, k1, k2, time))
-        k1, k2, time = new_k1, new_k2, new_time
+        if not np.abs(new_y).max() <= BLOWUP_LIMIT:  # NaN fails this too
+            raise BlowUp(new_time, step, CurvatureGrid(grid0.sigma, *y, time))
+        y, time = new_y, new_time
         if step % stride == 0 or step == steps:
-            history.append(CurvatureGrid(grid0.sigma, k1.copy(), k2.copy(), time))
+            history.append(CurvatureGrid(grid0.sigma, *y.copy(), time))
     return history
 
 
@@ -470,14 +481,7 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
     h = (1.0 / SUBSTEPS) * dx
     propagator = np.broadcast_to(np.eye(5)[:, None, :], (5, n, 5))
     for q in range(0, 2 * SUBSTEPS, 2):
-        slope = apply_generator(q, propagator)
-        total = slope.copy()
-        slope = apply_generator(q + 1, propagator + 0.5 * h * slope)
-        total += 2.0 * slope
-        slope = apply_generator(q + 1, propagator + 0.5 * h * slope)
-        total += 2.0 * slope
-        total += apply_generator(q + 2, propagator + h * slope)
-        propagator = propagator + (h / 6.0) * total
+        propagator = _rk4_step(lambda stage, y: apply_generator(q + stage, y), propagator, h)
 
     out = np.empty((n + 1, 5, 4))
     out[0] = np.stack([gamma0, t0, w10, n0, w20])
@@ -514,7 +518,10 @@ def run_report(
     history: Sequence[CurvatureGrid],
     paths: Sequence[FramePath] = (),
 ) -> dict:
-    """Config echo, mass and drift series, stability bound."""
+    """Config echo, mass and drift series, stability bound.
+
+    Raises ValueError naming the first entry that is not finite.
+    """
     report = {
         "config": asdict(config),
         "stability_bound": config.stability_bound(),
@@ -526,6 +533,9 @@ def run_report(
         report["gram_drift"] = [p.gram_drift() for p in paths]
         report["null_drift"] = [p.null_drift() for p in paths]
         report["accel_drift"] = [float(p.accel_series().max()) for p in paths]
+    for name, series in report.items():
+        if name != "config" and not np.isfinite(series).all():
+            raise ValueError("run report %s is not finite" % (name,))
     return report
 
 

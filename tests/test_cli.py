@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -265,3 +266,24 @@ def test_simulate_step_budget_exits_one(tmp_path, capsys):
             "--out", str(tmp_path / "z")]
     assert main(args) == 1
     assert "MAX_STEPS" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_report_exits_one_and_writes_nothing(tmp_path, capsys):
+    # Reconstruction over a long domain overflows the frames at amplitude
+    # 1000; at 120 the frames stay finite but every drift is NaN.
+    for amplitude in ("1000", "120"):
+        args = ["simulate", "--flow", "nlie", "--profile", "constant", "--amplitude",
+                amplitude, "--length", "60", "--n", "64", "--dt", "1e-3", "--t-end",
+                "1e-3", "--out", str(tmp_path / "x")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 1
+        assert "error: run report" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+def test_simulate_grid_cap_exits_one(tmp_path, capsys):
+    args = ["simulate", "--n", "65537", "--t-end", "1", "--out", str(tmp_path / "g")]
+    assert main(args) == 1
+    assert "error: grid_points must lie in 16 .. MAX_GRID_POINTS = 65536" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()

@@ -13,6 +13,7 @@ from nullflow import numsim
 from nullflow.expr import parse_flow
 from nullflow.hierarchy import seed
 from nullflow.numsim import (
+    MAX_GRID_POINTS,
     MAX_STEPS,
     BlowUp,
     CurvatureGrid,
@@ -60,6 +61,9 @@ def test_fd_weights_match_classical_tables():
         Fraction(-1, 12),
     ]
     assert sum(w2) == 0
+    for bad in (0, 3, -2):
+        with pytest.raises(ValueError, match="accuracy must be a positive even int"):
+            fd_weights(1, bad)
 
 
 def test_spatial_derivative_orders_of_accuracy():
@@ -77,8 +81,9 @@ def test_spatial_derivative_orders_of_accuracy():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(domain_length=2 * np.pi, eps1=-1, eps2=-1)
-    with pytest.raises(ValueError):
-        SimConfig(domain_length=2 * np.pi, grid_points=8)
+    for bad in (8, MAX_GRID_POINTS + 1):
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            SimConfig(domain_length=2 * np.pi, grid_points=bad)
     with pytest.raises(ValueError):
         SimConfig(domain_length=2 * np.pi, derivative_stencil="central5")
     with pytest.raises(ValueError):
@@ -223,6 +228,41 @@ def test_blowup_carries_the_last_finite_state():
     assert err.step > 1
     assert np.isfinite(err.last_good.k1).all()
     assert err.last_good.time < err.time
+
+
+def test_evolve_copies_slopes_from_an_rhs_that_reuses_its_buffers():
+    # The stage sums are formed in place, so evolve must not sum into
+    # arrays the rhs hands out again on its next call.
+    config = SimConfig(
+        domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=1e-2, output_stride=1
+    )
+    grid = uniform_grid(config, np.sin)
+    out = (np.empty(64), np.empty(64))
+
+    def reused(k1, k2):
+        np.negative(k1, out=out[0])
+        np.divide(k2, 2, out=out[1])
+        return out
+
+    fresh = evolve(grid, lambda k1, k2: (-k1, k2 / 2), config)
+    history = evolve(grid, reused, config)
+    assert len(history) == len(fresh) == 11
+    for got, want in zip(history, fresh):
+        assert np.array_equal(got.k1, want.k1)
+        assert np.array_equal(got.k2, want.k2)
+
+
+def test_non_finite_slopes_stop_the_first_step():
+    config = SimConfig(domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=1e-2)
+    grid = uniform_grid(config, np.sin, 0.25)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BlowUp) as info:
+            evolve(grid, lambda k1, k2: (np.full_like(k1, bad), k2), config)
+        err = info.value
+        assert err.step == 1
+        assert err.last_good.time == 0.0
+        assert np.array_equal(err.last_good.k1, grid.k1)
+        assert np.array_equal(err.last_good.k2, grid.k2)
 
 
 def test_standard_frames_satisfy_the_pairing_table():
