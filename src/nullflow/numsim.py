@@ -8,12 +8,14 @@ refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil engine
 serves every order: the weights, reversed and cached as a float kernel
 per (order, accuracy), are convolved with the profile padded once with
-wrap-around points.  Time stepping is fixed-step classical RK4 with the
-stage sums and compiled terms formed in place.  The stability bound
-STABILITY_C * dx^3 for third-order flows must be a positive float; it
-is recorded in the run report and dt = 0 asks for exactly it.  A run of
-more than MAX_STEPS steps is refused, and a state that leaves the finite
-range or exceeds BLOWUP_LIMIT stops the run with BlowUp.
+wrap-around points.  Compiled terms are formed in place.  One classical
+RK4 step kernel, which sums its stages in place, serves both the
+fixed-step curvature evolution and the frame propagators below.  The
+stability bound STABILITY_C * dx^3 for third-order flows must be a
+positive float; it is recorded in the run report and dt = 0 asks for
+exactly it.  A grid of more than MAX_GRID_POINTS points and a run of
+more than MAX_STEPS steps are refused, and a state that leaves the
+finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -25,7 +27,8 @@ RK4 substeps, run on a batch of 5x5 identity matrices (one per node),
 turn them into the per-node propagators, which are chained from the
 standard initial frame of the signature.  Frames are never projected
 back onto the pairing table (<T,T> = <N,N> = 0, <T,N> = -1,
-<Wi,Wi> = eps_i); the drift is measured per node and reported.
+<Wi,Wi> = eps_i); the drift is measured per node and reported.  A run
+report holding a series that is not finite is refused.
 """
 
 from __future__ import annotations
