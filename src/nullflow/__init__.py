@@ -70,6 +70,7 @@ from .numsim import (
     evolve,
     nlie_run,
     reconstruct_curve,
+    run_flow,
     run_report,
     standard_initial_frame,
     uniform_grid,

@@ -32,12 +32,7 @@ from .numsim import (
     BlowUp,
     SimConfig,
     UnboundParameter,
-    compile_flow,
-    evolve,
-    nlie_run,
-    reconstruct_curve,
-    run_report,
-    uniform_grid,
+    run_flow,
     write_curvature_csv,
     write_path_csv,
     write_report_json,
@@ -143,31 +138,27 @@ def _cmd_simulate(args) -> int:
     )
     k1, k2 = _profiles(args, length)
 
-    if args.flow == "nlie":
-        history, paths = nlie_run(config, k1, k2, **params)
+    if args.flow == "file":
+        if not args.flow_file:
+            raise ValueError("--flow file requires --flow-file")
+        with open(args.flow_file) as fh:
+            flow = parse_flow(fh.read().strip())
     else:
-        if args.flow == "translation":
-            flow = parse_flow("b*k1', b*k2'")
-            params.setdefault("b", 1.0)
-        else:
-            if not args.flow_file:
-                raise ValueError("--flow file requires --flow-file")
-            with open(args.flow_file) as fh:
-                flow = parse_flow(fh.read().strip())
-        rhs = compile_flow(flow, params, config)
-        history = evolve(uniform_grid(config, k1, k2), rhs, config)
-        paths = [reconstruct_curve(history[-1], config)] if args.reconstruct else []
-
-    report = run_report(config, history, paths)
+        entry = seed(1 if args.flow == "nlie" else 0)
+        flow = entry.flow
+        params.setdefault(entry.constants_used[0], 1.0)
+    history, path, report = run_flow(
+        config, flow, params, k1, k2, reconstruct=args.reconstruct or args.flow == "nlie"
+    )
     os.makedirs(args.out, exist_ok=True)
     written = []
     for variable in ("k1", "k2"):
         target = os.path.join(args.out, "%s.csv" % variable)
         write_curvature_csv(target, history, variable)
         written.append(target)
-    if paths:
+    if path is not None:
         target = os.path.join(args.out, "path_final.csv")
-        write_path_csv(target, paths[-1])
+        write_path_csv(target, path)
         written.append(target)
     target = os.path.join(args.out, "report.json")
     write_report_json(target, report)
@@ -230,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                    help="bind a flow parameter, repeatable")
     p.add_argument("--reconstruct", action="store_true",
-                   help="also reconstruct the final curve (nlie always does)")
+                   help="reconstruct every saved state (nlie always does)")
     p.set_defaults(func=_cmd_simulate)
     return parser
 

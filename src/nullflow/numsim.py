@@ -13,9 +13,12 @@ RK4 step kernel, which sums its stages in place, serves both the
 fixed-step curvature evolution and the frame propagators below.  The
 stability bound STABILITY_C * dx^3 for third-order flows must be a
 positive float; it is recorded in the run report and dt = 0 asks for
-exactly it.  A grid of more than MAX_GRID_POINTS points and a run of
-more than MAX_STEPS steps are refused, and a state that leaves the
-finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.
+exactly it.  A grid of more than MAX_GRID_POINTS points, a run of more
+than MAX_STEPS steps and one saving more than MAX_SAVED_SAMPLES samples
+are refused, and a state that leaves the finite range or exceeds
+BLOWUP_LIMIT stops the run with BlowUp.  Every run goes through run_flow:
+it compiles and evolves a flow and, when asked, reconstructs each saved
+state and reduces it at once to its drifts, keeping only the last frame.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -65,11 +68,15 @@ class BlowUp(RuntimeError):
 
 _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 
-# evolve refuses a run that needs more RK4 steps than this, and stops with
+# evolve refuses a run that needs more RK4 steps than MAX_STEPS or saves
+# more than MAX_SAVED_SAMPLES grid samples (saved states x grid points);
+# simulate runs at the cap peaked at 132 MB RSS (8001 x 512, nlie) and
+# 360 MB (262144 x 16, where per-state overhead dominates).  It stops with
 # BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.  The
 # recorded stability bound is STABILITY_C * dx^3.  SimConfig refuses more
 # than MAX_GRID_POINTS points (reconstruct_curve needs about 100 MB there).
 MAX_STEPS = 10**7
+MAX_SAVED_SAMPLES = 2**22
 MAX_GRID_POINTS = 2**16
 BLOWUP_LIMIT = 1e8
 STABILITY_C = 0.1
@@ -326,8 +333,9 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
-    More than MAX_STEPS steps raise ValueError before the first one; a
-    non-finite state or one above BLOWUP_LIMIT raises BlowUp.
+    More than MAX_STEPS steps or MAX_SAVED_SAMPLES saved samples raise
+    ValueError before the first step; a non-finite state or one above
+    BLOWUP_LIMIT raises BlowUp.
     """
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
@@ -340,6 +348,12 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     steps = max(1, math.ceil(ratio))
     dt = config.t_end / steps
     stride = config.output_stride if config.output_stride > 0 else steps
+    samples = (1 + -(-steps // stride)) * config.grid_points
+    if samples > MAX_SAVED_SAMPLES:
+        raise ValueError(
+            "the run would save %d samples, more than MAX_SAVED_SAMPLES = %d"
+            % (samples, MAX_SAVED_SAMPLES)
+        )
 
     y = np.stack((grid0.k1, grid0.k2))
     time = grid0.time
@@ -495,23 +509,30 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
     return FramePath(sigma, *out.transpose(1, 0, 2), eta, a, config.eps1, config.eps2)
 
 
-def nlie_run(
-    config: SimConfig, k1, k2=None, /, **params
-) -> tuple[list[CurvatureGrid], list[FramePath]]:
-    """Evolve under the third-order flow and reconstruct each saved state.
+def run_flow(
+    config: SimConfig, flow: FlowPair, params: dict, k1, k2=None, reconstruct: bool = False
+) -> tuple[list[CurvatureGrid], FramePath | None, dict]:
+    """Evolve flow from (k1, k2); returns (history, final path, run report).
 
-    params binds the flow's scale c (default 1.0); compile_flow rejects
-    any other name the flow lacks.  All snapshots share the standard
-    initial frame, so successive curves are comparable up to the rigid
-    motion that frame fixes.
+    With reconstruct, each saved state is rebuilt from the standard
+    initial frame and reduced at once to its (gram, null, accel) drifts;
+    only the final FramePath is kept.
     """
+    rhs = compile_flow(flow, params, config)
+    history = evolve(uniform_grid(config, k1, k2), rhs, config)
+    path, drifts = None, []
+    if reconstruct:
+        for grid in history:
+            path = reconstruct_curve(grid, config)
+            drifts.append((path.gram_drift(), path.null_drift(), float(path.accel_series().max())))
+    return history, path, run_report(config, history, drifts)
+
+
+def nlie_run(config: SimConfig, k1, k2=None, /, **params):
+    """run_flow of the third-order flow seed(1) (scale c = 1.0 by default), reconstructing."""
     from .hierarchy import seed
 
-    grid0 = uniform_grid(config, k1, k2)
-    rhs = compile_flow(seed(1).flow, {"c": 1.0, **params}, config)
-    history = evolve(grid0, rhs, config)
-    paths = [reconstruct_curve(g, config) for g in history]
-    return history, paths
+    return run_flow(config, seed(1).flow, {"c": 1.0, **params}, k1, k2, reconstruct=True)
 
 
 # -- run reports and output ---------------------------------------------------
@@ -519,9 +540,9 @@ def nlie_run(
 def run_report(
     config: SimConfig,
     history: Sequence[CurvatureGrid],
-    paths: Sequence[FramePath] = (),
+    drifts: Sequence[tuple[float, float, float]] = (),
 ) -> dict:
-    """Config echo, mass and drift series, stability bound.
+    """Config echo, mass series, (gram, null, accel) drift series, stability bound.
 
     Raises ValueError naming the first entry that is not finite.
     """
@@ -532,10 +553,8 @@ def run_report(
         "mass_k1": [g.mass("k1") for g in history],
         "mass_k2": [g.mass("k2") for g in history],
     }
-    if paths:
-        report["gram_drift"] = [p.gram_drift() for p in paths]
-        report["null_drift"] = [p.null_drift() for p in paths]
-        report["accel_drift"] = [float(p.accel_series().max()) for p in paths]
+    if drifts:
+        report["gram_drift"], report["null_drift"], report["accel_drift"] = map(list, zip(*drifts))
     for name, series in report.items():
         if name != "config" and not np.isfinite(series).all():
             raise ValueError("run report %s is not finite" % (name,))

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 import warnings
 
 import pytest
@@ -148,6 +149,7 @@ def test_simulate_translation_writes_files(tmp_path, capsys):
     assert report["config"]["grid_points"] == 64
     assert report["config"]["derivative_stencil"] == "central4"
     assert len(report["times"]) == len(report["mass_k1"])
+    assert len(report["gram_drift"]) == len(report["times"])
     assert "wrote" in capsys.readouterr().out
 
 
@@ -287,3 +289,17 @@ def test_simulate_grid_cap_exits_one(tmp_path, capsys):
     assert main(args) == 1
     assert "error: grid_points must lie in 16 .. MAX_GRID_POINTS = 65536" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+def test_simulate_saved_sample_budget_exits_one_before_the_first_step(tmp_path, capsys):
+    # At the default n = 512 the stability bound needs about 270,000 steps,
+    # so --stride 3 would save about 90,000 states.
+    args = ["simulate", "--flow", "translation", "--reconstruct", "--stride", "3",
+            "--t-end", "0.05", "--out", str(tmp_path / "s")]
+    start = time.perf_counter()
+    assert main(args) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "MAX_SAVED_SAMPLES = 4194304" in err
+    assert not (tmp_path / "s").exists()

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from nullflow.expr import parse_flow
 from nullflow.hierarchy import seed
 from nullflow.numsim import (
     MAX_GRID_POINTS,
+    MAX_SAVED_SAMPLES,
     MAX_STEPS,
     BlowUp,
     CurvatureGrid,
@@ -25,6 +27,7 @@ from nullflow.numsim import (
     fd_weights,
     nlie_run,
     reconstruct_curve,
+    run_flow,
     run_report,
     spatial_derivative,
     standard_initial_frame,
@@ -361,12 +364,12 @@ def test_nlie_run_keeps_constant_curvatures_stationary():
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=64, dt=1e-4, t_end=0.02, output_stride=100
     )
-    history, paths = nlie_run(config, 0.4, 0.3, c=1.0)
-    assert len(history) == len(paths) >= 2
+    history, path, report = nlie_run(config, 0.4, 0.3, c=1.0)
+    assert len(history) == len(report["gram_drift"]) >= 2
     for grid in history:
         assert np.abs(grid.k1 - 0.4).max() < 1e-12
         assert np.abs(grid.k2 - 0.3).max() < 1e-12
-    assert paths[-1].gram_drift() < 1e-8
+    assert path.gram_drift() < 1e-8
 
 
 def test_run_report_and_writers(tmp_path):
@@ -377,7 +380,7 @@ def test_run_report_and_writers(tmp_path):
     rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
     history = evolve(grid, rhs, config)
     path = reconstruct_curve(history[-1], config)
-    report = run_report(config, history, [path])
+    report = run_report(config, history, [(path.gram_drift(), path.null_drift(), 0.0)])
     assert report["stability_bound"] == pytest.approx(0.1 * config.dx**3)
     assert len(report["times"]) == len(history)
     assert "gram_drift" in report
@@ -602,3 +605,62 @@ def test_evolve_refuses_more_than_max_steps():
         with pytest.raises(ValueError, match="MAX_STEPS"):
             evolve(uniform_grid(config, np.sin), rhs, config)
     assert not calls
+
+
+def test_evolve_refuses_more_than_max_saved_samples():
+    # 16 points and stride 1: steps + 1 saved states of 16 samples each.
+    # At the budget the run passes the check and reaches rhs; one saved
+    # state more is refused before rhs is ever called.
+    class Reached(Exception):
+        pass
+
+    def rhs(k1, k2):
+        raise Reached
+
+    dt = 2.0**-10
+    states = MAX_SAVED_SAMPLES // 16
+    for extra, error in ((0, Reached), (1, ValueError)):
+        steps = states - 1 + extra
+        config = SimConfig(domain_length=2 * np.pi, grid_points=16, dt=dt,
+                           t_end=steps * dt, output_stride=1)
+        with pytest.raises(error, match="MAX_SAVED_SAMPLES" if extra else None):
+            evolve(uniform_grid(config, np.sin), rhs, config)
+
+
+def _soliton_config():
+    # dt = 1e-3 sits below the stability bound 0.1 * (60 / 128)^3.
+    return SimConfig(domain_length=60.0, grid_points=128, dt=1e-3, t_end=0.05, output_stride=1)
+
+
+def test_run_drifts_equal_the_reconstruction_of_each_saved_state():
+    config = _soliton_config()
+    history, path, report = nlie_run(config, _soliton(0.5, center=30.0))
+    expected = [reconstruct_curve(grid, config) for grid in history]
+    assert report["gram_drift"] == [p.gram_drift() for p in expected]
+    assert report["null_drift"] == [p.null_drift() for p in expected]
+    assert report["accel_drift"] == [float(p.accel_series().max()) for p in expected]
+    assert np.array_equal(path.gamma, expected[-1].gamma)
+    assert np.array_equal(path.w2, expected[-1].w2)
+
+    history, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin, np.cos,
+                                     reconstruct=True)
+    assert len(report["gram_drift"]) == len(report["times"]) == len(history) == 51
+    assert report["null_drift"][-1] == reconstruct_curve(history[-1], config).null_drift()
+    history, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin)
+    assert path is None and "gram_drift" not in report
+
+
+def test_nlie_run_memory_is_bounded_by_the_saved_history():
+    # Each reconstructed frame is reduced to its drifts at once, so the
+    # peak stays near the history's own bytes (3.6x here).  A FramePath
+    # alone holds 10x a state's bytes, so keeping every one breaks 5x.
+    config = _soliton_config()
+    tracemalloc.start()
+    try:
+        history, _, _ = nlie_run(config, _soliton(0.5, center=30.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    history_bytes = sum(grid.k1.nbytes + grid.k2.nbytes for grid in history)
+    assert len(history) == 51
+    assert peak < 5 * history_bytes
