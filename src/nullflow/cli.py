@@ -114,6 +114,8 @@ def _profiles(args, length: float):
 
 
 def _cmd_simulate(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError("--out %s exists and is not a directory" % (args.out,))
     params = {}
     for binding in args.param:
         name, sep, value = binding.partition("=")

@@ -42,6 +42,13 @@ def test_hierarchy_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_hierarchy_verify_passes_under_zero_constants(capsys):
+    assert main(["hierarchy", "--upto", "3", "--constants", "zero", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "reference V2 flow.k1: ok" in out
+    assert "FAIL" not in out
+
+
 def test_hierarchy_verify_failure_exits_four(capsys, monkeypatch):
     fake = {
         "ok": False,
@@ -236,6 +243,20 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(soliton + ["-1"]) == 1
     assert "--amplitude must be nonnegative for a soliton, got -1.0" in capsys.readouterr().err
     assert main(soliton + ["0"]) == 0
+
+
+def test_simulate_out_naming_a_file_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_flow called")
+
+    monkeypatch.setattr("nullflow.cli.run_flow", refuse)
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    assert main(["simulate", "--t-end", "0.3", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --out %s exists and is not a directory\n" % target
+    assert target.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_simulate_coefficient_underflow_exits_one(tmp_path, capsys):

@@ -58,6 +58,20 @@ def test_verification_flags_a_perturbed_entry():
     assert bad[0]["difference"] == "b*k1"
 
 
+def test_zero_policy_matches_reference_forms_with_unminted_constants_at_zero():
+    entries = generate(3, "zero")
+    report = verify_reference_forms(entries)
+    assert report["ok"], [c for c in report["checks"] if not c["ok"]]
+    assert len(report["checks"]) == len(verify_reference_forms()["checks"])
+    # Only the stored form is specialized: a c1 term in the entry still fails.
+    field = entries[2].field
+    entries[2] = HierarchyEntry(
+        2, type(field)(field.f, field.h, field.g + param("c1"), field.l), entries[2].flow, ()
+    )
+    bad = [c for c in verify_reference_forms(entries)["checks"] if not c["ok"]]
+    assert [(c["component"], c["difference"]) for c in bad] == [("field.g", "c1")]
+
+
 def test_zero_policy_differs_only_by_constant_terms():
     fresh = generate(3)
     pinned = generate(3, policy="zero")

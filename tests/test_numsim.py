@@ -1,6 +1,7 @@
 """Grid evolution and reconstruction against independent oracles."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -340,9 +341,49 @@ def test_smooth_compact_reconstruction_stays_null():
         config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 + 0.1 * np.cos(s)
     )
     path = reconstruct_curve(grid, config)
-    assert path.gram_drift() < 1e-8
-    assert path.null_drift() < 1e-8
-    assert path.accel_series().max() < 1e-8
+    assert max(path.drifts()) < 1e-8
+
+
+def _per_pair_drift_series(path):
+    """Reference drifts: one einsum per frame pairing, as a 4x4 double loop."""
+    inner = lambda x, y: np.einsum("...i,ij,...j->...", x, path.eta, y)
+    frames = (path.tangent, path.w1, path.normal, path.w2)
+    table = np.array(
+        [
+            [0.0, 0.0, -1.0, 0.0],
+            [0.0, float(path.eps1), 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, float(path.eps2)],
+        ]
+    )
+    gram = np.zeros(len(path.sigma))
+    for i in range(4):
+        for j in range(i, 4):
+            gram = np.maximum(gram, np.abs(inner(frames[i], frames[j]) - table[i, j]))
+    null = np.abs(inner(path.tangent, path.tangent))
+    accel = np.abs(path.a**2 * inner(path.w1, path.w1) - path.eps1 * path.a**2)
+    return gram, null, accel
+
+
+def test_pairing_matrix_drifts_equal_the_per_pair_reference():
+    paths = []
+    for eps1, eps2 in ((1, 1), (1, -1), (-1, 1)):
+        config = SimConfig(domain_length=2 * np.pi, grid_points=128, a=1.5, eps1=eps1, eps2=eps2)
+        grid = uniform_grid(config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 * np.cos(s))
+        paths.append(reconstruct_curve(grid, config))
+    config = SimConfig(domain_length=60.0)
+    k2 = lambda s: 0.1 * np.sin(2 * np.pi * s / 60.0)
+    grid = uniform_grid(config, _soliton(0.5, center=30.0), k2)
+    paths.append(reconstruct_curve(grid, config))
+    # Tilting T towards W1 moves <T,T> and <T,W1> off the table.
+    paths += [dataclasses.replace(p, tangent=p.tangent + 1e-3 * p.w1) for p in paths]
+    for path in paths:
+        series, reference = path.drift_series(), _per_pair_drift_series(path)
+        for got, want in zip(series, reference):
+            assert np.array_equal(got, want)
+        assert path.drifts() == tuple(float(r.max()) for r in reference)
+        assert (path.gram_drift(), path.null_drift()) == path.drifts()[:2]
+    assert min(p.drifts()[1] for p in paths[4:]) > 1e-7
 
 
 def test_long_domain_drift_is_frame_growth_not_integrator_error():
@@ -355,7 +396,7 @@ def test_long_domain_drift_is_frame_growth_not_integrator_error():
     )
     path = reconstruct_curve(grid, config)
     norms = (path.tangent**2).sum(axis=1)
-    relative = (path.gram_drift_series() / (1.0 + norms)).max()
+    relative = (path.drift_series()[0] / (1.0 + norms)).max()
     assert relative < 1e-10
     assert norms.max() > 1e3  # the absolute drift scale comes from here
 
@@ -638,7 +679,7 @@ def test_run_drifts_equal_the_reconstruction_of_each_saved_state():
     expected = [reconstruct_curve(grid, config) for grid in history]
     assert report["gram_drift"] == [p.gram_drift() for p in expected]
     assert report["null_drift"] == [p.null_drift() for p in expected]
-    assert report["accel_drift"] == [float(p.accel_series().max()) for p in expected]
+    assert report["accel_drift"] == [p.drifts()[2] for p in expected]
     assert np.array_equal(path.gamma, expected[-1].gamma)
     assert np.array_equal(path.w2, expected[-1].w2)
 
