@@ -113,9 +113,19 @@ def _profiles(args, length: float):
     return k1, k2
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out that cannot become a directory."""
+    existing = out
+    while not os.path.lexists(existing):  # as typed: "file/.." does not exist
+        existing = os.path.dirname(existing) or "."
+    if existing == out and not os.path.isdir(existing):
+        raise ValueError("--out %s exists and is not a directory" % (out,))
+    if not os.path.isdir(existing):
+        raise ValueError("--out %s lies below %s, which is not a directory" % (out, existing))
+
+
 def _cmd_simulate(args) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ValueError("--out %s exists and is not a directory" % (args.out,))
+    _check_out(args.out)
     params = {}
     for binding in args.param:
         name, sep, value = binding.partition("=")

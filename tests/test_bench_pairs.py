@@ -1,0 +1,96 @@
+"""Pairing, win counts and tree export of tools/bench_pairs.py."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / ("%s.py" % name))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # bench_pairs imports bench_record by name
+    spec.loader.exec_module(module)
+    return module
+
+
+_load("bench_record")
+bench_pairs = _load("bench_pairs")
+
+END_TO_END = [{"name": "wall_ref_s", "better": "lower"}, {"name": "speed", "better": "higher"}]
+
+
+def _record(wall, speed, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "metrics": {"wall_ref_s": {"value": wall, "unit": "s"},
+                    "speed": {"value": speed, "unit": "ops"}},
+        "probe_s": [0.003],
+    }
+
+
+def test_sides_alternate_from_pair_to_pair():
+    assert [bench_pairs.sides_in_order(i) for i in range(4)] == [
+        ("base", "head"), ("head", "base"), ("base", "head"), ("head", "base")]
+
+
+def test_wins_follow_each_metrics_direction():
+    base = [_record(w, s) for w, s in ((1.0, 5.0), (1.2, 5.0), (1.1, 5.0), (1.3, 6.0), (1.0, 1.0))]
+    head = [_record(w, s) for w, s in ((0.9, 6.0), (1.1, 4.0), (1.1, 5.0), (1.2, 7.0), (0.8, 6.0))]
+    got = bench_pairs.compare(base, head, END_TO_END)
+    wall, speed = got["comparison"]["wall_ref_s"], got["comparison"]["speed"]
+    assert wall["wins"] == {"base": 0, "head": 4, "ties": 1}
+    assert speed["wins"] == {"base": 1, "head": 3, "ties": 1}
+    assert got["base"]["metrics"]["wall_ref_s"]["median"] == 1.1
+    assert got["head"]["metrics"]["wall_ref_s"]["median"] == 1.1
+    assert wall["change"] == 0.0
+    assert not wall["iqr_apart"]
+    assert speed["change"] == pytest.approx(0.2)
+    assert got["base"]["all_correct"] and got["head"]["all_correct"]
+
+
+def test_apart_quartiles_and_failed_runs_are_reported():
+    base = [_record(w, 1.0) for w in (2.0, 2.1, 2.2, 2.3, 2.4)]
+    head = [_record(w, 1.0) for w in (1.0, 1.1, 1.2, 1.3)] + [_record(1.4, 1.0, False, 3)]
+    got = bench_pairs.compare(base, head, END_TO_END)
+    wall = got["comparison"]["wall_ref_s"]
+    assert wall["wins"] == {"base": 0, "head": 5, "ties": 0}
+    assert wall["iqr_apart"]
+    assert wall["change"] == pytest.approx(1.2 / 2.2 - 1)
+    assert got["comparison"]["speed"]["wins"] == {"base": 0, "head": 0, "ties": 5}
+    assert got["head"]["all_correct"] is False and got["head"]["failed"] == [0, 0, 0, 0, 3]
+    lines = bench_pairs.report_lines("w", got)
+    assert lines[0].startswith("w wall_ref_s: base 2.2 [2.1, 2.3]  head 1.2 [1.1, 1.3]  -45.5%")
+    assert lines[0].endswith("wins base 0 head 5 ties 0  IQRs apart")
+    assert lines[-1] == "w every run correct: base True, head False; failed base [0, 0, 0, 0, 0], head [0, 0, 0, 0, 3]"
+    with pytest.raises(ValueError):
+        bench_pairs.compare(base, head[:4], END_TO_END)
+
+
+def test_export_writes_the_committed_tree(tmp_path):
+    repo = tmp_path / "repo"
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-C", str(repo)]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / "a.txt").write_text("one\n")
+    (repo / "d").mkdir()
+    (repo / "d" / "b.txt").write_text("two\n")
+    subprocess.run(git + ["add", "a.txt", "d"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (repo / "a.txt").write_text("uncommitted\n")
+    dest = tmp_path / "out"
+    dest.mkdir()
+    (dest / "stale.txt").write_text("old\n")
+    commit = bench_pairs.export(str(repo), "HEAD", str(dest))
+    assert len(commit) == 40
+    assert sorted(p.name for p in dest.iterdir()) == ["a.txt", "d"]
+    assert (dest / "a.txt").read_text() == "one\n"
+    d_tree = subprocess.run(git + ["rev-parse", "HEAD:d"], capture_output=True, text=True,
+                            check=True).stdout.strip()
+    assert bench_pairs.directory_trees(str(repo), commit) == {"d": d_tree}

@@ -259,6 +259,29 @@ def test_simulate_out_naming_a_file_exits_one_before_any_work(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_simulate_out_below_a_file_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_flow called")
+
+    monkeypatch.setattr("nullflow.cli.run_flow", refuse)
+    target = tmp_path / "afile"
+    target.write_text("keep\n")
+    for out in (target / "sub", target / "sub" / "deeper", target / ".." / "x"):
+        assert main(["simulate", "--t-end", "0.3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --out %s lies below %s, which is not a directory\n" % (out, target)
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    assert main(["simulate", "--t-end", "0.3", "--out", str(dangling)]) == 1
+    assert capsys.readouterr().err == "error: --out %s exists and is not a directory\n" % dangling
+    assert main(["simulate", "--t-end", "0.3", "--out", str(dangling / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --out %s lies below %s, which is not a directory\n" % (
+        dangling / "sub", dangling)
+    assert target.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling"]
+
+
 def test_simulate_coefficient_underflow_exits_one(tmp_path, capsys):
     # b^2 rounds to 0.0, which would drop the k1' term silently.
     flow_file = tmp_path / "flow.txt"

@@ -561,14 +561,52 @@ def _assert_matches_reference(grid, config):
 
 
 def test_reconstruction_matches_the_scalar_reference():
-    for eps1, eps2 in ((1, 1), (1, -1), (-1, 1)):
-        config = SimConfig(
-            domain_length=2 * np.pi, grid_points=64, a=1.3, eps1=eps1, eps2=eps2
-        )
-        grid = uniform_grid(
-            config, lambda s: 0.4 + 0.2 * np.sin(s), lambda s: 0.3 * np.cos(2 * s) - 0.1
-        )
-        _assert_matches_reference(grid, config)
+    # 100 is no power of two, so the last pass of the prefix scan is partial.
+    for n in (64, 100):
+        for eps1, eps2 in ((1, 1), (1, -1), (-1, 1)):
+            config = SimConfig(
+                domain_length=2 * np.pi, grid_points=n, a=1.3, eps1=eps1, eps2=eps2
+            )
+            grid = uniform_grid(
+                config, lambda s: 0.4 + 0.2 * np.sin(s), lambda s: 0.3 * np.cos(2 * s) - 0.1
+            )
+            _assert_matches_reference(grid, config)
+
+
+def _chain_by_loop(factors):
+    """F_k ... F_0 for every k, one matmul per factor."""
+    out = np.empty_like(factors)
+    out[0] = factors[0]
+    for k in range(1, len(factors)):
+        np.matmul(factors[k], out[k - 1], out=out[k])
+    return out
+
+
+def test_prefix_scan_matches_the_chaining_loop():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 5, 16, 511, 512, 513):
+        factors = np.eye(5) + 0.05 * rng.standard_normal((n, 5, 5))
+        kept = factors.copy()
+        got = numsim._prefix_products(factors)
+        expected = _chain_by_loop(factors)
+        assert np.array_equal(factors, kept)
+        assert got.shape == (n, 5, 5)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_reconstruction_memory_is_a_small_multiple_of_its_path():
+    # The peak sits in the RK4 stages, about 9x the FramePath's bytes; an
+    # (n, n) array or a stack of log2(n) chain copies would pass 12x.
+    config = SimConfig(domain_length=2 * np.pi, grid_points=4096, a=1.3)
+    grid = uniform_grid(config, lambda s: 0.4 + 0.2 * np.sin(s), np.cos)
+    tracemalloc.start()
+    try:
+        path = reconstruct_curve(grid, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields = (path.sigma, path.gamma, path.tangent, path.w1, path.normal, path.w2)
+    assert peak < 12 * sum(field.nbytes for field in fields)
 
 
 def test_long_domain_reconstruction_matches_the_scalar_reference():

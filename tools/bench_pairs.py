@@ -1,0 +1,148 @@
+"""Compare two git revisions on the benchmark's end-to-end metrics over alternated pairs.
+
+    python3 tools/bench_pairs.py --base REV --head REV --scratch DIR --seeds 1,2,...
+        [--out BENCH_<n>.json]
+
+Exports both revisions of the repository holding this script with
+`git archive` into DIR/base and DIR/head, each emptied first.  For each
+workload in the base tree's BENCHMARK.json and each seed it then runs
+perfbench/run.py --trace 0 once in each tree, one run at a time, with the
+benchmark's own run length; the side that runs first alternates from one
+pair to the next.  A gain needs at least ten pairs.  It prints, per
+workload and end-to-end metric, each side's median and quartiles, the
+relative change of the median, how many pairs each side won (ties count for
+neither; "better" comes from the base tree's BENCHMARK.json), whether the
+two interquartile ranges are apart, and whether every run was correct.
+--out writes the same as JSON, each side summarized as in
+tools/bench_record.py, with each revision's commit and the git tree id of
+each of its top-level directories (compare with `git rev-parse REV:src`).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+from bench_record import HERE_REPO, run_once, summarize
+
+
+def export(repo: str, revision: str, dest: str) -> str:
+    """Write the tree of revision into an emptied dest; returns its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", revision + "^{commit}"], cwd=repo,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    shutil.rmtree(dest, ignore_errors=True)
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "archive", "--format=tar", commit], cwd=repo,
+                               stdout=subprocess.PIPE)
+    try:
+        untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    finally:
+        archive.stdout.close()
+        archive.wait()
+    if untar.returncode != 0:
+        raise RuntimeError("tar -x into %s exited with code %d" % (dest, untar.returncode))
+    if archive.returncode != 0:
+        raise RuntimeError("git archive %s exited with code %d" % (commit, archive.returncode))
+    return commit
+
+
+def directory_trees(repo: str, commit: str) -> dict:
+    """The git tree id of each top-level directory of commit."""
+    listing = subprocess.run(["git", "ls-tree", commit], cwd=repo, capture_output=True,
+                             text=True, check=True).stdout
+    trees = {}
+    for line in listing.splitlines():
+        meta, name = line.split("\t", 1)
+        _, kind, oid = meta.split()
+        if kind == "tree":
+            trees[name] = oid
+    return trees
+
+
+def sides_in_order(pair: int) -> tuple[str, str]:
+    """Which side runs first in the given pair: base in even pairs, head in odd ones."""
+    return ("base", "head") if pair % 2 == 0 else ("head", "base")
+
+
+def compare(base: list, head: list, end_to_end: list) -> dict:
+    """Each side's summary and, per metric, the change and wins of paired runs.
+
+    base[i] and head[i] are the records (as run_once returns them) of pair
+    i; end_to_end is BENCHMARK.json's list of {"name", "better", ...}.
+    """
+    if len(base) != len(head):
+        raise ValueError("%d base runs against %d head runs" % (len(base), len(head)))
+    sides = {"base": summarize(base), "head": summarize(head)}
+    comparison = {}
+    for spec in end_to_end:
+        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+        wins = {"base": 0, "head": 0, "ties": 0}
+        for b, h in zip(base, head):
+            gap = sign * (h["metrics"][name]["value"] - b["metrics"][name]["value"])
+            wins["head" if gap < 0 else "base" if gap > 0 else "ties"] += 1
+        was, now = sides["base"]["metrics"][name], sides["head"]["metrics"][name]
+        comparison[name] = {
+            "change": now["median"] / was["median"] - 1,
+            "wins": wins,
+            "iqr_apart": now["q3"] < was["q1"] or was["q3"] < now["q1"],
+        }
+    return {**sides, "comparison": comparison}
+
+
+def report_lines(workload: str, result: dict) -> list[str]:
+    """The printed form of one workload's compare result."""
+    lines = []
+    for name, c in result["comparison"].items():
+        was, now = result["base"]["metrics"][name], result["head"]["metrics"][name]
+        lines.append(
+            "%s %s: base %.5g [%.5g, %.5g]  head %.5g [%.5g, %.5g]  %s  "
+            "wins base %d head %d ties %d  IQRs %s"
+            % (workload, name, was["median"], was["q1"], was["q3"], now["median"], now["q1"],
+               now["q3"], "%+.1f%%" % (100 * c["change"]),
+               c["wins"]["base"], c["wins"]["head"], c["wins"]["ties"],
+               "apart" if c["iqr_apart"] else "overlap"))
+    lines.append("%s every run correct: base %s, head %s; failed base %s, head %s"
+                 % (workload, result["base"]["all_correct"], result["head"]["all_correct"],
+                    result["base"]["failed"], result["head"]["failed"]))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="revision measured as the parent")
+    parser.add_argument("--head", required=True, help="revision measured as the change")
+    parser.add_argument("--scratch", required=True, help="directory for the two exported trees")
+    parser.add_argument("--out", default=None, help="JSON file to write, e.g. BENCH_18.json")
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds, one per pair")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    trees = {side: os.path.join(os.path.abspath(args.scratch), side) for side in ("base", "head")}
+    commits = {side: export(HERE_REPO, getattr(args, side), trees[side]) for side in trees}
+    with open(os.path.join(trees["base"], "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    summary = {side: {"revision": getattr(args, side), "commit": commits[side],
+                      "trees": directory_trees(HERE_REPO, commits[side])} for side in trees}
+    summary.update(seeds=seeds, seconds=spec["run_seconds"], workloads={})
+    for workload in (w["name"] for w in spec["workloads"]):
+        records = {"base": [], "head": []}
+        for pair, seed in enumerate(seeds):
+            for side in sides_in_order(pair):
+                records[side].append(run_once(trees[side], workload, seed, spec["run_seconds"]))
+                print("%s seed %d %s: %s" % (workload, seed, side,
+                                             json.dumps(records[side][-1]["metrics"])), flush=True)
+        result = compare(records["base"], records["head"], spec["end_to_end"])
+        summary["workloads"][workload] = result
+        print("\n".join(report_lines(workload, result)), flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(summary, fh, indent=1)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
