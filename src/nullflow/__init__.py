@@ -62,7 +62,6 @@ from .operators import (
 )
 from .numsim import (
     BlowUp,
-    CurvatureGrid,
     FramePath,
     SimConfig,
     UnboundParameter,

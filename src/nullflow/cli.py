@@ -131,7 +131,12 @@ def _cmd_simulate(args) -> int:
         name, sep, value = binding.partition("=")
         if not sep or not name:
             raise ValueError("--param expects NAME=VALUE, got %r" % (binding,))
-        params[name] = float(value)
+        if name in params:
+            raise ValueError("--param %s is given more than once" % (name,))
+        try:
+            params[name] = float(value)
+        except ValueError as exc:
+            raise ValueError("--param %s: %s" % (binding, exc)) from None
     if args.profile is None:
         args.profile = "soliton" if args.flow == "nlie" else "sine"
     length = args.length if args.length else (
@@ -159,14 +164,14 @@ def _cmd_simulate(args) -> int:
         entry = seed(1 if args.flow == "nlie" else 0)
         flow = entry.flow
         params.setdefault(entry.constants_used[0], 1.0)
-    history, path, report = run_flow(
+    times, states, path, report = run_flow(
         config, flow, params, k1, k2, reconstruct=args.reconstruct or args.flow == "nlie"
     )
     os.makedirs(args.out, exist_ok=True)
     written = []
     for variable in ("k1", "k2"):
         target = os.path.join(args.out, "%s.csv" % variable)
-        write_curvature_csv(target, history, variable)
+        write_curvature_csv(target, config, times, states, variable)
         written.append(target)
     if path is not None:
         target = os.path.join(args.out, "path_final.csv")

@@ -1,24 +1,27 @@
 """Grid evolution of curvature flows and null-curve reconstruction.
 
-Curvatures live on a uniform periodic grid.  A flow is compiled by
+A curvature state is one float (2, n) array, k1 in row 0 and k2 in row
+1, at the periodic grid's nodes np.arange(n) * dx; a saved run is times
+(S,) and states (S, 2, n), allocated once.  A flow is compiled by
 binding a, the signs and its named constants exactly through
 diffalg.specialize (a float enters as the Fraction it equals), so each
 coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
-basis exactly (central4 or central6, a config field).  One stencil engine
-serves every order: the weights, reversed and cached as a float kernel
-per (order, accuracy), are convolved with the profile padded once with
-wrap-around points.  Compiled terms are formed in place.  One classical
-RK4 step kernel, which sums its stages in place, serves both the
-fixed-step curvature evolution and the frame propagators below.  The
+basis exactly (central4 or central6, a config field).  One stencil
+engine serves every order: the weights, reversed and cached as a float
+kernel per (order, accuracy), are convolved with the profile padded once
+with wrap-around points.  Compiled terms are formed in place.  One
+classical RK4 step kernel, which sums its stages in place, serves both
+the fixed-step curvature evolution and the frame propagators below.  The
 stability bound STABILITY_C * dx^3 for third-order flows must be a
 positive float; it is recorded in the run report and dt = 0 asks for
-exactly it.  A grid of more than MAX_GRID_POINTS points, a run of more
-than MAX_STEPS steps and one saving more than MAX_SAVED_SAMPLES samples
-are refused, and a state that leaves the finite range or exceeds
-BLOWUP_LIMIT stops the run with BlowUp.  Every run goes through run_flow:
-it compiles and evolves a flow and, when asked, reconstructs each saved
-state and reduces it at once to its drifts, keeping only the last frame.
+exactly it.  SimConfig takes counts and signs only as exact ints.  A
+grid of more than MAX_GRID_POINTS points, a run of more than MAX_STEPS
+steps and one saving more than MAX_SAVED_SAMPLES samples are refused,
+and a state that leaves the finite range or exceeds BLOWUP_LIMIT stops
+the run with BlowUp.  Every run goes through run_flow: it compiles and
+evolves a flow and, when asked, reconstructs each saved state and
+reduces it at once to its drifts, keeping only the last frame.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -60,9 +63,9 @@ class UnboundParameter(ValueError):
 
 
 class BlowUp(RuntimeError):
-    """The evolution left the finite range; carries the last good state."""
+    """The evolution left the finite range; carries the (2, n) state of step - 1."""
 
-    def __init__(self, time: float, step: int, last_good: "CurvatureGrid"):
+    def __init__(self, time: float, step: int, last_good: np.ndarray):
         super().__init__("solution blew up at t=%.6g (step %d)" % (time, step))
         self.time = time
         self.step = step
@@ -72,13 +75,12 @@ class BlowUp(RuntimeError):
 _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 
 # evolve refuses a run that needs more RK4 steps than MAX_STEPS or saves
-# more than MAX_SAVED_SAMPLES grid samples (saved states x grid points);
-# simulate runs at the cap peaked at 132 MB RSS (8001 x 512, nlie) and
-# 360 MB (262144 x 16, where per-state overhead dominates).  It stops with
-# BlowUp once any curvature sample exceeds BLOWUP_LIMIT in magnitude.  The
-# recorded stability bound is STABILITY_C * dx^3.  SimConfig refuses more
-# than MAX_GRID_POINTS points (reconstruct_curve peaked at 99.6 MB traced
-# there, 9x its FramePath, most of it in the RK4 stages).
+# more than MAX_SAVED_SAMPLES grid samples (a 64 MiB states block); at the
+# cap simulate peaked at 127 MB RSS (8001 x 512, nlie) and 200 MB (262144
+# x 16, translation).  It stops with BlowUp once any curvature sample
+# exceeds BLOWUP_LIMIT in magnitude.  The recorded stability bound is
+# STABILITY_C * dx^3.  SimConfig refuses more than MAX_GRID_POINTS points
+# (reconstruct_curve peaked at 99.6 MB traced there, 9x its FramePath).
 MAX_STEPS = 10**7
 MAX_SAVED_SAMPLES = 2**22
 MAX_GRID_POINTS = 2**16
@@ -106,6 +108,10 @@ class SimConfig:
     output_stride: int = 0
 
     def __post_init__(self):
+        for name in ("grid_points", "eps1", "eps2", "output_stride"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError("%s must be an int, got %r" % (name, value))
         for name in ("domain_length", "dt", "t_end", "a"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % (name,))
@@ -150,43 +156,26 @@ class SimConfig:
         return {"a": Fraction(self.a), "eps1": self.eps1, "eps2": self.eps2}
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureGrid:
-    """Periodic samples of (k1, k2) at one time."""
-
-    sigma: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        if not (len(self.sigma) == len(self.k1) == len(self.k2)):
-            raise ValueError("sigma, k1, k2 must have equal length")
-
-    @property
-    def dx(self) -> float:
-        return float(self.sigma[1] - self.sigma[0])
-
-    def mass(self, variable: str = "k1") -> float:
-        if variable not in ("k1", "k2"):
-            raise ValueError("variable must be k1 or k2")
-        return float(getattr(self, variable).sum() * self.dx)
-
-
-def uniform_grid(config: SimConfig, k1, k2=None) -> CurvatureGrid:
+def uniform_grid(config: SimConfig, k1, k2=None) -> np.ndarray:
     """Sample callables (or broadcastable values) on the periodic grid.
 
-    Raises ValueError when a sample is NaN or infinite.
+    Returns the (2, n) state: row 0 is k1, row 1 is k2, at the nodes
+    np.arange(n) * config.dx.  Raises ValueError when a sample is NaN or
+    infinite.
     """
     sigma = np.arange(config.grid_points) * config.dx
-    samples = []
-    for name, profile in (("k1", k1), ("k2", 0.0 if k2 is None else k2)):
-        values = np.asarray(profile(sigma) if callable(profile) else profile, dtype=float)
-        values = np.broadcast_to(values, sigma.shape).copy()
-        if not np.isfinite(values).all():
+    state = np.empty((2, config.grid_points))
+    for row, name, profile in ((0, "k1", k1), (1, "k2", 0.0 if k2 is None else k2)):
+        state[row] = np.asarray(profile(sigma) if callable(profile) else profile, dtype=float)
+        if not np.isfinite(state[row]).all():
             raise ValueError("initial %s profile holds non-finite values" % (name,))
-        samples.append(values)
-    return CurvatureGrid(sigma, *samples)
+    return state
+
+
+def _check_state(state: np.ndarray, config: SimConfig) -> None:
+    shape = (2, config.grid_points)
+    if np.shape(state) != shape:
+        raise ValueError("a curvature state has shape %s, got %s" % (shape, np.shape(state)))
 
 
 # -- finite differences ----------------------------------------------------
@@ -331,16 +320,18 @@ def _rk4_step(slope: Callable, y: np.ndarray, h: float) -> np.ndarray:
     return y + s2
 
 
-def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[CurvatureGrid]:
-    """March to t_end with fixed-step RK4; returns the saved trajectory.
+def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """March the (2, n) state0 from t = 0 to t_end with fixed-step RK4.
 
+    Returns (times, states) of shapes (S,) and (S, 2, n), allocated once.
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
-    More than MAX_STEPS steps or MAX_SAVED_SAMPLES saved samples raise
-    ValueError before the first step; a non-finite state or one above
-    BLOWUP_LIMIT raises BlowUp.
+    A state of another shape, more than MAX_STEPS steps or more than
+    MAX_SAVED_SAMPLES saved samples raise ValueError before the first
+    step; a non-finite state or one above BLOWUP_LIMIT raises BlowUp.
     """
+    _check_state(state0, config)
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
     dt = config.dt if config.dt > 0 else config.stability_bound()
@@ -352,26 +343,26 @@ def evolve(grid0: CurvatureGrid, rhs: Callable, config: SimConfig) -> list[Curva
     steps = max(1, math.ceil(ratio))
     dt = config.t_end / steps
     stride = config.output_stride if config.output_stride > 0 else steps
-    samples = (1 + -(-steps // stride)) * config.grid_points
-    if samples > MAX_SAVED_SAMPLES:
+    saved = 1 + -(-steps // stride)
+    if saved * config.grid_points > MAX_SAVED_SAMPLES:
         raise ValueError(
             "the run would save %d samples, more than MAX_SAVED_SAMPLES = %d"
-            % (samples, MAX_SAVED_SAMPLES)
+            % (saved * config.grid_points, MAX_SAVED_SAMPLES)
         )
 
-    y = np.stack((grid0.k1, grid0.k2))
-    time = grid0.time
-    history = [CurvatureGrid(grid0.sigma, *y.copy(), time)]
+    times = np.zeros(saved)
+    states = np.empty((saved, 2, config.grid_points))
+    states[0] = y = state0
     slope = lambda stage, state: np.array(rhs(*state))  # a copy the sums may reuse
     for step in range(1, steps + 1):
         new_y = _rk4_step(slope, y, dt)
-        new_time = grid0.time + step * dt
         if not np.abs(new_y).max() <= BLOWUP_LIMIT:  # NaN fails this too
-            raise BlowUp(new_time, step, CurvatureGrid(grid0.sigma, *y, time))
-        y, time = new_y, new_time
+            raise BlowUp(step * dt, step, y)
+        y = new_y
         if step % stride == 0 or step == steps:
-            history.append(CurvatureGrid(grid0.sigma, *y.copy(), time))
-    return history
+            slot = -(-step // stride)
+            times[slot], states[slot] = step * dt, y
+    return times, states
 
 
 # -- frames and reconstruction ----------------------------------------------
@@ -456,17 +447,18 @@ def _prefix_products(factors: np.ndarray) -> np.ndarray:
     return chain
 
 
-def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
-    """Integrate the frame equations across one period of the grid.
+def reconstruct_curve(state: np.ndarray, config: SimConfig) -> FramePath:
+    """Integrate the frame equations across one period of the (2, n) state.
 
     The curve starts from standard_initial_frame of the configured
     signature, which satisfies the pairing table exactly.
     """
-    if not (np.isfinite(grid.k1).all() and np.isfinite(grid.k2).all()):
-        raise ValueError("curvature grid holds non-finite values")
+    _check_state(state, config)
+    if not np.isfinite(state).all():
+        raise ValueError("curvature state holds non-finite values")
     gamma0, t0, w10, n0, w20, eta = standard_initial_frame(config.eps1, config.eps2)
     a, e1, e2 = float(config.a), float(config.eps1), float(config.eps2)
-    dx, n = grid.dx, len(grid.sigma)
+    dx, n = config.dx, config.grid_points
 
     # (k1, k2) at sigma = (node + u) dx for u = q / (2 SUBSTEPS), by
     # 6-point Lagrange interpolation over the nodes node-2 .. node+3.
@@ -476,9 +468,8 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
         for m in _LAGRANGE_NODES:
             if m != i:
                 weights[:, col] *= (u - m) / (i - m)
-    curvatures = np.stack([grid.k1, grid.k2])
     samples = sum(
-        weights[:, col, None, None] * np.roll(curvatures, -i, axis=1)
+        weights[:, col, None, None] * np.roll(state, -i, axis=1)
         for col, i in enumerate(_LAGRANGE_NODES)
     )
 
@@ -512,21 +503,21 @@ def reconstruct_curve(grid: CurvatureGrid, config: SimConfig) -> FramePath:
 
 def run_flow(
     config: SimConfig, flow: FlowPair, params: dict, k1, k2=None, reconstruct: bool = False
-) -> tuple[list[CurvatureGrid], FramePath | None, dict]:
-    """Evolve flow from (k1, k2); returns (history, final path, run report).
+) -> tuple[np.ndarray, np.ndarray, FramePath | None, dict]:
+    """Evolve flow from (k1, k2); returns (times, states, final path, run report).
 
     With reconstruct, each saved state is rebuilt from the standard
     initial frame and reduced at once to its (gram, null, accel) drifts;
     only the final FramePath is kept.
     """
     rhs = compile_flow(flow, params, config)
-    history = evolve(uniform_grid(config, k1, k2), rhs, config)
+    times, states = evolve(uniform_grid(config, k1, k2), rhs, config)
     path, drifts = None, []
     if reconstruct:
-        for grid in history:
-            path = reconstruct_curve(grid, config)
+        for state in states:
+            path = reconstruct_curve(state, config)
             drifts.append(path.drifts())
-    return history, path, run_report(config, history, drifts)
+    return times, states, path, run_report(config, times, states, drifts)
 
 
 def nlie_run(config: SimConfig, k1, k2=None, /, **params):
@@ -540,7 +531,8 @@ def nlie_run(config: SimConfig, k1, k2=None, /, **params):
 
 def run_report(
     config: SimConfig,
-    history: Sequence[CurvatureGrid],
+    times: np.ndarray,
+    states: np.ndarray,
     drifts: Sequence[tuple[float, float, float]] = (),
 ) -> dict:
     """Config echo, mass series, (gram, null, accel) drift series, stability bound.
@@ -550,9 +542,9 @@ def run_report(
     report = {
         "config": asdict(config),
         "stability_bound": config.stability_bound(),
-        "times": [g.time for g in history],
-        "mass_k1": [g.mass("k1") for g in history],
-        "mass_k2": [g.mass("k2") for g in history],
+        "times": times.tolist(),
+        "mass_k1": (states[:, 0].sum(axis=1) * config.dx).tolist(),
+        "mass_k2": (states[:, 1].sum(axis=1) * config.dx).tolist(),
     }
     if drifts:
         report["gram_drift"], report["null_drift"], report["accel_drift"] = map(list, zip(*drifts))
@@ -571,13 +563,15 @@ def _write_rows(path: str, header: list[str], columns: list) -> None:
         fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
-def write_curvature_csv(path: str, history: Sequence[CurvatureGrid], variable: str) -> None:
+def write_curvature_csv(
+    path: str, config: SimConfig, times: np.ndarray, states: np.ndarray, variable: str
+) -> None:
     """One quantity per file: column sigma, then one column per saved t."""
     if variable not in ("k1", "k2"):
         raise ValueError("variable must be k1 or k2")
-    header = ["sigma"] + ["t=%.9g" % g.time for g in history]
-    columns = [history[0].sigma] + [getattr(g, variable) for g in history]
-    _write_rows(path, header, columns)
+    header = ["sigma"] + ["t=%.9g" % t for t in times]
+    sigma = np.arange(config.grid_points) * config.dx
+    _write_rows(path, header, [sigma, states[:, ("k1", "k2").index(variable)].T])
 
 
 def write_path_csv(path: str, frame_path: FramePath) -> None:

@@ -46,6 +46,7 @@ from nullflow.numsim import (
     compile_flow,
     evolve,
     reconstruct_curve,
+    run_report,
     standard_initial_frame,
     uniform_grid,
 )
@@ -225,12 +226,13 @@ def test_criterion_8a_translation_flow_linf():
         config = SimConfig(
             domain_length=2 * np.pi, grid_points=512, dt=1.0 / 1024, t_end=1.0
         )
-        grid = uniform_grid(config, np.sin)
+        state = uniform_grid(config, np.sin)
         rhs = compile_flow(parse_flow("b*k1', b*k2'"), {"b": 1.0}, config)
-        return grid, evolve(grid, rhs, config)[-1]
+        return config, evolve(state, rhs, config)[1][-1]
 
-    grid, final = _timed(run)
-    assert np.abs(final.k1 - np.sin(grid.sigma + 1.0)).max() < 1e-4
+    config, final = _timed(run)
+    sigma = np.arange(config.grid_points) * config.dx
+    assert np.abs(final[0] - np.sin(sigma + 1.0)).max() < 1e-4
 
 
 def test_criterion_8b_soliton_linf_mass_and_convergence():
@@ -244,14 +246,16 @@ def test_criterion_8b_soliton_linf_mass_and_convergence():
             config = SimConfig(
                 domain_length=length, grid_points=n, dt=1.25e-4, t_end=t_end
             )
-            grid = uniform_grid(config, _soliton(amplitude, center=length / 2))
+            state = uniform_grid(config, _soliton(amplitude, center=length / 2))
             rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
-            return grid, evolve(grid, rhs, config)[-1]
+            return config, evolve(state, rhs, config)
 
-        grid, final = _timed(run)
-        exact = _soliton(amplitude, center=length / 2 - amplitude * t_end)(grid.sigma)
-        errors[n] = np.abs(final.k1 - exact).max()
-        drifts[n] = abs(final.mass("k1") - grid.mass("k1"))
+        config, (times, states) = _timed(run)
+        sigma = np.arange(config.grid_points) * config.dx
+        exact = _soliton(amplitude, center=length / 2 - amplitude * t_end)(sigma)
+        errors[n] = np.abs(states[-1, 0] - exact).max()
+        mass = run_report(config, times, states)["mass_k1"]
+        drifts[n] = abs(mass[-1] - mass[0])
     assert errors[512] < 1e-4
     assert drifts[512] < 1e-10
     assert 12.0 < errors[256] / errors[512] < 20.0
@@ -263,8 +267,8 @@ def test_criterion_8c_constant_curvature_matches_matrix_exponential():
     def run():
         a, k1v, k2v = 1.0, 0.4, 0.0
         config = SimConfig(domain_length=2 * np.pi, grid_points=512, a=a)
-        grid = uniform_grid(config, k1v, k2v)
-        path = reconstruct_curve(grid, config)
+        state = uniform_grid(config, k1v, k2v)
+        path = reconstruct_curve(state, config)
         gamma0, t0, w10, n0, w20, _ = standard_initial_frame(1, 1)
         y0 = np.stack([gamma0, t0, w10, n0, w20])
         m = np.array(
@@ -298,10 +302,10 @@ def test_criterion_8c_constant_curvature_matches_matrix_exponential():
 def test_criterion_8d_null_condition_drift():
     def run():
         config = SimConfig(domain_length=2 * np.pi, grid_points=512)
-        grid = uniform_grid(
+        state = uniform_grid(
             config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 + 0.1 * np.cos(s)
         )
-        return reconstruct_curve(grid, config)
+        return reconstruct_curve(state, config)
 
     path = _timed(run)
     assert path.null_drift() < 1e-8

@@ -245,6 +245,24 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(soliton + ["0"]) == 0
 
 
+def test_simulate_param_value_that_is_no_number_names_the_binding(tmp_path, capsys):
+    args = ["simulate", "--flow", "translation", "--n", "64", "--dt", "1e-3", "--t-end",
+            "0.01", "--param", "b=abc", "--out", str(tmp_path / "p")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --param b=abc: could not convert string to float: 'abc'\n"
+    assert not (tmp_path / "p").exists()
+
+
+def test_simulate_param_given_twice_exits_one(tmp_path, capsys):
+    for second in ("b=2", "b=1"):
+        args = ["simulate", "--flow", "translation", "--n", "64", "--dt", "1e-3", "--t-end",
+                "0.01", "--param", "b=1", "--param", second, "--out", str(tmp_path / "p")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --param b is given more than once\n"
+    assert not (tmp_path / "p").exists()
+
+
 def test_simulate_out_naming_a_file_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_flow called")

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from nullflow.numsim import (
     MAX_SAVED_SAMPLES,
     MAX_STEPS,
     BlowUp,
-    CurvatureGrid,
     FramePath,
     SimConfig,
     UnboundParameter,
@@ -44,6 +44,11 @@ TRANSLATION = parse_flow("b*k1', b*k2'")
 def _soliton(amplitude, a=1.0, center=0.0):
     width = math.sqrt(a * amplitude) / 2.0
     return lambda sigma: amplitude / np.cosh(width * (sigma - center)) ** 2
+
+
+def _nodes(config):
+    """The sigma of every column of a (2, n) curvature state."""
+    return np.arange(config.grid_points) * config.dx
 
 
 def test_fd_weights_match_classical_tables():
@@ -106,14 +111,51 @@ def test_config_validation():
             compile_flow(TRANSLATION, {"b": bad}, config)
 
 
+def test_config_refuses_counts_and_signs_that_are_not_exact_ints():
+    # 16.5 points would not tile the period, stride 2.5 would save every
+    # 5th step against a budget of one in 2.5, True would echo as true in
+    # report.json and np.int64 would fail inside json.dump.
+    cases = {
+        "grid_points": (16.5, 32.0, True, np.int64(32)),
+        "output_stride": (2.5, 2.0, True, np.int64(2)),
+        "eps1": (1.0, True, np.int64(1)),
+        "eps2": (-1.0, True, np.int64(-1)),
+    }
+    for name, values in cases.items():
+        for bad in values:
+            with pytest.raises(ValueError, match="%s must be an int, got" % name):
+                SimConfig(domain_length=2 * np.pi, **{name: bad})
+    config = SimConfig(domain_length=2 * np.pi, grid_points=32, output_stride=2, eps2=-1)
+    assert json.loads(json.dumps(dataclasses.asdict(config)))["eps2"] == -1
+
+
 def test_reconstruction_rejects_non_finite_curvature():
     config = SimConfig(domain_length=2 * np.pi, grid_points=64)
-    grid = uniform_grid(config, 0.4, 0.3)
-    nan_k1 = np.full_like(grid.k1, math.nan)
-    inf_k2 = np.where(grid.sigma > 3, np.inf, 0.3)
-    for k1, k2 in ((nan_k1, grid.k2), (grid.k1, inf_k2)):
+    state = uniform_grid(config, 0.4, 0.3)
+    nan_k1, inf_k2 = state.copy(), state.copy()
+    nan_k1[0] = math.nan
+    inf_k2[1, _nodes(config) > 3] = np.inf
+    for bad in (nan_k1, inf_k2):
         with pytest.raises(ValueError, match="non-finite"):
-            reconstruct_curve(CurvatureGrid(grid.sigma, k1, k2), config)
+            reconstruct_curve(bad, config)
+
+
+def test_evolve_and_reconstruction_refuse_a_state_of_another_shape():
+    n = 32
+    config = SimConfig(domain_length=2 * np.pi, grid_points=n, dt=1e-3, t_end=1e-2)
+    calls = []
+
+    def rhs(k1, k2):
+        calls.append(1)
+        return k1, k2
+
+    for shape in ((2, n + 1), (n,), (3, n)):
+        message = re.escape("has shape (2, 32), got %s" % (shape,))
+        with pytest.raises(ValueError, match=message):
+            evolve(np.zeros(shape), rhs, config)
+        with pytest.raises(ValueError, match=message):
+            reconstruct_curve(np.zeros(shape), config)
+    assert not calls
 
 
 def test_uniform_grid_rejects_non_finite_profiles():
@@ -140,31 +182,31 @@ def test_translation_flow_shifts_the_profile():
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=256, dt=1.0 / 1024, t_end=0.5
     )
-    grid = uniform_grid(config, np.sin, lambda s: 0.25 * np.cos(s))
+    state = uniform_grid(config, np.sin, lambda s: 0.25 * np.cos(s))
     rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
-    final = evolve(grid, rhs, config)[-1]
-    assert np.abs(final.k1 - np.sin(grid.sigma + 0.5)).max() < 1e-6
-    assert np.abs(final.k2 - 0.25 * np.cos(grid.sigma + 0.5)).max() < 1e-6
+    final = evolve(state, rhs, config)[1][-1]
+    sigma = _nodes(config)
+    assert np.abs(final[0] - np.sin(sigma + 0.5)).max() < 1e-6
+    assert np.abs(final[1] - 0.25 * np.cos(sigma + 0.5)).max() < 1e-6
 
 
 def test_zero_flow_is_a_constant_trajectory():
     config = SimConfig(domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=0.05)
-    grid = uniform_grid(config, np.sin)
+    state = uniform_grid(config, np.sin)
     rhs = compile_flow(parse_flow("0, 0"), {}, config)
-    final = evolve(grid, rhs, config)[-1]
-    assert np.array_equal(final.k1, grid.k1)
-    assert np.array_equal(final.k2, grid.k2)
+    final = evolve(state, rhs, config)[1][-1]
+    assert np.array_equal(final, state)
 
 
 def test_soliton_travels_at_its_exact_speed():
     amplitude, length = 0.5, 60.0
     config = SimConfig(domain_length=length, dt=1.25e-4, t_end=0.5)
-    grid = uniform_grid(config, _soliton(amplitude, center=length / 2))
+    state = uniform_grid(config, _soliton(amplitude, center=length / 2))
     rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
-    final = evolve(grid, rhs, config)[-1]
-    exact = _soliton(amplitude, center=length / 2 - amplitude * 0.5)(grid.sigma)
-    assert np.abs(final.k1 - exact).max() < 1e-6
-    assert np.abs(final.k2).max() == 0.0
+    final = evolve(state, rhs, config)[1][-1]
+    exact = _soliton(amplitude, center=length / 2 - amplitude * 0.5)(_nodes(config))
+    assert np.abs(final[0] - exact).max() < 1e-6
+    assert np.abs(final[1]).max() == 0.0
 
 
 def test_sixth_order_stencil_sharpens_the_soliton():
@@ -177,30 +219,29 @@ def test_sixth_order_stencil_sharpens_the_soliton():
             t_end=0.2,
             derivative_stencil=stencil,
         )
-        grid = uniform_grid(config, _soliton(amplitude, center=length / 2))
+        state = uniform_grid(config, _soliton(amplitude, center=length / 2))
         rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
-        final = evolve(grid, rhs, config)[-1]
-        exact = _soliton(amplitude, center=length / 2 - amplitude * 0.2)(grid.sigma)
-        errors[stencil] = np.abs(final.k1 - exact).max()
+        final = evolve(state, rhs, config)[1][-1]
+        exact = _soliton(amplitude, center=length / 2 - amplitude * 0.2)(_nodes(config))
+        errors[stencil] = np.abs(final[0] - exact).max()
     assert errors["central6"] < errors["central4"] / 10
 
 
 def test_k1_mass_is_conserved_and_k2_mass_is_not():
     length = 60.0
     config = SimConfig(domain_length=length, grid_points=256, dt=2.5e-4, t_end=0.2)
-    grid = uniform_grid(
+    state = uniform_grid(
         config,
         _soliton(0.5, center=length / 2),
         lambda s: 0.2 * np.sin(2 * np.pi * s / length),
     )
     rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
-    final = evolve(grid, rhs, config)[-1]
-    drift1 = abs(final.mass("k1") - grid.mass("k1"))
-    drift2 = abs(final.mass("k2") - grid.mass("k2"))
+    times, states = evolve(state, rhs, config)
+    report = run_report(config, times, states)
+    drift1 = abs(report["mass_k1"][-1] - report["mass_k1"][0])
+    drift2 = abs(report["mass_k2"][-1] - report["mass_k2"][0])
     assert drift1 < 1e-12
     assert drift2 > 1e-6
-    with pytest.raises(ValueError, match="k1 or k2"):
-        grid.mass("k3")
 
 
 def test_output_stride_keeps_ordered_snapshots():
@@ -211,27 +252,28 @@ def test_output_stride_keeps_ordered_snapshots():
         t_end=0.1,
         output_stride=20,
     )
-    grid = uniform_grid(config, np.sin)
+    state = uniform_grid(config, np.sin)
     rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
-    history = evolve(grid, rhs, config)
-    times = [g.time for g in history]
+    times, states = evolve(state, rhs, config)
     assert times[0] == 0.0
-    assert times == sorted(times)
+    assert list(times) == sorted(times)
     assert times[-1] == pytest.approx(0.1)
-    assert len(history) == 6  # initial plus every 20th of 100 steps
+    assert times.shape == (6,)  # initial plus every 20th of 100 steps
+    assert states.shape == (6, 2, 64)
+    assert np.array_equal(states[0], state)
 
 
 def test_blowup_carries_the_last_finite_state():
     config = SimConfig(domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=0.5)
-    grid = uniform_grid(config, 10.0)
+    state = uniform_grid(config, 10.0)
     rhs = compile_flow(parse_flow("k1^2, 0"), {}, config)
     with pytest.raises(BlowUp) as info:
-        evolve(grid, rhs, config)
+        evolve(state, rhs, config)
     err = info.value
     assert err.time < 0.2
     assert err.step > 1
-    assert np.isfinite(err.last_good.k1).all()
-    assert err.last_good.time < err.time
+    assert err.last_good.shape == (2, 64)
+    assert np.abs(err.last_good).max() <= numsim.BLOWUP_LIMIT
 
 
 def test_evolve_copies_slopes_from_an_rhs_that_reuses_its_buffers():
@@ -240,7 +282,7 @@ def test_evolve_copies_slopes_from_an_rhs_that_reuses_its_buffers():
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=1e-2, output_stride=1
     )
-    grid = uniform_grid(config, np.sin)
+    state = uniform_grid(config, np.sin)
     out = (np.empty(64), np.empty(64))
 
     def reused(k1, k2):
@@ -248,25 +290,23 @@ def test_evolve_copies_slopes_from_an_rhs_that_reuses_its_buffers():
         np.divide(k2, 2, out=out[1])
         return out
 
-    fresh = evolve(grid, lambda k1, k2: (-k1, k2 / 2), config)
-    history = evolve(grid, reused, config)
-    assert len(history) == len(fresh) == 11
-    for got, want in zip(history, fresh):
-        assert np.array_equal(got.k1, want.k1)
-        assert np.array_equal(got.k2, want.k2)
+    fresh = evolve(state, lambda k1, k2: (-k1, k2 / 2), config)
+    times, states = evolve(state, reused, config)
+    assert len(states) == len(fresh[1]) == 11
+    assert np.array_equal(times, fresh[0])
+    assert np.array_equal(states, fresh[1])
 
 
 def test_non_finite_slopes_stop_the_first_step():
     config = SimConfig(domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=1e-2)
-    grid = uniform_grid(config, np.sin, 0.25)
+    state = uniform_grid(config, np.sin, 0.25)
     for bad in (math.nan, math.inf):
         with pytest.raises(BlowUp) as info:
-            evolve(grid, lambda k1, k2: (np.full_like(k1, bad), k2), config)
+            evolve(state, lambda k1, k2: (np.full_like(k1, bad), k2), config)
         err = info.value
         assert err.step == 1
-        assert err.last_good.time == 0.0
-        assert np.array_equal(err.last_good.k1, grid.k1)
-        assert np.array_equal(err.last_good.k2, grid.k2)
+        assert err.time == pytest.approx(config.dt)
+        assert np.array_equal(err.last_good, state)
 
 
 def test_standard_frames_satisfy_the_pairing_table():
@@ -294,8 +334,8 @@ def test_constant_curvature_path_matches_matrix_exponential():
         config = SimConfig(
             domain_length=2 * np.pi, grid_points=128, a=a, eps1=eps1, eps2=eps2
         )
-        grid = uniform_grid(config, k1v, k2v)
-        path = reconstruct_curve(grid, config)
+        state = uniform_grid(config, k1v, k2v)
+        path = reconstruct_curve(state, config)
         gamma0, t0, w10, n0, w20, _ = standard_initial_frame(eps1, eps2)
         y0 = np.stack([gamma0, t0, w10, n0, w20])
         m = np.array(
@@ -327,8 +367,8 @@ def test_zero_curvature_gives_the_null_cubic():
     a = 1.0
     for eps1 in (1, -1):
         config = SimConfig(domain_length=4.0, grid_points=64, a=a, eps1=eps1, eps2=1)
-        grid = uniform_grid(config, 0.0, 0.0)
-        path = reconstruct_curve(grid, config)
+        state = uniform_grid(config, 0.0, 0.0)
+        path = reconstruct_curve(state, config)
         _, t0, w10, n0, _, _ = standard_initial_frame(eps1, 1)
         s = path.sigma[:, None]
         cubic = s * t0 + (a * s**2 / 2) * w10 + (a**2 * eps1 * s**3 / 6) * n0
@@ -337,10 +377,10 @@ def test_zero_curvature_gives_the_null_cubic():
 
 def test_smooth_compact_reconstruction_stays_null():
     config = SimConfig(domain_length=2 * np.pi, grid_points=512)
-    grid = uniform_grid(
+    state = uniform_grid(
         config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 + 0.1 * np.cos(s)
     )
-    path = reconstruct_curve(grid, config)
+    path = reconstruct_curve(state, config)
     assert max(path.drifts()) < 1e-8
 
 
@@ -369,12 +409,12 @@ def test_pairing_matrix_drifts_equal_the_per_pair_reference():
     paths = []
     for eps1, eps2 in ((1, 1), (1, -1), (-1, 1)):
         config = SimConfig(domain_length=2 * np.pi, grid_points=128, a=1.5, eps1=eps1, eps2=eps2)
-        grid = uniform_grid(config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 * np.cos(s))
-        paths.append(reconstruct_curve(grid, config))
+        state = uniform_grid(config, lambda s: 0.4 + 0.1 * np.sin(s), lambda s: 0.3 * np.cos(s))
+        paths.append(reconstruct_curve(state, config))
     config = SimConfig(domain_length=60.0)
     k2 = lambda s: 0.1 * np.sin(2 * np.pi * s / 60.0)
-    grid = uniform_grid(config, _soliton(0.5, center=30.0), k2)
-    paths.append(reconstruct_curve(grid, config))
+    state = uniform_grid(config, _soliton(0.5, center=30.0), k2)
+    paths.append(reconstruct_curve(state, config))
     # Tilting T towards W1 moves <T,T> and <T,W1> off the table.
     paths += [dataclasses.replace(p, tangent=p.tangent + 1e-3 * p.w1) for p in paths]
     for path in paths:
@@ -389,12 +429,12 @@ def test_pairing_matrix_drifts_equal_the_per_pair_reference():
 def test_long_domain_drift_is_frame_growth_not_integrator_error():
     length = 60.0
     config = SimConfig(domain_length=length)
-    grid = uniform_grid(
+    state = uniform_grid(
         config,
         _soliton(0.5, center=length / 2),
         lambda s: 0.1 * np.sin(2 * np.pi * s / length),
     )
-    path = reconstruct_curve(grid, config)
+    path = reconstruct_curve(state, config)
     norms = (path.tangent**2).sum(axis=1)
     relative = (path.drift_series()[0] / (1.0 + norms)).max()
     assert relative < 1e-10
@@ -405,11 +445,10 @@ def test_nlie_run_keeps_constant_curvatures_stationary():
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=64, dt=1e-4, t_end=0.02, output_stride=100
     )
-    history, path, report = nlie_run(config, 0.4, 0.3, c=1.0)
-    assert len(history) == len(report["gram_drift"]) >= 2
-    for grid in history:
-        assert np.abs(grid.k1 - 0.4).max() < 1e-12
-        assert np.abs(grid.k2 - 0.3).max() < 1e-12
+    times, states, path, report = nlie_run(config, 0.4, 0.3, c=1.0)
+    assert len(times) == len(states) == len(report["gram_drift"]) >= 2
+    assert np.abs(states[:, 0] - 0.4).max() < 1e-12
+    assert np.abs(states[:, 1] - 0.3).max() < 1e-12
     assert path.gram_drift() < 1e-8
 
 
@@ -417,26 +456,27 @@ def test_run_report_and_writers(tmp_path):
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=32, dt=1e-3, t_end=0.01, output_stride=5
     )
-    grid = uniform_grid(config, np.sin)
+    state = uniform_grid(config, np.sin)
     rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
-    history = evolve(grid, rhs, config)
-    path = reconstruct_curve(history[-1], config)
-    report = run_report(config, history, [(path.gram_drift(), path.null_drift(), 0.0)])
+    times, states = evolve(state, rhs, config)
+    path = reconstruct_curve(states[-1], config)
+    report = run_report(config, times, states, [(path.gram_drift(), path.null_drift(), 0.0)])
     assert report["stability_bound"] == pytest.approx(0.1 * config.dx**3)
-    assert len(report["times"]) == len(history)
+    assert report["times"] == times.tolist()
+    assert len(report["times"]) == len(states)
     assert "gram_drift" in report
     assert report["config"]["grid_points"] == 32
 
     k1_file = tmp_path / "k1.csv"
-    write_curvature_csv(k1_file, history, "k1")
+    write_curvature_csv(k1_file, config, times, states, "k1")
     with open(k1_file) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "sigma"
     assert rows[0][1] == "t=0"
-    assert len(rows[0]) == 1 + len(history)
-    assert len(rows) == 1 + len(grid.sigma)
+    assert len(rows[0]) == 1 + len(states)
+    assert len(rows) == 1 + config.grid_points
     with pytest.raises(ValueError):
-        write_curvature_csv(tmp_path / "x.csv", history, "k3")
+        write_curvature_csv(tmp_path / "x.csv", config, times, states, "k3")
 
     path_file = tmp_path / "path.csv"
     write_path_csv(path_file, path)
@@ -470,14 +510,14 @@ def test_writers_output_is_byte_stable(tmp_path):
     sigma = np.arange(n + 1) * (2.0 / 3.0)
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     path = FramePath(sigma, *raw.transpose(1, 0, 2), eta, 1.0, 1, 1)
-    nodes = np.arange(16) * 0.1
+    # The nodes are np.arange(16) * 0.1: 1.6 / 16 is the double 0.1.
+    config = SimConfig(domain_length=1.6, grid_points=16)
     base = (np.arange(16, dtype=float) - 5.0) / 3.0
-    history = [
-        CurvatureGrid(nodes, base * (t + 1), base / (t + 7.0), t / 3.0) for t in range(3)
-    ]
+    times = np.array([t / 3.0 for t in range(3)])
+    states = np.array([(base * (t + 1), base / (t + 7.0)) for t in range(3)])
     write_path_csv(tmp_path / "path.csv", path)
-    write_curvature_csv(tmp_path / "k1.csv", history, "k1")
-    write_curvature_csv(tmp_path / "k2.csv", history, "k2")
+    write_curvature_csv(tmp_path / "k1.csv", config, times, states, "k1")
+    write_curvature_csv(tmp_path / "k2.csv", config, times, states, "k2")
     for name, digest in WRITER_DIGESTS.items():
         data = (tmp_path / ("%s.csv" % name)).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
@@ -514,12 +554,12 @@ def _periodic_sampler(values):
     return at
 
 
-def _reference_reconstruction(grid, config, substeps):
+def _reference_reconstruction(state, config, substeps):
     """Scalar RK4 on the 20-vector (gamma, T, W1, N, W2), substep by substep."""
     gamma0, t0, w10, n0, w20, _ = standard_initial_frame(config.eps1, config.eps2)
     a, e1, e2 = float(config.a), float(config.eps1), float(config.eps2)
-    k1_at, k2_at = _periodic_sampler(grid.k1), _periodic_sampler(grid.k2)
-    dx, n = grid.dx, len(grid.sigma)
+    k1_at, k2_at = _periodic_sampler(state[0]), _periodic_sampler(state[1])
+    dx, n = config.dx, config.grid_points
 
     def rate(s, y):
         k1v, k2v = k1_at(s), k2_at(s)
@@ -552,11 +592,11 @@ def _reference_reconstruction(grid, config, substeps):
     return out
 
 
-def _assert_matches_reference(grid, config):
-    expected = _reference_reconstruction(grid, config, numsim.SUBSTEPS)
-    path = reconstruct_curve(grid, config)
+def _assert_matches_reference(state, config):
+    expected = _reference_reconstruction(state, config, numsim.SUBSTEPS)
+    path = reconstruct_curve(state, config)
     got = np.stack([path.gamma, path.tangent, path.w1, path.normal, path.w2], axis=1)
-    assert np.array_equal(path.sigma, np.arange(len(grid.sigma) + 1) * grid.dx)
+    assert np.array_equal(path.sigma, np.arange(config.grid_points + 1) * config.dx)
     assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
@@ -567,10 +607,10 @@ def test_reconstruction_matches_the_scalar_reference():
             config = SimConfig(
                 domain_length=2 * np.pi, grid_points=n, a=1.3, eps1=eps1, eps2=eps2
             )
-            grid = uniform_grid(
+            state = uniform_grid(
                 config, lambda s: 0.4 + 0.2 * np.sin(s), lambda s: 0.3 * np.cos(2 * s) - 0.1
             )
-            _assert_matches_reference(grid, config)
+            _assert_matches_reference(state, config)
 
 
 def _chain_by_loop(factors):
@@ -598,10 +638,10 @@ def test_reconstruction_memory_is_a_small_multiple_of_its_path():
     # The peak sits in the RK4 stages, about 9x the FramePath's bytes; an
     # (n, n) array or a stack of log2(n) chain copies would pass 12x.
     config = SimConfig(domain_length=2 * np.pi, grid_points=4096, a=1.3)
-    grid = uniform_grid(config, lambda s: 0.4 + 0.2 * np.sin(s), np.cos)
+    state = uniform_grid(config, lambda s: 0.4 + 0.2 * np.sin(s), np.cos)
     tracemalloc.start()
     try:
-        path = reconstruct_curve(grid, config)
+        path = reconstruct_curve(state, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -612,12 +652,12 @@ def test_reconstruction_memory_is_a_small_multiple_of_its_path():
 def test_long_domain_reconstruction_matches_the_scalar_reference():
     length = 60.0
     config = SimConfig(domain_length=length)
-    grid = uniform_grid(
+    state = uniform_grid(
         config,
         _soliton(0.5, center=length / 2),
         lambda s: 0.1 * np.sin(2 * np.pi * s / length),
     )
-    _assert_matches_reference(grid, config)
+    _assert_matches_reference(state, config)
 
 
 def test_padded_stencil_equals_the_roll_formula():
@@ -655,21 +695,21 @@ def test_rk4_steps_equal_the_textbook_loop():
         domain_length=2 * np.pi, grid_points=64, dt=5e-5, t_end=2.5e-4, eps1=-1,
         output_stride=1,
     )
-    grid = uniform_grid(config, lambda s: 0.4 * np.sin(s), lambda s: 0.3 * np.cos(2 * s))
+    state = uniform_grid(config, lambda s: 0.4 * np.sin(s), lambda s: 0.3 * np.cos(2 * s))
     rhs = compile_flow(seed(1).flow, {"c": 0.7}, config)
-    history = evolve(grid, rhs, config)
+    times, states = evolve(state, rhs, config)
     dt = config.t_end / 5
-    k1, k2 = grid.k1.copy(), grid.k2.copy()
-    assert len(history) == 6
-    for state in history[1:]:
+    k1, k2 = state.copy()
+    assert len(states) == 6
+    for saved in states[1:]:
         a1, b1 = rhs(k1, k2)
         a2, b2 = rhs(k1 + 0.5 * dt * a1, k2 + 0.5 * dt * b1)
         a3, b3 = rhs(k1 + 0.5 * dt * a2, k2 + 0.5 * dt * b2)
         a4, b4 = rhs(k1 + dt * a3, k2 + dt * b3)
         k1 = k1 + (dt / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
         k2 = k2 + (dt / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-        assert np.array_equal(state.k1, k1)
-        assert np.array_equal(state.k2, k2)
+        assert np.array_equal(saved[0], k1)
+        assert np.array_equal(saved[1], k2)
 
 
 def test_evolve_refuses_more_than_max_steps():
@@ -713,33 +753,49 @@ def _soliton_config():
 
 def test_run_drifts_equal_the_reconstruction_of_each_saved_state():
     config = _soliton_config()
-    history, path, report = nlie_run(config, _soliton(0.5, center=30.0))
-    expected = [reconstruct_curve(grid, config) for grid in history]
+    times, states, path, report = nlie_run(config, _soliton(0.5, center=30.0))
+    expected = [reconstruct_curve(state, config) for state in states]
     assert report["gram_drift"] == [p.gram_drift() for p in expected]
     assert report["null_drift"] == [p.null_drift() for p in expected]
     assert report["accel_drift"] == [p.drifts()[2] for p in expected]
     assert np.array_equal(path.gamma, expected[-1].gamma)
     assert np.array_equal(path.w2, expected[-1].w2)
 
-    history, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin, np.cos,
-                                     reconstruct=True)
-    assert len(report["gram_drift"]) == len(report["times"]) == len(history) == 51
-    assert report["null_drift"][-1] == reconstruct_curve(history[-1], config).null_drift()
-    history, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin)
+    times, states, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin, np.cos,
+                                           reconstruct=True)
+    assert len(report["gram_drift"]) == len(report["times"]) == len(states) == 51
+    assert report["null_drift"][-1] == reconstruct_curve(states[-1], config).null_drift()
+    times, states, path, report = run_flow(config, TRANSLATION, {"b": 1.0}, np.sin)
     assert path is None and "gram_drift" not in report
 
 
 def test_nlie_run_memory_is_bounded_by_the_saved_history():
     # Each reconstructed frame is reduced to its drifts at once, so the
-    # peak stays near the history's own bytes (3.6x here).  A FramePath
-    # alone holds 10x a state's bytes, so keeping every one breaks 5x.
+    # peak stays near the saved states' own bytes (3.5x here).  A
+    # FramePath alone holds 10x a state's bytes, so keeping every one
+    # breaks 5x.
     config = _soliton_config()
     tracemalloc.start()
     try:
-        history, _, _ = nlie_run(config, _soliton(0.5, center=30.0))
+        _, states, _, _ = nlie_run(config, _soliton(0.5, center=30.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    history_bytes = sum(grid.k1.nbytes + grid.k2.nbytes for grid in history)
-    assert len(history) == 51
-    assert peak < 5 * history_bytes
+    assert len(states) == 51
+    assert peak < 5 * states.nbytes
+
+
+def test_evolve_memory_is_the_saved_block():
+    # The saved run is one (S, 2, n) block, allocated once: no object per
+    # state, so even at 16 points the peak stays near the block's bytes.
+    config = SimConfig(domain_length=2 * np.pi, grid_points=16, dt=2.0**-10,
+                       t_end=10_000 * 2.0**-10, output_stride=1)
+    state = uniform_grid(config, np.sin, np.cos)
+    tracemalloc.start()
+    try:
+        times, states = evolve(state, lambda k1, k2: (k2, -k1), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (10_001, 2, 16)
+    assert peak < 1.5 * states.nbytes
