@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .diffalg import DiffAlgError, NonZeroConstantTerm, NotExact, lie_bracket_flows
+from . import diffalg
+from .diffalg import DiffAlgError, NonZeroConstantTerm, NotExact, lie_bracket_flows, order_of
 from .expr import ParseError, parse_field, parse_flow, render
 from .hierarchy import commute_check, generate, seed, verify_reference_forms
 from .nullcurve import LocalVectorField, classify
@@ -79,9 +80,10 @@ def _cmd_hierarchy(args) -> int:
                 % (check["index"], check["component"], check["difference"])
             )
     ok = ok and report["ok"]
+    orders = [max(map(order_of, entry.flow.components())) for entry in entries]
     for i, left in enumerate(entries):
-        for right in entries[i + 1 :]:
-            if max(left.index, right.index) > 3 or left.index + right.index > 4:
+        for j, right in enumerate(entries[i + 1 :], i + 1):
+            if orders[i] + orders[j] > diffalg.MAX_ORDER:
                 continue
             good = commute_check(left, right)
             print(
@@ -207,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upto", type=int, default=3)
     p.add_argument("--constants", choices=("fresh", "zero"), default="fresh")
     p.add_argument("--verify", action="store_true",
-                   help="check reference forms and commutation; exit 4 on failure")
+                   help="check V0..V3 against reference forms and commute every pair "
+                        "whose flow orders sum to at most the order cap; exit 4 on failure")
     p.add_argument("--latex", action="store_true")
     p.set_defaults(func=_cmd_hierarchy)
 

@@ -113,7 +113,10 @@ class SimConfig:
             if type(value) is not int:
                 raise ValueError("%s must be an int, got %r" % (name, value))
         for name in ("domain_length", "dt", "t_end", "a"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError("%s must be an int or a float, got %r" % (name, value))
+            if not math.isfinite(value):
                 raise ValueError("%s must be finite" % (name,))
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")

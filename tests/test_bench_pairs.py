@@ -1,39 +1,48 @@
-"""Pairing, win counts and tree export of tools/bench_pairs.py."""
+"""Summaries, pairing, win counts and tree export of tools/bench_pairs.py."""
 
 from __future__ import annotations
 
 import importlib.util
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-_TOOLS = Path(__file__).resolve().parents[1] / "tools"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / ("%s.py" % name))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # bench_pairs imports bench_record by name
-    spec.loader.exec_module(module)
-    return module
-
-
-_load("bench_record")
-bench_pairs = _load("bench_pairs")
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
 
 END_TO_END = [{"name": "wall_ref_s", "better": "lower"}, {"name": "speed", "better": "higher"}]
 
 
-def _record(wall, speed, correct=True, failed=0):
+def _record(wall, speed, correct=True, failed=0, probe_s=(0.003,)):
     return {
         "correct": correct,
         "failed": failed,
         "metrics": {"wall_ref_s": {"value": wall, "unit": "s"},
                     "speed": {"value": speed, "unit": "ops"}},
-        "probe_s": [0.003],
+        "probe_s": list(probe_s),
     }
+
+
+def test_summary_of_hand_made_records():
+    records = [_record(w, 40.0, probe_s=(0.002, 0.004)) for w in (5.0, 1.0, 4.0, 2.0, 3.0)]
+    got = bench_pairs.summarize(records)
+    assert got["metrics"]["wall_ref_s"] == {
+        "unit": "s", "median": 3.0, "q1": 2.0, "q3": 4.0, "runs": 5}
+    assert got["metrics"]["speed"]["median"] == 40.0
+    assert got["all_correct"] is True and got["failed"] == [0] * 5
+    assert abs(got["host_probe_s_mean"] - 0.003) < 1e-15
+
+    records = [_record(w, 1.0) for w in (1.0, 2.0, 3.0)] + [_record(4.0, 1.0, False, 2)]
+    got = bench_pairs.summarize(records)
+    wall = got["metrics"]["wall_ref_s"]
+    assert (wall["median"], wall["q1"], wall["q3"], wall["runs"]) == (2.5, 1.75, 3.25, 4)
+    assert got["all_correct"] is False and got["failed"] == [0, 0, 0, 2]
+
+    one = bench_pairs.summarize([_record(2.0, 1.0)])["metrics"]["wall_ref_s"]
+    assert (one["median"], one["q1"], one["q3"], one["runs"]) == (2.0, 2.0, 2.0, 1)
 
 
 def test_sides_alternate_from_pair_to_pair():

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from nullflow import diffalg
 from nullflow.cli import main
 from nullflow.expr import render
 from nullflow.hierarchy import seed
@@ -40,6 +41,22 @@ def test_hierarchy_verify_passes(capsys):
     assert "reference V3 field.f: ok" in out
     assert "commute [V1, V3]: ok" in out
     assert "FAIL" not in out
+
+
+def test_hierarchy_verify_commutes_every_pair_within_the_order_cap(capsys, monkeypatch):
+    # V_i's flow has order 2i+1; a pair is checked when its two orders sum
+    # to at most the cap, which the command reads when it runs.
+    monkeypatch.setattr(diffalg, "MAX_ORDER", 12)
+    assert main(["hierarchy", "--upto", "5", "--verify"]) == 0
+    out = capsys.readouterr().out
+    for pair in ("[V0, V5]", "[V1, V4]", "[V2, V3]"):
+        assert "commute %s: ok" % pair in out
+    assert "[V1, V5]" not in out and "[V2, V4]" not in out and "FAIL" not in out
+    monkeypatch.setattr(diffalg, "MAX_ORDER", 14)
+    assert main(["hierarchy", "--upto", "5", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "commute [V1, V5]: ok" in out and "commute [V2, V4]: ok" in out
+    assert "[V3, V4]" not in out
 
 
 def test_hierarchy_verify_passes_under_zero_constants(capsys):

@@ -125,8 +125,21 @@ def test_config_refuses_counts_and_signs_that_are_not_exact_ints():
         for bad in values:
             with pytest.raises(ValueError, match="%s must be an int, got" % name):
                 SimConfig(domain_length=2 * np.pi, **{name: bad})
+    # The float fields take int or float only: np.float32 would fail in
+    # json.dump only after the whole run, and True would echo as true.
+    floats = {"domain_length": (True, np.float32(1.0), np.float64(1.0)),
+              "dt": (True, np.float32(1e-3)), "t_end": (False, np.float32(0.01)),
+              "a": (True, np.float64(1.5))}
+    for name, values in floats.items():
+        for bad in values:
+            with pytest.raises(ValueError, match="%s must be an int or a float, got" % name):
+                SimConfig(**{"domain_length": 2 * np.pi, name: bad})
+    with pytest.raises(ValueError, match="domain_length must be an int or a float, got True"):
+        SimConfig(domain_length=True, grid_points=16, dt=1e-3, t_end=np.float32(0.01))
     config = SimConfig(domain_length=2 * np.pi, grid_points=32, output_stride=2, eps2=-1)
     assert json.loads(json.dumps(dataclasses.asdict(config)))["eps2"] == -1
+    config = SimConfig(domain_length=6, grid_points=32, dt=1e-3, t_end=1, a=2)
+    assert json.loads(json.dumps(dataclasses.asdict(config)))["domain_length"] == 6
 
 
 def test_reconstruction_rejects_non_finite_curvature():

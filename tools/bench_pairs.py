@@ -13,9 +13,10 @@ workload and end-to-end metric, each side's median and quartiles, the
 relative change of the median, how many pairs each side won (ties count for
 neither; "better" comes from the base tree's BENCHMARK.json), whether the
 two interquartile ranges are apart, and whether every run was correct.
---out writes the same as JSON, each side summarized as in
-tools/bench_record.py, with each revision's commit and the git tree id of
-each of its top-level directories (compare with `git rev-parse REV:src`).
+--out writes the same as JSON: per side, each metric's median, quartiles
+(statistics.quantiles, method="inclusive") and run count, the failed
+counts and the mean host-speed probe, with each revision's commit and the
+git tree id of each of its top-level directories (`git rev-parse REV:src`).
 """
 
 from __future__ import annotations
@@ -24,10 +25,43 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 
-from bench_record import HERE_REPO, run_once, summarize
+HERE_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def summarize(records: list) -> dict:
+    """One workload's summary from its per-run records.
+
+    A record is the JSON line run.py prints (correct, failed, metrics) plus
+    "probe_s", the probe times read from that run's result file.
+    """
+    metrics = {}
+    for name, first in records[0]["metrics"].items():
+        values = sorted(r["metrics"][name]["value"] for r in records)
+        q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else values * 3)
+        metrics[name] = {"unit": first["unit"], "median": statistics.median(values),
+                         "q1": q1, "q3": q3, "runs": len(values)}
+    return {
+        "all_correct": all(r["correct"] for r in records),
+        "failed": [r["failed"] for r in records],
+        "host_probe_s_mean": statistics.mean(p for r in records for p in r["probe_s"]),
+        "metrics": metrics,
+    }
+
+
+def run_once(repo: str, workload: str, seed: int, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=repo, capture_output=True, text=True, check=True)
+    record = json.loads(done.stdout.strip().splitlines()[-1])
+    with open(os.path.join(repo, ".perfbench_out", workload, "result-trace0.json")) as fh:
+        record["probe_s"] = json.load(fh)["probe_s"]
+    return record
 
 
 def export(repo: str, revision: str, dest: str) -> str:
