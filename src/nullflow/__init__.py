@@ -4,7 +4,8 @@ The exact layer (diffalg, operators, nullcurve, hierarchy) works in the
 differential polynomial ring over the curvature generators and never
 touches floating point; the numeric layer (numsim) compiles flows onto
 periodic grids and reconstructs curves; expr and cli provide the text
-surface.
+surface.  Only numsim imports numpy: its names are served here through a
+module __getattr__, so `import nullflow` loads it on first use of one.
 """
 
 from .diffalg import (
@@ -60,19 +61,19 @@ from .operators import (
     theta_apply,
     theta_matrix_apply,
 )
-from .numsim import (
-    BlowUp,
-    FramePath,
-    SimConfig,
-    UnboundParameter,
-    compile_flow,
-    evolve,
-    nlie_run,
-    reconstruct_curve,
-    run_flow,
-    run_report,
-    standard_initial_frame,
-    uniform_grid,
-)
+_NUMSIM_NAMES = {
+    "BlowUp", "FramePath", "SimConfig", "UnboundParameter", "compile_flow", "evolve",
+    "nlie_run", "reconstruct_curve", "run_flow", "run_report", "standard_initial_frame",
+    "uniform_grid",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMSIM_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import numsim
+
+    return getattr(numsim, name)
+
 
 __version__ = "0.1.0"

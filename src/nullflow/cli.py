@@ -22,22 +22,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import diffalg
 from .diffalg import DiffAlgError, NonZeroConstantTerm, NotExact, lie_bracket_flows, order_of
 from .expr import ParseError, parse_field, parse_flow, render
 from .hierarchy import commute_check, generate, seed, verify_reference_forms
 from .nullcurve import LocalVectorField, classify
-from .numsim import (
-    BlowUp,
-    SimConfig,
-    UnboundParameter,
-    run_flow,
-    write_curvature_csv,
-    write_path_csv,
-    write_report_json,
-)
 
 
 def _fmt(args) -> str:
@@ -100,6 +89,8 @@ def _cmd_classify(args) -> int:
 
 
 def _profiles(args, length: float):
+    import numpy as np
+
     amp, amp2 = args.amplitude, args.k2_amplitude
     if args.profile == "soliton":
         if amp < 0:
@@ -127,6 +118,10 @@ def _check_out(out: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import numsim
+
     _check_out(args.out)
     params = {}
     for binding in args.param:
@@ -144,7 +139,7 @@ def _cmd_simulate(args) -> int:
     length = args.length if args.length else (
         60.0 if args.profile == "soliton" else 2 * math.pi
     )
-    config = SimConfig(
+    config = numsim.SimConfig(
         domain_length=length,
         grid_points=args.n,
         dt=args.dt,
@@ -166,21 +161,26 @@ def _cmd_simulate(args) -> int:
         entry = seed(1 if args.flow == "nlie" else 0)
         flow = entry.flow
         params.setdefault(entry.constants_used[0], 1.0)
-    times, states, path, report = run_flow(
-        config, flow, params, k1, k2, reconstruct=args.reconstruct or args.flow == "nlie"
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # every numeric exit is checked
+            times, states, path, report = numsim.run_flow(
+                config, flow, params, k1, k2, reconstruct=args.reconstruct or args.flow == "nlie"
+            )
+    except numsim.BlowUp as exc:
+        print("blow-up: %s" % exc, file=sys.stderr)
+        return 5
     os.makedirs(args.out, exist_ok=True)
     written = []
     for variable in ("k1", "k2"):
         target = os.path.join(args.out, "%s.csv" % variable)
-        write_curvature_csv(target, config, times, states, variable)
+        numsim.write_curvature_csv(target, config, times, states, variable)
         written.append(target)
     if path is not None:
         target = os.path.join(args.out, "path_final.csv")
-        write_path_csv(target, path)
+        numsim.write_path_csv(target, path)
         written.append(target)
     target = os.path.join(args.out, "report.json")
-    write_report_json(target, report)
+    numsim.write_report_json(target, report)
     written.append(target)
     print("wrote %s" % ", ".join(written))
     return 0
@@ -249,18 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # every numeric exit is checked
-            return args.func(args)
+        return args.func(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (NotExact, NonZeroConstantTerm) as exc:
         print("not exact: %s" % exc, file=sys.stderr)
         return 3
-    except BlowUp as exc:
-        print("blow-up: %s" % exc, file=sys.stderr)
-        return 5
-    except (DiffAlgError, UnboundParameter, ValueError, OSError) as exc:
+    except (DiffAlgError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -209,6 +209,15 @@ def _variational_flow(
     return FlowPair(vk1, vk2)
 
 
+def _as_constant(value: DiffPoly | int | Fraction, site: str) -> DiffPoly:
+    """value as a DiffPoly; DiffAlgError naming site if it is not constant."""
+    if not isinstance(value, DiffPoly):
+        value = const(value)
+    if not value.is_constant():
+        raise DiffAlgError("integration constant at %s must be constant" % (site,))
+    return value
+
+
 def make_X(
     h: DiffPoly,
     l: DiffPoly,
@@ -221,11 +230,8 @@ def make_X(
     pick the member of the two-parameter family.  Every field returned here
     classifies as T_PLambda and has rho identically zero.
     """
-    c1 = c1 if isinstance(c1, DiffPoly) else const(c1)
-    c2 = c2 if isinstance(c2, DiffPoly) else const(c2)
-    for name, value in (("c1", c1), ("c2", c2)):
-        if not value.is_constant():
-            raise DiffAlgError("%s must be a constant" % (name,))
+    c1 = _as_constant(c1, "make_X c1")
+    c2 = _as_constant(c2, "make_X c2")
     p = anti_derivative(h)
     q = anti_derivative(_K1 * h - _K2 * l)
     g = -_EPS1 * _A * p + c1

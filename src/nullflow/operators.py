@@ -36,11 +36,9 @@ from fractions import Fraction
 from typing import Union
 
 from .diffalg import (
-    DiffAlgError,
     DiffPoly,
     FlowPair,
     anti_derivative,
-    const,
     gen,
     param,
     specialize,
@@ -49,6 +47,7 @@ from .diffalg import (
 )
 from .nullcurve import (
     Projections,
+    _as_constant,
     make_X,
     projections,
     s_apply,
@@ -64,14 +63,6 @@ _EPS1 = param("eps1")
 _EPS12 = param("eps1") * param("eps2")
 
 Constant = Union[DiffPoly, int, Fraction]
-
-
-def _as_constant(value: Constant, site: str) -> DiffPoly:
-    if not isinstance(value, DiffPoly):
-        value = const(value)
-    if not value.is_constant():
-        raise DiffAlgError("integration constant at %s must be constant" % (site,))
-    return value
 
 
 def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> DiffPoly:

@@ -1,19 +1,78 @@
 """Command-line behavior: outputs, exit codes, files."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
 
 import pytest
 
-from nullflow import diffalg
+import nullflow
+from nullflow import diffalg, numsim
 from nullflow.cli import main
 from nullflow.expr import render
 from nullflow.hierarchy import seed
 
 SIGMA0 = "k1', k2'"
 SIGMA1 = "1/2*k1''' + 3*k1*k1' - 6*k2*k2', -k2''' - 3*k1*k2'"
+
+
+NUMSIM_NAMES = (
+    "BlowUp", "FramePath", "SimConfig", "UnboundParameter", "compile_flow", "evolve",
+    "nlie_run", "reconstruct_curve", "run_flow", "run_report", "standard_initial_frame",
+    "uniform_grid",
+)
+
+
+def _run_fresh(script: str) -> None:
+    """Run script in a new interpreter that imports nullflow from this tree."""
+    src = os.path.dirname(os.path.dirname(nullflow.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_exact_commands_never_load_numpy():
+    commands = [
+        ["hierarchy", "--upto", "3", "--verify"],
+        ["bracket", "k1*k1', k2", "k1, k2'"],
+        ["flow", "--seed", "1"],
+        ["classify", "b;0;0;0"],
+    ]
+    _run_fresh(
+        "import sys\n"
+        "from nullflow.cli import main\n"
+        "for argv in %r:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded = {'numpy', 'nullflow.numsim'} & set(sys.modules)\n"
+        "    assert not loaded, (argv, loaded)\n" % (commands,)
+    )
+
+
+def test_package_serves_the_numsim_names_from_numsim():
+    from nullflow import SimConfig
+
+    assert SimConfig is numsim.SimConfig
+    for name in NUMSIM_NAMES:
+        assert getattr(nullflow, name) is getattr(numsim, name)
+
+
+def test_unknown_package_name_raises_without_loading_numpy():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nullflow.no_such_name
+    _run_fresh(
+        "import sys, nullflow\n"
+        "try:\n"
+        "    nullflow.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
 
 
 def test_bracket_of_commuting_pair_prints_zero(capsys):
@@ -284,7 +343,7 @@ def test_simulate_out_naming_a_file_exits_one_before_any_work(tmp_path, capsys, 
     def refuse(*args, **kwargs):
         raise AssertionError("run_flow called")
 
-    monkeypatch.setattr("nullflow.cli.run_flow", refuse)
+    monkeypatch.setattr("nullflow.numsim.run_flow", refuse)
     target = tmp_path / "taken"
     target.write_text("keep\n")
     assert main(["simulate", "--t-end", "0.3", "--out", str(target)]) == 1
@@ -298,7 +357,7 @@ def test_simulate_out_below_a_file_exits_one_before_any_work(tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("run_flow called")
 
-    monkeypatch.setattr("nullflow.cli.run_flow", refuse)
+    monkeypatch.setattr("nullflow.numsim.run_flow", refuse)
     target = tmp_path / "afile"
     target.write_text("keep\n")
     for out in (target / "sub", target / "sub" / "deeper", target / ".." / "x"):

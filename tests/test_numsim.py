@@ -648,8 +648,8 @@ def test_prefix_scan_matches_the_chaining_loop():
 
 
 def test_reconstruction_memory_is_a_small_multiple_of_its_path():
-    # The peak sits in the RK4 stages, about 9x the FramePath's bytes; an
-    # (n, n) array or a stack of log2(n) chain copies would pass 12x.
+    # The peak sits in the RK4 stages, about 7.3x the FramePath's bytes; an
+    # (n, n) array or a stack of log2(n) chain copies would pass 8x.
     config = SimConfig(domain_length=2 * np.pi, grid_points=4096, a=1.3)
     state = uniform_grid(config, lambda s: 0.4 + 0.2 * np.sin(s), np.cos)
     tracemalloc.start()
@@ -659,7 +659,7 @@ def test_reconstruction_memory_is_a_small_multiple_of_its_path():
     finally:
         tracemalloc.stop()
     fields = (path.sigma, path.gamma, path.tangent, path.w1, path.normal, path.w2)
-    assert peak < 12 * sum(field.nbytes for field in fields)
+    assert peak < 8 * sum(field.nbytes for field in fields)
 
 
 def test_long_domain_reconstruction_matches_the_scalar_reference():

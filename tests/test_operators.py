@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from nullflow.diffalg import (
+    DiffAlgError,
     DiffPoly,
     FlowPair,
     NotExact,
@@ -76,6 +77,21 @@ def test_a_matrix_constant_seed():
     pp = a_matrix_apply(zero(), zero(), (param("c1"), param("c2")))
     assert pp.phi == parse_expr("-eps1*c1*k1/2 + a*c2")
     assert pp.psi == parse_expr("eps2*c1*k2")
+
+
+def test_non_constant_integration_constants_are_refused_at_every_site():
+    calls = {
+        "omega k1-site": lambda c: omega_apply(zero(), (c, 0)),
+        "omega bare site": lambda c: omega_apply(zero(), (0, c)),
+        "j first site": lambda c: j_matrix_apply((zero(), zero()), (c, 0)),
+        "j second site": lambda c: j_matrix_apply((zero(), zero()), (0, c)),
+        "make_X c1": lambda c: a_matrix_apply(zero(), zero(), (c, 0)),
+        "make_X c2": lambda c: a_matrix_apply(zero(), zero(), (0, c)),
+    }
+    for site, call in calls.items():
+        with pytest.raises(DiffAlgError, match="at %s must be constant" % site):
+            call(K1)
+        call(Fraction(1, 3))
 
 
 def test_not_exact_aborts():
