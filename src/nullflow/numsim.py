@@ -8,18 +8,20 @@ diffalg.specialize (a float enters as the Fraction it equals), so each
 coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
-engine serves every order: the weights, reversed and cached as a float
-kernel per (order, accuracy), are convolved with the profile padded once
-with wrap-around points.  Compiled terms are formed in place.  One
-classical RK4 step kernel, which sums its stages in place, serves both
-the fixed-step curvature evolution and the frame propagators below.  The
-stability bound STABILITY_C * dx^3 for third-order flows must be a
-positive float; it is recorded in the run report and dt = 0 asks for
-exactly it.  SimConfig takes counts and signs only as exact ints.  A
-grid of more than MAX_GRID_POINTS points, a run of more than MAX_STEPS
-steps and one saving more than MAX_SAVED_SAMPLES samples are refused,
-and a state that leaves the finite range or exceeds BLOWUP_LIMIT stops
-the run with BlowUp.  Every run goes through run_flow: it compiles and
+engine serves every derivative of a right-hand side: it pads every
+curvature row once with wrap-around points into one flat buffer and
+convolves that once per order with the weights, reversed and cached as a
+float kernel per (order, accuracy).  Compiled terms are formed in
+place.  One classical RK4 step kernel, which sums its stages in place,
+serves both the fixed-step curvature evolution and the frame propagators
+below.  The stability bound STABILITY_C * dx^3 for third-order flows
+must be a positive float, and dt = 0 asks for exactly it; the run report
+records it beside the run's steps, RHS evaluations and the dt used, all
+read off the one schedule evolve follows.  SimConfig takes counts and
+signs only as exact ints.  A grid of more than MAX_GRID_POINTS points, a
+run of more than MAX_STEPS steps and one saving more than
+MAX_SAVED_SAMPLES samples are refused, and a state that leaves the
+finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.  Every run goes through run_flow: it compiles and
 evolves a flow and, when asked, reconstructs each saved state and
 reduces it at once to its drifts, keeping only the last frame.
 
@@ -214,15 +216,32 @@ def _kernel(m: int, accuracy: int) -> np.ndarray:
     return np.array([float(w) for w in reversed(weights)])
 
 
-def spatial_derivative(values: np.ndarray, m: int, dx: float, accuracy: int = 4) -> np.ndarray:
-    """m-th periodic derivative (m >= 1) of a sampled profile."""
-    kernel = _kernel(m, accuracy)
-    r = len(kernel) // 2
-    n = len(values)
+def spatial_derivative(
+    rows: Sequence[np.ndarray], orders: Sequence[int], dx: float, accuracy: int = 4
+) -> dict[int, list[np.ndarray]]:
+    """Periodic derivatives {m: [d^m row / dx^m for each row]} for orders m >= 1.
+
+    Every row is padded by the widest stencil's half-width r into one flat
+    buffer, and each order takes one np.convolve over it.  An output of
+    order m's 2h + 1 point stencil is the dot product of the same samples
+    whatever the buffer holds around them, so row i, the view at
+    r - h + i (n + 2r), is bit-for-bit the derivative of that row padded
+    alone.
+    """
+    kernels = {m: _kernel(m, accuracy) for m in orders}
+    r = max(len(kernel) // 2 for kernel in kernels.values())
+    n = len(rows[0])
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
-    padded = np.concatenate((values[n - r :], values, values[:r]))
-    return np.convolve(padded, kernel, "valid") / dx**m
+    width = n + 2 * r
+    flat = np.concatenate([part for row in rows for part in (row[n - r :], row, row[:r])])
+    out = {}
+    for m, kernel in kernels.items():
+        full = np.convolve(flat, kernel, "valid")
+        full /= dx**m
+        start = r - len(kernel) // 2
+        out[m] = [full[at : at + n] for at in range(start, start + len(rows) * width, width)]
+    return out
 
 
 # -- compiling flows to grid functions --------------------------------------
@@ -248,13 +267,14 @@ class _CompiledPoly:
             )
             self.terms.append((value, factors))
 
-    def __call__(self, derivs: list) -> np.ndarray:
+    def __call__(self, derivs: dict) -> np.ndarray:
+        """derivs[order][vi] is derivative `order` (0 for the values) of variable vi."""
         n = len(derivs[0][0])
         total = np.zeros(n)
         for value, factors in self.terms:
             term = value  # float *= array makes a new array; later factors go in place
             for vi, order, exp in factors:
-                d = derivs[vi][order]
+                d = derivs[order][vi]
                 term *= d**exp if exp > 1 else d
             total += term
         return total
@@ -280,20 +300,13 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
         bindings[name] = Fraction(value)
     p1 = _CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = _CompiledPoly(flow.p2, bindings, flow.variables)
-    orders = [
-        sorted(
-            {o for c in (p1, p2) for t in c.terms for vi, o, _ in t[1] if vi == i and o}
-        )
-        for i in range(2)
-    ]
+    needed = sorted({o for c in (p1, p2) for _, factors in c.terms for _, o, _ in factors if o})
     dx = config.dx
     acc = config.accuracy
 
     def rhs(k1: np.ndarray, k2: np.ndarray):
-        derivs = [{0: k1}, {0: k2}]
-        for vi, base in ((0, k1), (1, k2)):
-            for m in orders[vi]:
-                derivs[vi][m] = spatial_derivative(base, m, dx, acc)
+        derivs = spatial_derivative((k1, k2), needed, dx, acc) if needed else {}
+        derivs[0] = (k1, k2)
         return p1(derivs), p2(derivs)
 
     return rhs
@@ -323,6 +336,31 @@ def _rk4_step(slope: Callable, y: np.ndarray, h: float) -> np.ndarray:
     return y + s2
 
 
+def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
+    """(steps, dt, stride, saved) of the run config asks for.
+
+    dt divides t_end exactly and is as close to config.dt as that allows
+    (dt = 0 requests the stability bound); saved counts the initial
+    state, every stride-th and the final one.  More than MAX_STEPS steps
+    or MAX_SAVED_SAMPLES saved samples raise ValueError.
+    """
+    dt = config.dt if config.dt > 0 else config.stability_bound()
+    ratio = config.t_end / dt - 1e-12
+    if ratio > MAX_STEPS:
+        raise ValueError(
+            "t_end / dt needs %.6g steps, more than MAX_STEPS = %d" % (ratio, MAX_STEPS)
+        )
+    steps = max(1, math.ceil(ratio))
+    stride = config.output_stride if config.output_stride > 0 else steps
+    saved = 1 + -(-steps // stride)
+    if saved * config.grid_points > MAX_SAVED_SAMPLES:
+        raise ValueError(
+            "the run would save %d samples, more than MAX_SAVED_SAMPLES = %d"
+            % (saved * config.grid_points, MAX_SAVED_SAMPLES)
+        )
+    return steps, config.t_end / steps, stride, saved
+
+
 def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """March the (2, n) state0 from t = 0 to t_end with fixed-step RK4.
 
@@ -337,22 +375,7 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     _check_state(state0, config)
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
-    dt = config.dt if config.dt > 0 else config.stability_bound()
-    ratio = config.t_end / dt - 1e-12
-    if ratio > MAX_STEPS:
-        raise ValueError(
-            "t_end / dt needs %.6g steps, more than MAX_STEPS = %d" % (ratio, MAX_STEPS)
-        )
-    steps = max(1, math.ceil(ratio))
-    dt = config.t_end / steps
-    stride = config.output_stride if config.output_stride > 0 else steps
-    saved = 1 + -(-steps // stride)
-    if saved * config.grid_points > MAX_SAVED_SAMPLES:
-        raise ValueError(
-            "the run would save %d samples, more than MAX_SAVED_SAMPLES = %d"
-            % (saved * config.grid_points, MAX_SAVED_SAMPLES)
-        )
-
+    steps, dt, stride, saved = _schedule(config)
     times = np.zeros(saved)
     states = np.empty((saved, 2, config.grid_points))
     states[0] = y = state0
@@ -543,11 +566,18 @@ def run_report(
 ) -> dict:
     """Config echo, mass series, (gram, null, accel) drift series, stability bound.
 
+    The run counters come from the config's schedule: steps, rhs_evals
+    (RK4 evaluates the RHS four times a step), dt_used and dt_over_bound.
     Raises ValueError naming the first entry that is not finite.
     """
+    steps, dt, _, _ = _schedule(config)
     report = {
         "config": asdict(config),
         "stability_bound": config.stability_bound(),
+        "steps": steps,
+        "rhs_evals": 4 * steps,
+        "dt_used": dt,
+        "dt_over_bound": dt / config.stability_bound(),
         "times": times.tolist(),
         "mass_k1": (states[:, 0].sum(axis=1) * config.dx).tolist(),
         "mass_k2": (states[:, 1].sum(axis=1) * config.dx).tolist(),

@@ -14,7 +14,7 @@ import pytest
 
 from nullflow import numsim
 from nullflow.expr import parse_flow
-from nullflow.hierarchy import seed
+from nullflow.hierarchy import generate, seed
 from nullflow.numsim import (
     MAX_GRID_POINTS,
     MAX_SAVED_SAMPLES,
@@ -81,7 +81,7 @@ def test_spatial_derivative_orders_of_accuracy():
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
             values = np.sin(sigma)
-            approx = spatial_derivative(values, 3, 2 * np.pi / n, acc)
+            approx = spatial_derivative([values], [3], 2 * np.pi / n, acc)[3][0]
             errors.append(np.abs(approx + np.cos(sigma)).max())
         rate = math.log2(errors[0] / errors[1])
         assert rate > floor - 0.3
@@ -465,6 +465,28 @@ def test_nlie_run_keeps_constant_curvatures_stationary():
     assert path.gram_drift() < 1e-8
 
 
+def test_run_report_counts_steps_and_rhs_evaluations():
+    # The README run: length 60, 512 points, dt 1.25e-4, t_end 1.
+    config = SimConfig(domain_length=60.0, grid_points=512, dt=1.25e-4, t_end=1.0)
+    report = run_report(config, np.array([0.0, 1.0]), np.zeros((2, 2, 512)))
+    assert (report["steps"], report["rhs_evals"], report["dt_used"]) == (8000, 32000, 1.25e-4)
+    assert report["dt_over_bound"] == 1.25e-4 / (0.1 * (60 / 512) ** 3)
+    assert round(report["dt_over_bound"], 4) == 0.7767
+    # The counters are the run's own: dt = 3e-3 rounds to 4 steps of 2.5e-3.
+    config = SimConfig(domain_length=2 * np.pi, grid_points=32, dt=3e-3, t_end=0.01, output_stride=3)
+    calls = []
+
+    def rhs(k1, k2):
+        calls.append(1)
+        return -k2, k1
+
+    times, states = evolve(uniform_grid(config, np.sin), rhs, config)
+    report = run_report(config, times, states)
+    assert (report["steps"], report["rhs_evals"], len(calls)) == (4, 16, 16)
+    assert report["dt_used"] == 2.5e-3 and times[-1] == 4 * 2.5e-3
+    assert report["dt_over_bound"] == 2.5e-3 / config.stability_bound()
+
+
 def test_run_report_and_writers(tmp_path):
     config = SimConfig(
         domain_length=2 * np.pi, grid_points=32, dt=1e-3, t_end=0.01, output_stride=5
@@ -675,18 +697,96 @@ def test_long_domain_reconstruction_matches_the_scalar_reference():
 
 def test_padded_stencil_equals_the_roll_formula():
     rng = np.random.default_rng(7)
+    orders = range(1, 7)
     for n in (16, 512):
-        values = rng.standard_normal(n)
+        rows = rng.standard_normal((2, n))
         for accuracy in (4, 6):
-            for m in range(1, 7):
-                got = spatial_derivative(values, m, 0.37, accuracy)
-                assert np.array_equal(got, _roll_derivative(values, m, 0.37, accuracy))
+            for batch in (rows, rows[:1]):  # both rows in one call, and one row alone
+                got = spatial_derivative(batch, orders, 0.37, accuracy)
+                assert sorted(got) == list(orders)
+                for m in orders:
+                    assert len(got[m]) == len(batch)
+                    for values, derivative in zip(batch, got[m]):
+                        expected = _roll_derivative(values, m, 0.37, accuracy)
+                        assert np.array_equal(derivative, expected)
+
+
+def test_a_stencil_wider_than_the_grid_is_refused():
+    # Order 11 under central6 needs 17 points, one more than the grid has;
+    # under central4 it needs 15, so it fits.
+    rows = np.ones((2, 16))
+    assert len(spatial_derivative(rows, [1, 11], 0.1, 4)[11][1]) == 16
+    with pytest.raises(ValueError, match="stencil wider than the grid"):
+        spatial_derivative(rows, [1, 11], 0.1, 6)
+    config = SimConfig(domain_length=1.6, grid_points=16, dt=1e-3, t_end=1e-3,
+                       derivative_stencil="central6")
+    rhs = compile_flow(parse_flow("k1^(11), k2'"), {}, config)
+    with pytest.raises(ValueError, match="stencil wider than the grid"):
+        rhs(*uniform_grid(config, np.sin))
+
+
+def _per_variable_rhs(flow, params, config):
+    """compile_flow's RHS with one stencil call per (variable, order) pair,
+    each padding its own row: the route its single call must equal."""
+    bindings = config.bindings() | {name: Fraction(value) for name, value in params.items()}
+    p1 = numsim._CompiledPoly(flow.p1, bindings, flow.variables)
+    p2 = numsim._CompiledPoly(flow.p2, bindings, flow.variables)
+    orders = [
+        sorted({o for c in (p1, p2) for _, factors in c.terms for v, o, _ in factors if v == vi and o})
+        for vi in range(2)
+    ]
+
+    def rhs(k1, k2):
+        derivs = {0: (k1, k2)}
+        for vi, base in ((0, k1), (1, k2)):
+            for m in orders[vi]:
+                single = spatial_derivative([base], [m], config.dx, config.accuracy)[m][0]
+                derivs.setdefault(m, [None, None])[vi] = single
+        return p1(derivs), p2(derivs)
+
+    return rhs
+
+
+def test_one_stencil_call_per_rhs_equals_the_per_variable_route():
+    flows = [entry.flow for entry in generate(3)] + [
+        parse_flow("k1''''' + k2*k1', k2'*k1"),  # k1 needs orders 1 and 5, k2 only 1
+        parse_flow("k2'''*k1'', k1^2"),
+        parse_flow("k1*k2, k2"),  # no derivative, so no stencil call
+    ]
+    rng = np.random.default_rng(11)
+    state = rng.standard_normal((2, 64))
+    for stencil in ("central4", "central6"):
+        config = SimConfig(domain_length=7.0, grid_points=64, a=1.3, eps1=-1,
+                           derivative_stencil=stencil)
+        for flow in flows:
+            names = sorted((flow.p1.parameters() | flow.p2.parameters()) - {"a", "eps1", "eps2"})
+            params = {name: 0.5 + 0.25 * i for i, name in enumerate(names)}
+            got = compile_flow(flow, params, config)(*state)
+            expected = _per_variable_rhs(flow, params, config)(*state)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
+    calls = []
+    engine = numsim.spatial_derivative
+
+    def counted(rows, orders, dx, accuracy):
+        calls.append(orders)
+        return engine(rows, orders, dx, accuracy)
+
+    monkeypatch.setattr(numsim, "spatial_derivative", counted)
+    config = SimConfig(domain_length=7.0, grid_points=64)
+    state = np.ones((2, 64))
+    compile_flow(seed(1).flow, {"c": 1.0}, config)(*state)
+    assert calls == [[1, 3]]
+    compile_flow(parse_flow("k1*k2, k2"), {}, config)(*state)
+    assert calls == [[1, 3]]
 
 
 def test_compiled_poly_equals_the_full_array_route():
     rng = np.random.default_rng(3)
     n = 64
-    derivs = [{o: rng.standard_normal(n) for o in range(4)} for _ in range(2)]
+    derivs = {o: rng.standard_normal((2, n)) for o in range(4)}
     bindings = {"a": Fraction(1.3), "eps1": -1, "eps2": 1, "c": Fraction(0.7)}
     flow = seed(1).flow
     extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
@@ -696,7 +796,7 @@ def test_compiled_poly_equals_the_full_array_route():
         for value, factors in compiled.terms:
             term = np.full(n, value)
             for vi, order, exp in factors:
-                term *= derivs[vi][order] ** exp
+                term *= derivs[order][vi] ** exp
             expected += term
         assert np.array_equal(compiled(derivs), expected)
 
