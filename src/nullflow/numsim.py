@@ -21,9 +21,10 @@ read off the one schedule evolve follows.  SimConfig takes counts and
 signs only as exact ints.  A grid of more than MAX_GRID_POINTS points, a
 run of more than MAX_STEPS steps and one saving more than
 MAX_SAVED_SAMPLES samples are refused, and a state that leaves the
-finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.  Every run goes through run_flow: it compiles and
-evolves a flow and, when asked, reconstructs each saved state and
-reduces it at once to its drifts, keeping only the last frame.
+finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.  Every
+run goes through run_flow: it compiles and evolves a flow and, when
+asked, reconstructs each saved state and reduces it at once to its
+drifts, keeping only the last frame.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 

@@ -473,7 +473,8 @@ def test_run_report_counts_steps_and_rhs_evaluations():
     assert report["dt_over_bound"] == 1.25e-4 / (0.1 * (60 / 512) ** 3)
     assert round(report["dt_over_bound"], 4) == 0.7767
     # The counters are the run's own: dt = 3e-3 rounds to 4 steps of 2.5e-3.
-    config = SimConfig(domain_length=2 * np.pi, grid_points=32, dt=3e-3, t_end=0.01, output_stride=3)
+    config = SimConfig(domain_length=2 * np.pi, grid_points=32, dt=3e-3, t_end=0.01,
+                       output_stride=3)
     calls = []
 
     def rhs(k1, k2):
@@ -732,7 +733,7 @@ def _per_variable_rhs(flow, params, config):
     p1 = numsim._CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = numsim._CompiledPoly(flow.p2, bindings, flow.variables)
     orders = [
-        sorted({o for c in (p1, p2) for _, factors in c.terms for v, o, _ in factors if v == vi and o})
+        sorted({o for c in (p1, p2) for _, f in c.terms for v, o, _ in f if v == vi and o})
         for vi in range(2)
     ]
 
