@@ -8,23 +8,28 @@ diffalg.specialize (a float enters as the Fraction it equals), so each
 coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
-engine serves every derivative of a right-hand side: it pads every
-curvature row once with wrap-around points into one flat buffer and
-convolves that once per order with the weights, reversed and cached as a
-float kernel per (order, accuracy).  Compiled terms are formed in
-place.  One classical RK4 step kernel, which sums its stages in place,
-serves both the fixed-step curvature evolution and the frame propagators
-below.  The stability bound STABILITY_C * dx^3 for third-order flows
-must be a positive float, and dt = 0 asks for exactly it; the run report
-records it beside the run's steps, RHS evaluations and the dt used, all
-read off the one schedule evolve follows.  SimConfig takes counts and
-signs only as exact ints.  A grid of more than MAX_GRID_POINTS points, a
-run of more than MAX_STEPS steps and one saving more than
-MAX_SAVED_SAMPLES samples are refused, and a state that leaves the
-finite range or exceeds BLOWUP_LIMIT stops the run with BlowUp.  Every
-run goes through run_flow: it compiles and evolves a flow and, when
-asked, reconstructs each saved state and reduces it at once to its
-drifts, keeping only the last frame.
+engine serves every derivative of a right-hand side.  compile_flow
+prepares its plan once: per order the float weights (cached per order
+and accuracy), dx^m and one output slice per row, and the pad width.
+Each call pads every curvature row once with wrap-around points into
+one flat buffer and takes one np.correlate per order over it.
+compile_flow also points every factor of every term at its index in one
+slot list [k1, k2, d^m k1, d^m k2, ...]; each component starts from
+zeros and adds its terms, which are formed in place.  Nothing that does
+not depend on the curvature values is redone per right-hand side.  One
+classical RK4 step kernel, which sums its stages in place, serves both
+the fixed-step curvature evolution and the frame propagators below.
+The stability bound STABILITY_C * dx^3 of third-order flows, used for
+every flow whatever its order, must be a positive float, and dt = 0
+asks for exactly it; the run report records it beside the run's steps,
+RHS evaluations and the dt used, all read off the one schedule evolve
+follows.  SimConfig takes counts and signs only as exact ints.  A grid
+of more than MAX_GRID_POINTS points, a run of more than MAX_STEPS steps
+and one saving more than MAX_SAVED_SAMPLES samples are refused, and a
+state that leaves the finite range or exceeds BLOWUP_LIMIT stops the
+run with BlowUp.  Every run goes through run_flow: it compiles and
+evolves a flow and, when asked, reconstructs each saved state and
+reduces it at once to its drifts, keeping only the last frame.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -50,7 +55,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,36 +217,72 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
 
 @cache
 def _kernel(m: int, accuracy: int) -> np.ndarray:
-    """The stencil's float weights reversed for np.convolve, zero taps included."""
+    """The stencil's float weights in offset order for np.correlate, zero taps included."""
     _, weights = fd_weights(m, accuracy)
-    return np.array([float(w) for w in reversed(weights)])
+    return np.array([float(w) for w in weights])
 
 
-def spatial_derivative(
-    rows: Sequence[np.ndarray], orders: Sequence[int], dx: float, accuracy: int = 4
-) -> dict[int, list[np.ndarray]]:
-    """Periodic derivatives {m: [d^m row / dx^m for each row]} for orders m >= 1.
+class StencilPlan(NamedTuple):
+    """spatial_derivative's bookkeeping for `rows` rows of n points, fixed once.
 
-    Every row is padded by the widest stencil's half-width r into one flat
-    buffer, and each order takes one np.convolve over it.  An output of
-    order m's 2h + 1 point stencil is the dot product of the same samples
-    whatever the buffer holds around them, so row i, the view at
-    r - h + i (n + 2r), is bit-for-bit the derivative of that row padded
-    alone.
+    Each row is padded by r wrap-around points on each side; passes holds,
+    per order m, (m, float weights, dx**m, one output slice per row).
     """
-    kernels = {m: _kernel(m, accuracy) for m in orders}
-    r = max(len(kernel) // 2 for kernel in kernels.values())
-    n = len(rows[0])
+
+    n: int
+    r: int
+    rows: int
+    passes: tuple
+
+
+def stencil_plan(
+    orders: Sequence[int], n: int, dx: float, accuracy: int = 4, rows: int = 2
+) -> StencilPlan:
+    """Plan the periodic derivatives of the given orders m >= 1 for spatial_derivative.
+
+    r is the widest stencil's half-width.  Row i's derivative of order m,
+    a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of that
+    order's correlation with the padded buffer.  A stencil wider than the
+    grid, or no order at all, raises ValueError.
+    """
+    if not orders:
+        raise ValueError("a stencil plan needs at least one derivative order")
+    weights = {m: _kernel(m, accuracy) for m in orders}
+    r = max(len(w) // 2 for w in weights.values())
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
     width = n + 2 * r
+    passes = []
+    for m, w in weights.items():
+        start = r - len(w) // 2
+        slices = tuple(slice(at, at + n) for at in range(start, start + rows * width, width))
+        passes.append((m, w, dx**m, slices))
+    return StencilPlan(n, r, rows, tuple(passes))
+
+
+def spatial_derivative(
+    rows: Sequence[np.ndarray], plan: StencilPlan
+) -> dict[int, list[np.ndarray]]:
+    """Periodic derivatives {m: [d^m row / dx^m for each row]} as plan lays them out.
+
+    Every row is padded into one flat buffer, and each order takes one
+    np.correlate over it.  An output is the dot product of the same
+    samples whatever the buffer holds around them, so each row's
+    derivative is bit-for-bit that of the row padded alone.  Rows of
+    another count or length than the plan's raise ValueError.
+    """
+    n, r, count, passes = plan
+    if len(rows) != count:
+        raise ValueError("the stencil plan takes %d rows, got %d" % (count, len(rows)))
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("a row has %d points, the stencil plan %d" % (len(row), n))
     flat = np.concatenate([part for row in rows for part in (row[n - r :], row, row[:r])])
     out = {}
-    for m, kernel in kernels.items():
-        full = np.convolve(flat, kernel, "valid")
-        full /= dx**m
-        start = r - len(kernel) // 2
-        out[m] = [full[at : at + n] for at in range(start, start + len(rows) * width, width)]
+    for m, weights, scale, slices in passes:
+        full = np.correlate(flat, weights, "valid")
+        full /= scale
+        out[m] = [full[s] for s in slices]
     return out
 
 
@@ -267,15 +308,25 @@ class _CompiledPoly:
                 (index[var], order, exp) for (var, order), exp in gens
             )
             self.terms.append((value, factors))
+        self.program = None  # set by bind_slots
 
-    def __call__(self, derivs: dict) -> np.ndarray:
-        """derivs[order][vi] is derivative `order` (0 for the values) of variable vi."""
-        n = len(derivs[0][0])
-        total = np.zeros(n)
-        for value, factors in self.terms:
+    def bind_slots(self, orders: Sequence[int]) -> None:
+        """Point each factor at its slot in [k1, k2] + [d^m k1, d^m k2 for m in orders]."""
+        slot = {(0, 0): 0, (1, 0): 1}
+        for i, m in enumerate(orders, 1):
+            slot[0, m], slot[1, m] = 2 * i, 2 * i + 1
+        self.program = [
+            (value, [(slot[vi, order], exp) for vi, order, exp in factors])
+            for value, factors in self.terms
+        ]
+
+    def __call__(self, slots: Sequence[np.ndarray]) -> np.ndarray:
+        """The polynomial on the slot list bind_slots() laid out."""
+        total = np.zeros(len(slots[0]))
+        for value, factors in self.program:
             term = value  # float *= array makes a new array; later factors go in place
-            for vi, order, exp in factors:
-                d = derivs[order][vi]
+            for at, exp in factors:
+                d = slots[at]
                 term *= d**exp if exp > 1 else d
             total += term
         return total
@@ -286,7 +337,8 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
 
     a, eps1, eps2 come from the config; params supplies the rest, must be
     finite, may not rebind those three to different values, and may name
-    no parameter the flow lacks.
+    no parameter the flow lacks.  The stencil plan is made here, so a
+    stencil wider than the grid raises ValueError before any rhs call.
     """
     bindings = config.bindings()
     unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
@@ -302,13 +354,16 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     p1 = _CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = _CompiledPoly(flow.p2, bindings, flow.variables)
     needed = sorted({o for c in (p1, p2) for _, factors in c.terms for _, o, _ in factors if o})
-    dx = config.dx
-    acc = config.accuracy
+    p1.bind_slots(needed)
+    p2.bind_slots(needed)
+    plan = stencil_plan(needed, config.grid_points, config.dx, config.accuracy) if needed else None
 
     def rhs(k1: np.ndarray, k2: np.ndarray):
-        derivs = spatial_derivative((k1, k2), needed, dx, acc) if needed else {}
-        derivs[0] = (k1, k2)
-        return p1(derivs), p2(derivs)
+        slots = [k1, k2]
+        if plan is not None:
+            for derivatives in spatial_derivative((k1, k2), plan).values():
+                slots += derivatives
+        return p1(slots), p2(slots)
 
     return rhs
 

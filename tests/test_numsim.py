@@ -32,6 +32,7 @@ from nullflow.numsim import (
     run_report,
     spatial_derivative,
     standard_initial_frame,
+    stencil_plan,
     uniform_grid,
     write_curvature_csv,
     write_path_csv,
@@ -81,7 +82,8 @@ def test_spatial_derivative_orders_of_accuracy():
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
             values = np.sin(sigma)
-            approx = spatial_derivative([values], [3], 2 * np.pi / n, acc)[3][0]
+            plan = stencil_plan([3], n, 2 * np.pi / n, acc, rows=1)
+            approx = spatial_derivative([values], plan)[3][0]
             errors.append(np.abs(approx + np.cos(sigma)).max())
         rate = math.log2(errors[0] / errors[1])
         assert rate > floor - 0.3
@@ -703,7 +705,7 @@ def test_padded_stencil_equals_the_roll_formula():
         rows = rng.standard_normal((2, n))
         for accuracy in (4, 6):
             for batch in (rows, rows[:1]):  # both rows in one call, and one row alone
-                got = spatial_derivative(batch, orders, 0.37, accuracy)
+                got = spatial_derivative(batch, stencil_plan(orders, n, 0.37, accuracy, len(batch)))
                 assert sorted(got) == list(orders)
                 for m in orders:
                     assert len(got[m]) == len(batch)
@@ -716,19 +718,45 @@ def test_a_stencil_wider_than_the_grid_is_refused():
     # Order 11 under central6 needs 17 points, one more than the grid has;
     # under central4 it needs 15, so it fits.
     rows = np.ones((2, 16))
-    assert len(spatial_derivative(rows, [1, 11], 0.1, 4)[11][1]) == 16
+    assert len(spatial_derivative(rows, stencil_plan([1, 11], 16, 0.1, 4))[11][1]) == 16
     with pytest.raises(ValueError, match="stencil wider than the grid"):
-        spatial_derivative(rows, [1, 11], 0.1, 6)
+        stencil_plan([1, 11], 16, 0.1, 6)
     config = SimConfig(domain_length=1.6, grid_points=16, dt=1e-3, t_end=1e-3,
                        derivative_stencil="central6")
-    rhs = compile_flow(parse_flow("k1^(11), k2'"), {}, config)
     with pytest.raises(ValueError, match="stencil wider than the grid"):
-        rhs(*uniform_grid(config, np.sin))
+        compile_flow(parse_flow("k1^(11), k2'"), {}, config)
+
+
+def test_rows_off_the_plan_are_refused():
+    plan = stencil_plan([1], 16, 0.4)
+    with pytest.raises(ValueError, match="a row has 15 points, the stencil plan 16"):
+        spatial_derivative([np.ones(16), np.ones(15)], plan)
+    with pytest.raises(ValueError, match="the stencil plan takes 2 rows, got 1"):
+        spatial_derivative([np.ones(16)], plan)
+    with pytest.raises(ValueError, match="needs at least one derivative order"):
+        stencil_plan([], 16, 0.4)
+    config = SimConfig(domain_length=6.4, grid_points=16)
+    rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
+    with pytest.raises(ValueError, match="a row has 20 points, the stencil plan 16"):
+        rhs(np.ones(16), np.ones(20))
+
+
+def _evaluate_terms(compiled, derivs):
+    """compiled.terms on derivs[order][vi]: a zeros start, then each term added."""
+    total = np.zeros(len(derivs[0][0]))
+    for value, factors in compiled.terms:
+        term = value
+        for vi, order, exp in factors:
+            d = derivs[order][vi]
+            term *= d**exp if exp > 1 else d
+        total += term
+    return total
 
 
 def _per_variable_rhs(flow, params, config):
     """compile_flow's RHS with one stencil call per (variable, order) pair,
-    each padding its own row: the route its single call must equal."""
+    each padding its own row, and the terms read off _CompiledPoly.terms:
+    the route its single call and slot lists must equal."""
     bindings = config.bindings() | {name: Fraction(value) for name, value in params.items()}
     p1 = numsim._CompiledPoly(flow.p1, bindings, flow.variables)
     p2 = numsim._CompiledPoly(flow.p2, bindings, flow.variables)
@@ -741,9 +769,9 @@ def _per_variable_rhs(flow, params, config):
         derivs = {0: (k1, k2)}
         for vi, base in ((0, k1), (1, k2)):
             for m in orders[vi]:
-                single = spatial_derivative([base], [m], config.dx, config.accuracy)[m][0]
-                derivs.setdefault(m, [None, None])[vi] = single
-        return p1(derivs), p2(derivs)
+                plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy, 1)
+                derivs.setdefault(m, [None, None])[vi] = spatial_derivative([base], plan)[m][0]
+        return _evaluate_terms(p1, derivs), _evaluate_terms(p2, derivs)
 
     return rhs
 
@@ -753,27 +781,34 @@ def test_one_stencil_call_per_rhs_equals_the_per_variable_route():
         parse_flow("k1''''' + k2*k1', k2'*k1"),  # k1 needs orders 1 and 5, k2 only 1
         parse_flow("k2'''*k1'', k1^2"),
         parse_flow("k1*k2, k2"),  # no derivative, so no stencil call
+        parse_flow("k1''' - k2, -k2'''"),  # coefficients of exactly +1 and -1
+        parse_flow("k1*k2' + 3, k2'' - 2"),  # constant terms
+        parse_flow("k1'^2*k2, k2'^3*k1 - k1''^2"),  # factors with exponents above 1
+        parse_flow("-k1*k2, -k2*k1' + k1"),  # -0.0 at every node when k2 = 0 and k1 > 0
     ]
     rng = np.random.default_rng(11)
-    state = rng.standard_normal((2, 64))
+    states = [rng.standard_normal((2, 64)), np.stack([1.0 + rng.random(64), np.zeros(64)])]
     for stencil in ("central4", "central6"):
         config = SimConfig(domain_length=7.0, grid_points=64, a=1.3, eps1=-1,
                            derivative_stencil=stencil)
         for flow in flows:
             names = sorted((flow.p1.parameters() | flow.p2.parameters()) - {"a", "eps1", "eps2"})
             params = {name: 0.5 + 0.25 * i for i, name in enumerate(names)}
-            got = compile_flow(flow, params, config)(*state)
-            expected = _per_variable_rhs(flow, params, config)(*state)
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            for state in states:
+                got = compile_flow(flow, params, config)(*state)
+                expected = _per_variable_rhs(flow, params, config)(*state)
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g, e)
+                    assert np.array_equal(np.signbit(g), np.signbit(e))
 
 
 def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
     calls = []
     engine = numsim.spatial_derivative
 
-    def counted(rows, orders, dx, accuracy):
-        calls.append(orders)
-        return engine(rows, orders, dx, accuracy)
+    def counted(rows, plan):
+        calls.append([m for m, *_ in plan.passes])
+        return engine(rows, plan)
 
     monkeypatch.setattr(numsim, "spatial_derivative", counted)
     config = SimConfig(domain_length=7.0, grid_points=64)
@@ -793,13 +828,15 @@ def test_compiled_poly_equals_the_full_array_route():
     extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
     for poly in (flow.p1, flow.p2, extra.p1, extra.p2):
         compiled = numsim._CompiledPoly(poly, bindings, flow.variables)
+        compiled.bind_slots([1, 2, 3])
+        slots = [derivs[order][vi] for order in range(4) for vi in range(2)]
         expected = np.zeros(n)
         for value, factors in compiled.terms:
             term = np.full(n, value)
             for vi, order, exp in factors:
                 term *= derivs[order][vi] ** exp
             expected += term
-        assert np.array_equal(compiled(derivs), expected)
+        assert np.array_equal(compiled(slots), expected)
 
 
 def test_rk4_steps_equal_the_textbook_loop():
