@@ -171,6 +171,7 @@ def _fields(*polys: "DiffPoly") -> list[tuple[str, int, int]]:
 
 
 def _accumulate(acc: dict, key: int, value) -> None:
+    # Inlined, with del, in _mul_into, _add_into and _d_once; specialize may add a zero.
     value += acc.get(key, 0)
     if value:
         acc[key] = value
@@ -199,15 +200,18 @@ def _add_into(acc: dict, den: int, terms: dict, tden: int, sign: int) -> int:
         up = common // den
         for key in acc:
             acc[key] *= up
-    scale = sign * (common // tden)
-    for key, value in terms.items():
-        _accumulate(acc, key, value * scale)
+    scale, get = sign * (common // tden), acc.get
+    for key, value in terms.items():  # _accumulate inlined
+        value = get(key, 0) + value * scale
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
     return common
 
 
 def _mul_into(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
     """Add scale times the product of two numerator dicts into acc."""
-    # _accumulate inlined: this loop is most of the exact kernel's time.
     guard, keep, get = _guard, ~_CARRY, acc.get
     for k1, q1 in left.items():
         q1 *= scale
@@ -517,13 +521,13 @@ def _d_once(f: DiffPoly) -> DiffPoly:
     # D moves one unit from the byte of v^(m) to that of v^(m+1), times the
     # exponent the first held.  v^(m+1) may get its byte here, so _guard and
     # the key size are read after the steps.
-    steps = []
+    steps, acc = [], {}
     for var, order, byte in _fields(f):
         if order >= MAX_ORDER:
             message = "total derivative would exceed MAX_ORDER=%d on %s"
             raise OrderLimitError(message % (MAX_ORDER, var))
         steps.append((byte, (1 << 8 * _byte_of(var, order + 1)) - (1 << 8 * byte)))
-    guard, size, acc = _guard, len(_owners), {}
+    guard, size, get = _guard, len(_owners), acc.get  # _accumulate inlined below
     for key, q in f._terms.items():
         data = key.to_bytes(size, "little")
         for byte, step in steps:
@@ -532,7 +536,11 @@ def _d_once(f: DiffPoly) -> DiffPoly:
                 moved = key + step
                 if moved & guard:
                     raise ExponentLimitError(_OUT_OF_FIELD)
-                _accumulate(acc, moved, q * exp)
+                value = get(moved, 0) + q * exp
+                if value:
+                    acc[moved] = value
+                else:
+                    del acc[moved]
     return _normalized(acc, f._den)
 
 

@@ -18,7 +18,8 @@ constant G, so only the functions that read G take one; FLAT has G = 0.
 The induced curvature flow of a field is the operator Theta applied to
 (phi, -psi), plus a rho term and a G term.  theta_matrix_apply is the one
 Theta kernel: variational_flow uses it here, and operators builds the
-recursion operator R = Theta J on it.
+recursion operator R = Theta J on it.  By the Leibniz rule it takes theta f =
+(1/a) f''' + 2 k1 f' + k1' f and s f = 2 k2 f' + k2' f from D f and D^3 f alone.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
@@ -61,6 +62,7 @@ _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS2 = param("eps2")
 _EPS12 = _EPS1 * _EPS2
+_TWO_K1, _TWO_K2, _K1P, _K2P = 2 * _K1, 2 * _K2, gen("k1", 1), gen("k2", 1)
 _HALF = Fraction(1, 2)
 
 
@@ -165,25 +167,30 @@ def _frame_coeffs(
     return FrameCoeffs(alpha, beta, delta)
 
 
+def _theta_s(f: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
+    """(theta f, s f) by the Leibniz rule: D f and D^3 f are the only D taken."""
+    f1 = total_derivative(f)
+    f3 = total_derivative(f1, 2)
+    return _A_INV * f3 + _TWO_K1 * f1 + _K1P * f, _TWO_K2 * f1 + _K2P * f
+
+
 def theta_apply(f: DiffPoly) -> DiffPoly:
-    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential."""
-    return (
-        _A_INV * total_derivative(f, 3)
-        + _K1 * total_derivative(f)
-        + total_derivative(_K1 * f)
-    )
+    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential, evaluated
+    by the Leibniz rule, three D per operand."""
+    return _theta_s(f)[0]
 
 
 def s_apply(f: DiffPoly) -> DiffPoly:
-    """s(f) = (k2 f)' + k2 f'; purely differential."""
-    return total_derivative(_K2 * f) + _K2 * total_derivative(f)
+    """s(f) = (k2 f)' + k2 f'; purely differential, evaluated
+    by the Leibniz rule, three D per operand."""
+    return _theta_s(f)[1]
 
 
 def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
     """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
-    p, q = pq
-    first = _A_INV * (theta_apply(p) + s_apply(q))
-    second = _A_INV * (s_apply(p) - _EPS12 * theta_apply(q))
+    (theta_p, s_p), (theta_q, s_q) = map(_theta_s, pq)
+    first = _A_INV * (theta_p + s_q)
+    second = _A_INV * (s_p - _EPS12 * theta_q)
     return FlowPair(first, second)
 
 

@@ -373,6 +373,18 @@ def test_stored_numerators_stay_nonzero_and_coprime():
             _assert_canonical(f)
 
 
+def test_cancellation_through_the_d_and_add_kernels():
+    # Both kernels drop a cancelled term: no zero numerator is ever stored.
+    f = Fraction(1, 3) * K1 * gen("k2", 1) - param("eps1") * K2 * K2
+    diff = f - f
+    _assert_canonical(diff)
+    assert diff.is_zero() and diff._den == 1
+    k1p, k2p = gen("k1", 1), gen("k2", 1)
+    got = total_derivative(k1p * K2 - K1 * k2p)
+    _assert_canonical(got)
+    assert got == gen("k1", 2) * K2 - K1 * gen("k2", 2)
+
+
 def test_packed_fields_overflow_raises_and_keys_outlive_registration():
     top = K1 ** MAX_EXPONENT
     k1p = gen("k1", 1)

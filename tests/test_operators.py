@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullflow import diffalg
 from nullflow.diffalg import (
     DiffAlgError,
     DiffPoly,
@@ -20,6 +21,7 @@ from nullflow.diffalg import (
     lie_bracket_flows,
     param,
     specialize,
+    total_derivative,
     zero,
 )
 from nullflow.expr import parse_expr, parse_flow
@@ -50,6 +52,60 @@ def test_theta_and_s_known_values():
     assert theta_apply(K1) == parse_expr("k1'''/a + 3*k1*k1'")
     assert s_apply(K2) == 3 * K2 * gen("k2", 1)
     assert s_apply(param("b")) == param("b") * gen("k2", 1)
+
+
+# The definitions, D of a product and all, as oracles for the Leibniz-rule kernel.
+def _theta_oracle(f: DiffPoly) -> DiffPoly:
+    return (
+        param("a", -1) * total_derivative(f, 3)
+        + K1 * total_derivative(f)
+        + total_derivative(K1 * f)
+    )
+
+
+def _s_oracle(f: DiffPoly) -> DiffPoly:
+    return total_derivative(K2 * f) + K2 * total_derivative(f)
+
+
+def _random_operand(rng: random.Random) -> DiffPoly:
+    """k1, k2 up to order 4, rational coefficients and a, eps1, eps2, c1."""
+    scalars = [param("a"), param("a", -1), param("eps1"), param("eps2"), param("c1"), const(1)]
+    f = zero()
+    for _ in range(rng.randrange(1, 5)):
+        term = const(Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 3, 5])))
+        term = term * rng.choice(scalars)
+        for _ in range(rng.randrange(3)):
+            term = term * gen(rng.choice(["k1", "k2"]), rng.randrange(5))
+        f = f + term
+    return f
+
+
+def test_theta_and_s_equal_their_definitions():
+    rng = random.Random(241)
+    operands = [zero(), const(Fraction(-2, 3)), param("c1") * param("eps2")]
+    operands += [_random_operand(rng) for _ in range(30)]
+    for f in operands:
+        assert theta_apply(f) == _theta_oracle(f)
+        assert s_apply(f) == _s_oracle(f)
+    eps12 = param("eps1") * param("eps2")
+    for p, q in zip(operands, operands[::-1]):
+        first = param("a", -1) * (_theta_oracle(p) + _s_oracle(q))
+        second = param("a", -1) * (_s_oracle(p) - eps12 * _theta_oracle(q))
+        assert theta_matrix_apply((p, q)) == FlowPair(first, second)
+
+
+def test_theta_matrix_takes_three_d_per_operand(monkeypatch):
+    # D f and D^2 of it per operand; D of k1 f and k2 f is never taken.
+    passes = []
+    d_once = diffalg._d_once
+
+    def counted(f):
+        passes.append(f)
+        return d_once(f)
+
+    monkeypatch.setattr(diffalg, "_d_once", counted)
+    theta_matrix_apply((K1 * gen("k2", 2), param("c1") * gen("k1", 1) + K2))
+    assert len(passes) == 6
 
 
 def test_theta_matrix_reproduces_seed_flows():
