@@ -46,10 +46,10 @@ def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     if constant in ("a", "G", "eps1", "eps2"):
         raise ValueError("%s is a metric symbol, not a scale constant" % (constant,))
     if index == 0:
-        name = constant or "b"
+        name = "b" if constant is None else constant
         field = make_X(const(0), const(0), 0, param(name))
     elif index == 1:
-        name = constant or "c"
+        name = "c" if constant is None else constant
         c1 = -2 * param("eps1") * param("a", 2) * param(name)
         field = make_X(const(0), const(0), c1, 0)
     else:

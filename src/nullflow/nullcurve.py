@@ -15,11 +15,11 @@ The arc normalization a and the signs eps1, eps2 are symbols throughout
 diffalg.specialize on a result.  A FrameMetric carries only the curvature
 constant G, so only the functions that read G take one; FLAT has G = 0.
 
-The induced curvature flow of a field is the operator Theta applied to
-(phi, -psi), plus a rho term and a G term.  theta_matrix_apply is the one
-Theta kernel: variational_flow uses it here, and operators builds the
-recursion operator R = Theta J on it.  By the Leibniz rule it takes theta f =
-(1/a) f''' + 2 k1 f' + k1' f and s f = 2 k2 f' + k2' f from D f and D^3 f alone.
+The frame transport along a field has coefficients alpha, beta, delta, and
+the frame equations' compatibility reads its curvature flow off them:
+V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
+(eps1 eps2 (delta' + k1 psi') + k2 (phi' + rho))/a - eps2 G l.  One kernel,
+_transport, takes both, with each D of phi, psi and g taken once.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
@@ -62,7 +62,6 @@ _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS2 = param("eps2")
 _EPS12 = _EPS1 * _EPS2
-_TWO_K1, _TWO_K2, _K1P, _K2P = 2 * _K1, 2 * _K2, gen("k1", 1), gen("k2", 1)
 _HALF = Fraction(1, 2)
 
 
@@ -78,6 +77,10 @@ class FrameMetric:
     G: DiffPoly = field(default_factory=lambda: param("G"))
 
     def __post_init__(self) -> None:
+        if isinstance(self.G, (int, Fraction)):
+            object.__setattr__(self, "G", const(self.G))
+        elif not isinstance(self.G, DiffPoly):
+            raise DiffAlgError("metric G must be a DiffPoly, int or Fraction")
         if not self.G.is_constant():
             raise DiffAlgError("metric G must be constant")
 
@@ -152,68 +155,32 @@ def frame_derivative_coeffs(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FrameCoeffs:
     """The alpha, beta, delta coefficients of the frame transport along v."""
-    return _frame_coeffs(v, projections(v), metric)
-
-
-def _frame_coeffs(
-    v: LocalVectorField, proj: Projections, metric: FrameMetric
-) -> FrameCoeffs:
-    phi, psi, rho = proj
-    alpha = _A_INV * (total_derivative(phi) + _HALF * rho)
-    beta = _A_INV * (
-        total_derivative(alpha) + _K1 * phi - _K2 * psi - metric.G * v.g
-    )
-    delta = _A_INV * total_derivative(psi, 2) + _K1 * psi + _EPS12 * _K2 * phi
-    return FrameCoeffs(alpha, beta, delta)
-
-
-def _theta_s(f: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    """(theta f, s f) by the Leibniz rule: D f and D^3 f are the only D taken."""
-    f1 = total_derivative(f)
-    f3 = total_derivative(f1, 2)
-    return _A_INV * f3 + _TWO_K1 * f1 + _K1P * f, _TWO_K2 * f1 + _K2P * f
-
-
-def theta_apply(f: DiffPoly) -> DiffPoly:
-    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential, evaluated
-    by the Leibniz rule, three D per operand."""
-    return _theta_s(f)[0]
-
-
-def s_apply(f: DiffPoly) -> DiffPoly:
-    """s(f) = (k2 f)' + k2 f'; purely differential, evaluated
-    by the Leibniz rule, three D per operand."""
-    return _theta_s(f)[1]
-
-
-def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
-    """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
-    (theta_p, s_p), (theta_q, s_q) = map(_theta_s, pq)
-    first = _A_INV * (theta_p + s_q)
-    second = _A_INV * (s_p - _EPS12 * theta_q)
-    return FlowPair(first, second)
+    return _transport(v, metric)[1]
 
 
 def variational_flow(
     v: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> FlowPair:
     """The induced curvature evolution (V(k1), V(k2)) of a field in X*_P."""
-    return _variational_flow(v, projections(v), metric)
+    return _transport(v, metric)[2]
 
 
-def _variational_flow(
-    v: LocalVectorField, proj: Projections, metric: FrameMetric
-) -> FlowPair:
-    # Theta applied to (phi, -psi), plus the arc-length defect and G terms.
+def _transport(
+    v: LocalVectorField, metric: FrameMetric
+) -> tuple[Projections, FrameCoeffs, FlowPair, DiffPoly]:
+    """Projections, frame coefficients, curvature flow and D psi of a field."""
+    proj, G = projections(v), metric.G
     phi, psi, rho = proj
-    theta = theta_matrix_apply((phi, -psi))
-    vk1 = theta.p1 + _A_INV * (
-        _HALF * _A_INV * total_derivative(rho, 2)
-        + _K1 * rho
-        - 2 * metric.G * total_derivative(v.g)
-    )
-    vk2 = theta.p2 + _A_INV * _K2 * rho - _EPS2 * metric.G * v.l
-    return FlowPair(vk1, vk2)
+    phi1, psi1, g1 = (total_derivative(c) for c in (phi, psi, v.g))
+    alpha = _A_INV * (phi1 + _HALF * rho)
+    beta = _A_INV * (total_derivative(alpha) + _K1 * phi - _K2 * psi - G * v.g)
+    delta = _A_INV * total_derivative(psi1) + _K1 * psi + _EPS12 * _K2 * phi
+    # The flow, read off the coefficients by the frame equations' compatibility.
+    phi1_rho = phi1 + rho
+    vk1 = total_derivative(beta) + _A_INV * (_K1 * phi1_rho - _K2 * psi1 - G * g1)
+    vk2 = _A_INV * (_EPS12 * (total_derivative(delta) + _K1 * psi1) + _K2 * phi1_rho)
+    flow = FlowPair(vk1, vk2 - _EPS2 * G * v.l)
+    return proj, FrameCoeffs(alpha, beta, delta), flow, psi1
 
 
 def _as_constant(value: DiffPoly | int | Fraction, site: str) -> DiffPoly:
@@ -265,8 +232,7 @@ def scalar_action(
     arc-length correction rho/(2a) on each derivative slot; the two agree
     exactly when rho vanishes.
     """
-    proj = projections(v)
-    flow = _variational_flow(v, proj, metric)
+    proj, _, flow, _ = _transport(v, metric)
     table = prolong(flow, jet_orders(target), _HALF * _A_INV * proj.rho)
     return apply_prolongation(target, table)
 
@@ -275,14 +241,10 @@ def d_v(
     v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> LocalVectorField:
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
-    proj = projections(v)
-    phi, psi, rho = proj
-    alpha, beta, delta = _frame_coeffs(v, proj, metric)
-    flow = _variational_flow(v, proj, metric)
+    (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
     # One table serves all four components: it reaches their highest orders.
     table = prolong(flow, jet_orders(*u.components()), _HALF * _A_INV * rho)
     xf, xh, xg, xl = (apply_prolongation(c, table) for c in u.components())
-    psi1 = total_derivative(psi)
 
     new_f = xf - alpha * u.f - beta * u.h + _EPS12 * _A_INV * delta * u.l
     new_h = xh + phi * u.f - _EPS1 * beta * u.g - _EPS12 * _A_INV * psi1 * u.l

@@ -5,11 +5,15 @@ The building blocks are the scalar operators
     omega(f) = (1/a) f' + k1 * Dinv(f) + Dinv(k1 f)
     theta(f) = (1/a) f''' + k1 f' + (k1 f)'
     s(f)     = (k2 f)' + k2 f'
+    Theta    = (1/a) [[theta, s], [s, -eps1 eps2 theta]]
 
-and the 2x2 matrix operators assembled from them.  theta, s and Theta
-live in nullcurve, whose variational_flow is Theta applied to (phi, -psi)
-plus its rho and G terms; they are imported here.  The recursion operator
-R = Theta J is computed once, as theta_matrix_apply after j_matrix_apply.
+and the 2x2 matrix operators assembled from them.  _theta_s is the one
+theta and s kernel: by the Leibniz rule it takes theta f = (1/a) f''' +
+2 k1 f' + k1' f and s f = 2 k2 f' + k2' f from D f and D^3 f alone.  The
+recursion operator R = Theta J is computed once, as theta_matrix_apply after
+j_matrix_apply.  nullcurve.variational_flow does not use Theta: it reads a
+field's flow off its frame coefficients, which on a flat field with rho = 0
+gives Theta (phi, -psi).
 The projection route a_matrix_apply / b_matrix_apply goes through the
 frame field instead (nullcurve.make_X, then nullcurve.projections, then
 Theta with the sign of psi flipped), so the two routes share Theta but
@@ -45,15 +49,7 @@ from .diffalg import (
     total_derivative,
     zero,
 )
-from .nullcurve import (
-    Projections,
-    _as_constant,
-    make_X,
-    projections,
-    s_apply,
-    theta_apply,
-    theta_matrix_apply,
-)
+from .nullcurve import Projections, _as_constant, make_X, projections
 
 _K1 = gen("k1")
 _K2 = gen("k2")
@@ -61,6 +57,7 @@ _A = param("a")
 _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS12 = param("eps1") * param("eps2")
+_TWO_K1, _TWO_K2, _K1P, _K2P = 2 * _K1, 2 * _K2, gen("k1", 1), gen("k2", 1)
 
 Constant = Union[DiffPoly, int, Fraction]
 
@@ -79,6 +76,33 @@ def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> D
         + anti_derivative(_K1 * f)
         + cb
     )
+
+
+def _theta_s(f: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
+    """(theta f, s f) by the Leibniz rule: D f and D^3 f are the only D taken."""
+    f1 = total_derivative(f)
+    f3 = total_derivative(f1, 2)
+    return _A_INV * f3 + _TWO_K1 * f1 + _K1P * f, _TWO_K2 * f1 + _K2P * f
+
+
+def theta_apply(f: DiffPoly) -> DiffPoly:
+    """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential, evaluated
+    by the Leibniz rule, three D per operand."""
+    return _theta_s(f)[0]
+
+
+def s_apply(f: DiffPoly) -> DiffPoly:
+    """s(f) = (k2 f)' + k2 f'; purely differential, evaluated
+    by the Leibniz rule, three D per operand."""
+    return _theta_s(f)[1]
+
+
+def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
+    """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
+    (theta_p, s_p), (theta_q, s_q) = map(_theta_s, pq)
+    first = _A_INV * (theta_p + s_q)
+    second = _A_INV * (s_p - _EPS12 * theta_q)
+    return FlowPair(first, second)
 
 
 def j_matrix_apply(

@@ -211,6 +211,15 @@ def test_bad_scale_constant_exits_one(capsys):
     assert capsys.readouterr().out.strip() == "c3*k1', c3*k2'"
 
 
+def test_empty_scale_constant_exits_one_and_is_not_defaulted(capsys):
+    # Only an omitted --const takes the default scale; "" is a bad name.
+    for index in ("0", "1"):
+        assert main(["flow", "--seed", index, "--const", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown parameter symbol ''\n"
+
+
 def test_simulate_translation_writes_files(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(

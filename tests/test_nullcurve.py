@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from nullflow import diffalg
 from nullflow.diffalg import (
     DiffAlgError,
     DiffPoly,
@@ -22,6 +23,7 @@ from nullflow.diffalg import (
 )
 from nullflow.expr import parse_expr, parse_flow
 from nullflow.nullcurve import (
+    FLAT,
     FrameMetric,
     LocalVectorField,
     classify,
@@ -35,6 +37,7 @@ from nullflow.nullcurve import (
     scalar_action,
     variational_flow,
 )
+from nullflow.operators import theta_matrix_apply
 
 K1 = gen("k1")
 K2 = gen("k2")
@@ -58,8 +61,14 @@ def test_metric_validation():
     for name in ("a", "eps1", "eps2"):
         with pytest.raises(TypeError):
             FrameMetric(**{name: const(-1)})
-    with pytest.raises(DiffAlgError):
+    with pytest.raises(DiffAlgError, match="metric G must be constant"):
         FrameMetric(G=K1)
+    # Exact numbers are taken as constants; any other value is refused.
+    assert FrameMetric(G=1) == FrameMetric(G=const(1))
+    assert FrameMetric(G=Fraction(-1, 2)).G == const(Fraction(-1, 2))
+    for bad in ("G", 1.5, None):
+        with pytest.raises(DiffAlgError, match="metric G must be a DiffPoly"):
+            FrameMetric(G=bad)
 
 
 def test_projections_of_seed_fields():
@@ -87,6 +96,76 @@ def test_variational_flow_of_seed_fields():
         "c*(k1''' + 3*a*k1*k1' + 6*eps1*eps2*a*k2*k2'),"
         " -c*(2*k2''' + 3*a*k1*k2')"
     )
+
+
+# The frame coefficients and the flow as written before the flow was read off
+# the coefficients: the flow is Theta (phi, -psi) plus its rho and G terms.
+def _coeffs_oracle(v: LocalVectorField, metric: FrameMetric) -> tuple:
+    phi, psi, rho = projections(v)
+    a_inv = param("a", -1)
+    alpha = a_inv * (total_derivative(phi) + Fraction(1, 2) * rho)
+    beta = a_inv * (total_derivative(alpha) + K1 * phi - K2 * psi - metric.G * v.g)
+    delta = a_inv * total_derivative(psi, 2) + K1 * psi + EPS1 * EPS2 * K2 * phi
+    return alpha, beta, delta
+
+
+def _flow_oracle(v: LocalVectorField, metric: FrameMetric) -> FlowPair:
+    phi, psi, rho = projections(v)
+    a_inv = param("a", -1)
+    theta = theta_matrix_apply((phi, -psi))
+    vk1 = theta.p1 + a_inv * (
+        Fraction(1, 2) * a_inv * total_derivative(rho, 2)
+        + K1 * rho
+        - 2 * metric.G * total_derivative(v.g)
+    )
+    vk2 = theta.p2 + a_inv * K2 * rho - EPS2 * metric.G * v.l
+    return FlowPair(vk1, vk2)
+
+
+def _general_field(rng: random.Random) -> LocalVectorField:
+    """A field in X_P: four nonzero components of order at most 3, rho != 0."""
+    scalars = [const(1), const(-2), const(Fraction(1, 3)), A, param("c1"), EPS1]
+    while True:
+        parts = []
+        for _ in range(4):
+            out = zero()
+            for _ in range(rng.randrange(1, 3)):
+                term = rng.choice(scalars)
+                for _ in range(rng.randrange(3)):
+                    term = term * gen(rng.choice(("k1", "k2")), rng.randrange(4))
+                out = out + term
+            parts.append(out)
+        v = LocalVectorField(*parts)
+        if not any(c.is_zero() for c in parts) and not projections(v).rho.is_zero():
+            return v
+
+
+def test_transport_matches_theta_form_on_general_fields():
+    rng = random.Random(409)
+    for _ in range(20):
+        v = _general_field(rng)
+        for metric in (FrameMetric(), FLAT):
+            assert tuple(frame_derivative_coeffs(v, metric)) == _coeffs_oracle(v, metric)
+            assert variational_flow(v, metric) == _flow_oracle(v, metric)
+
+
+def test_flow_and_d_v_take_twelve_d_passes(monkeypatch):
+    # Five D in projections, then D of phi, psi, psi', g, alpha, beta and delta
+    # once each; with a constant target d_v's prolongation table takes none.
+    v = _general_field(random.Random(419))
+    passes = []
+    d_once = diffalg._d_once
+
+    def counted(f):
+        passes.append(f)
+        return d_once(f)
+
+    monkeypatch.setattr(diffalg, "_d_once", counted)
+    variational_flow(v)
+    assert len(passes) == 12
+    passes.clear()
+    d_v(v, LocalVectorField(const(1), zero(), zero(), zero()))
+    assert len(passes) == 12
 
 
 def test_make_x_reproduces_seed_fields():
