@@ -98,8 +98,8 @@ def test_variational_flow_of_seed_fields():
     )
 
 
-# The frame coefficients and the flow as written before the flow was read off
-# the coefficients: the flow is Theta (phi, -psi) plus its rho and G terms.
+# Oracles: alpha, beta, delta from their definitions, and the flow in its Theta
+# form, Theta (phi, -psi) plus its rho and G terms.
 def _coeffs_oracle(v: LocalVectorField, metric: FrameMetric) -> tuple:
     phi, psi, rho = projections(v)
     a_inv = param("a", -1)
