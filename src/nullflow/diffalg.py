@@ -12,7 +12,10 @@ the package needs: anti-derivatives on the image of D (by integration by
 parts alone; the Euler operator is kept as the tests' exactness oracle), the
 prolongation of an evolutionary vector field (prolong, apply_prolongation),
 and through it Frechet derivatives of flow pairs and the Lie bracket of
-evolution flows.
+evolution flows.  Every linear combination of products, here and in
+nullcurve and operators, is built by the one accumulate-products kernel
+_sum_products: one lcm denominator, every product added into one dict, one
+reduction to canonical form.
 
 Canonical form.  A polynomial is a dict from term keys to nonzero int
 numerators over one positive int denominator coprime to their content (the
@@ -343,6 +346,7 @@ class DiffPoly:
 
 
 Polylike = Union[DiffPoly, int, Fraction]
+_ONE = DiffPoly({_BIAS: 1})
 
 
 def _as_poly(value: Polylike) -> DiffPoly:
@@ -660,30 +664,33 @@ def prolong(
         for m in range(1, top + 1):
             entry = total_derivative(entry)
             if correction is not None:
-                entry = entry + correction * gen(var, m)
+                entry = _sum_products([(_ONE, entry, 1), (correction, gen(var, m), 1)])
             table[(var, m)] = entry
     return table
 
 
-def _apply_signed(applications: list) -> DiffPoly:
-    """Sum of sign * (table's prolonged field applied to target) over (target, table, sign)."""
-    products = [
-        (partial_derivative(target, c), table[c], sign)
-        for target, table, sign in applications
-        for c in sorted(target.generators())
-    ]
-    # One common denominator up front, so every product adds into one dict.
-    den, acc = lcm(*(p._den * t._den for p, t, _ in products)), {}
-    for p, t, sign in products:
-        _mul_into(acc, p._terms, t._terms, sign * (den // (p._den * t._den)))
+def _sum_products(products: list) -> DiffPoly:
+    """Sum of sign * p * q over (p, q, sign) triples, sign an int.
+
+    The one accumulate-products kernel: every product adds into one dict
+    over one lcm denominator, and only the sum is put in canonical form.
+    """
+    den, acc = lcm(*(p._den * q._den for p, q, _ in products)), {}
+    for p, q, sign in products:
+        _mul_into(acc, p._terms, q._terms, sign * (den // (p._den * q._den)))
     return _normalized(acc, den)
+
+
+def _prolonged(target: DiffPoly, table: dict, sign: int) -> list:
+    """The products of table's prolonged field applied to target, for _sum_products."""
+    return [(partial_derivative(target, c), table[c], sign) for c in sorted(target.generators())]
 
 
 def apply_prolongation(
     target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
 ) -> DiffPoly:
     """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
-    return _apply_signed([(target, table, 1)])
+    return _sum_products(_prolonged(target, table, 1))
 
 
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
@@ -709,5 +716,7 @@ def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:
     along_a = prolong(a, jet_orders(*b.components()))
     along_b = prolong(b, jet_orders(*a.components()))
     pairs = zip(a.components(), b.components())
-    brackets = [_apply_signed([(cb, along_a, 1), (ca, along_b, -1)]) for ca, cb in pairs]
+    brackets = [
+        _sum_products(_prolonged(cb, along_a, 1) + _prolonged(ca, along_b, -1)) for ca, cb in pairs
+    ]
     return FlowPair(*brackets, a.variables)

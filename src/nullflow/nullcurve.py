@@ -19,15 +19,20 @@ The frame transport along a field has coefficients alpha, beta, delta, and
 the frame equations' compatibility reads its curvature flow off them:
 V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
 (eps1 eps2 (delta' + k1 psi') + k2 (phi' + rho))/a - eps2 G l.  One kernel,
-_transport, takes both, with each D of phi, psi and g taken once.
+_transport, takes both, with each D of phi, psi and g taken once.  Every
+linear combination here (phi, psi, rho, alpha, beta, delta, the flow, the
+f and g of make_X, each component of d_v) is one call of diffalg's
+accumulate-products kernel _sum_products, its constant factors module
+constants, so no partial sum is ever put in canonical form.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
 not preserve arc length pick up the correction V(f)' + rho/(2a) f' when
 differentiating f', and scalar_action implements that corrected derivation.
-Both apply diffalg's one prolongation kernel (prolong, then
-apply_prolongation) to the field's curvature flow with correction rho/(2a);
-diffalg.frechet is its third caller, with no correction.  On T_PLambda
+Both apply diffalg's one prolongation kernel (prolong, then the products
+of _prolonged, which apply_prolongation sums) to the field's curvature
+flow with correction rho/(2a); d_v adds its frame products to the same
+sum.  diffalg.frechet is its third caller, with no correction.  On T_PLambda
 (rho = 0) the corrected derivation therefore coincides with the evolution
 derivation of the field's curvature flow, which is what makes the
 flow-level bracket identity of gamma_bracket hold there with the plain Lie
@@ -53,6 +58,9 @@ from .diffalg import (
     param,
     prolong,
     total_derivative,
+    _ONE,
+    _prolonged,
+    _sum_products,
 )
 
 _K1 = gen("k1")
@@ -62,7 +70,12 @@ _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS2 = param("eps2")
 _EPS12 = _EPS1 * _EPS2
-_HALF = Fraction(1, 2)
+_HALF = const(Fraction(1, 2))
+# The constant factors of the products below, each named by its monomial.
+_A_K2, _TWO_A_K1, _EPS1_A, _HALF_A_INV = _A * _K2, 2 * _A * _K1, _EPS1 * _A, _HALF * _A_INV
+_EPS1_K1, _EPS2_K2, _EPS12_K2, _HALF_K1 = _EPS1 * _K1, _EPS2 * _K2, _EPS12 * _K2, _HALF * _K1
+_A_INV_K1, _A_INV_K2, _EPS12_A_INV = _A_INV * _K1, _A_INV * _K2, _EPS12 * _A_INV
+_EPS12_A_INV_K1, _HALF_EPS1_A_INV_K1 = _EPS12_A_INV * _K1, _HALF_A_INV * _EPS1_K1
 
 
 @dataclass(frozen=True)
@@ -139,15 +152,10 @@ class FrameCoeffs(NamedTuple):
 
 def projections(v: LocalVectorField) -> Projections:
     """Normal projections phi, psi and the arc-length defect rho of a field."""
-    phi = _A * v.f + total_derivative(v.h) - _EPS1 * _K1 * v.g
-    psi = total_derivative(v.l) + _EPS2 * _K2 * v.g
-    rho = (
-        -_A * total_derivative(v.f)
-        + 2 * _A * _K1 * v.h
-        - _A * _K2 * v.l
-        - total_derivative(phi)
-        + _EPS1 * _K1 * total_derivative(v.g)
-    )
+    phi = _sum_products([(_A, v.f, 1), (_ONE, total_derivative(v.h), 1), (_EPS1_K1, v.g, -1)])
+    psi = _sum_products([(_ONE, total_derivative(v.l), 1), (_EPS2_K2, v.g, 1)])
+    rho = _sum_products([(_A, total_derivative(v.f), -1), (_TWO_A_K1, v.h, 1), (_A_K2, v.l, -1),
+                         (_ONE, total_derivative(phi), -1), (_EPS1_K1, total_derivative(v.g), 1)])
     return Projections(phi, psi, rho)
 
 
@@ -169,24 +177,29 @@ def _transport(
     v: LocalVectorField, metric: FrameMetric
 ) -> tuple[Projections, FrameCoeffs, FlowPair, DiffPoly]:
     """Projections, frame coefficients, curvature flow and D psi of a field."""
-    proj, G = projections(v), metric.G
+    proj, a_inv_g = projections(v), _A_INV * metric.G
     phi, psi, rho = proj
     phi1, psi1, g1 = (total_derivative(c) for c in (phi, psi, v.g))
-    alpha = _A_INV * (phi1 + _HALF * rho)
-    beta = _A_INV * (total_derivative(alpha) + _K1 * phi - _K2 * psi - G * v.g)
-    delta = _A_INV * total_derivative(psi1) + _K1 * psi + _EPS12 * _K2 * phi
+    alpha = _sum_products([(_A_INV, phi1, 1), (_HALF_A_INV, rho, 1)])
+    beta = _sum_products([(_A_INV, total_derivative(alpha), 1), (_A_INV_K1, phi, 1),
+                          (_A_INV_K2, psi, -1), (a_inv_g, v.g, -1)])
+    delta = _sum_products([(_A_INV, total_derivative(psi1), 1), (_K1, psi, 1),
+                           (_EPS12_K2, phi, 1)])
     # The flow, read off the coefficients by the frame equations' compatibility.
-    phi1_rho = phi1 + rho
-    vk1 = total_derivative(beta) + _A_INV * (_K1 * phi1_rho - _K2 * psi1 - G * g1)
-    vk2 = _A_INV * (_EPS12 * (total_derivative(delta) + _K1 * psi1) + _K2 * phi1_rho)
-    flow = FlowPair(vk1, vk2 - _EPS2 * G * v.l)
-    return proj, FrameCoeffs(alpha, beta, delta), flow, psi1
+    vk1 = _sum_products([(_ONE, total_derivative(beta), 1), (_A_INV_K1, phi1, 1),
+                         (_A_INV_K1, rho, 1), (_A_INV_K2, psi1, -1), (a_inv_g, g1, -1)])
+    vk2 = _sum_products([(_EPS12_A_INV, total_derivative(delta), 1), (_EPS12_A_INV_K1, psi1, 1),
+                         (_A_INV_K2, phi1, 1), (_A_INV_K2, rho, 1), (_EPS2 * metric.G, v.l, -1)])
+    return proj, FrameCoeffs(alpha, beta, delta), FlowPair(vk1, vk2), psi1
 
 
 def _as_constant(value: DiffPoly | int | Fraction, site: str) -> DiffPoly:
-    """value as a DiffPoly; DiffAlgError naming site if it is not constant."""
-    if not isinstance(value, DiffPoly):
+    """value as a DiffPoly; DiffAlgError naming site unless a constant DiffPoly, int or Fraction."""
+    if isinstance(value, (int, Fraction)):
         value = const(value)
+    elif not isinstance(value, DiffPoly):
+        message = "integration constant at %s must be a DiffPoly, int or Fraction"
+        raise DiffAlgError(message % (site,))
     if not value.is_constant():
         raise DiffAlgError("integration constant at %s must be constant" % (site,))
     return value
@@ -207,19 +220,11 @@ def make_X(
     c1 = _as_constant(c1, "make_X c1")
     c2 = _as_constant(c2, "make_X c2")
     p = anti_derivative(h)
-    q = anti_derivative(_K1 * h - _K2 * l)
-    g = -_EPS1 * _A * p + c1
-    f = (
-        -_HALF
-        * _A_INV
-        * (
-            total_derivative(h)
-            + _A * _K1 * p
-            - _A * q
-            - _EPS1 * c1 * _K1
-        )
-        + c2
-    )
+    q = anti_derivative(_sum_products([(_K1, h, 1), (_K2, l, -1)]))
+    g = _sum_products([(_EPS1_A, p, -1), (_ONE, c1, 1)])
+    # f = -(h' + a k1 p - a q - eps1 c1 k1)/(2a) + c2
+    f = _sum_products([(_HALF_A_INV, total_derivative(h), -1), (_HALF_K1, p, -1), (_HALF, q, 1),
+                       (_HALF_EPS1_A_INV_K1, c1, 1), (_ONE, c2, 1)])
     return LocalVectorField(f, h, g, l)
 
 
@@ -233,7 +238,7 @@ def scalar_action(
     exactly when rho vanishes.
     """
     proj, _, flow, _ = _transport(v, metric)
-    table = prolong(flow, jet_orders(target), _HALF * _A_INV * proj.rho)
+    table = prolong(flow, jet_orders(target), _HALF_A_INV * proj.rho)
     return apply_prolongation(target, table)
 
 
@@ -243,13 +248,14 @@ def d_v(
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
     (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
     # One table serves all four components: it reaches their highest orders.
-    table = prolong(flow, jet_orders(*u.components()), _HALF * _A_INV * rho)
-    xf, xh, xg, xl = (apply_prolongation(c, table) for c in u.components())
-
-    new_f = xf - alpha * u.f - beta * u.h + _EPS12 * _A_INV * delta * u.l
-    new_h = xh + phi * u.f - _EPS1 * beta * u.g - _EPS12 * _A_INV * psi1 * u.l
-    new_g = xg + _EPS1 * phi * u.h + alpha * u.g + _EPS2 * psi * u.l
-    new_l = xl + psi * u.f + _A_INV * psi1 * u.h + _EPS1 * _A_INV * delta * u.g
+    table = prolong(flow, jet_orders(*u.components()), _HALF_A_INV * rho)
+    xf, xh, xg, xl = (_prolonged(c, table, 1) for c in u.components())
+    f, h, g, l = u.components()
+    l_scaled, g_scaled = _EPS12_A_INV * l, _EPS1 * g  # each in two products
+    new_f = _sum_products(xf + [(alpha, f, -1), (beta, h, -1), (delta, l_scaled, 1)])
+    new_h = _sum_products(xh + [(phi, f, 1), (beta, g_scaled, -1), (psi1, l_scaled, -1)])
+    new_g = _sum_products(xg + [(phi, _EPS1 * h, 1), (alpha, g, 1), (psi, _EPS2 * l, 1)])
+    new_l = _sum_products(xl + [(psi, f, 1), (psi1, _A_INV * h, 1), (delta, _A_INV * g_scaled, 1)])
     return LocalVectorField(new_f, new_h, new_g, new_l)
 
 

@@ -9,7 +9,11 @@ The building blocks are the scalar operators
 
 and the 2x2 matrix operators assembled from them.  _theta_s is the one
 theta and s kernel: by the Leibniz rule it takes theta f = (1/a) f''' +
-2 k1 f' + k1' f and s f = 2 k2 f' + k2' f from D f and D^3 f alone.  The
+2 k1 f' + k1' f and s f = 2 k2 f' + k2' f from D f and D^3 f alone, as
+product lists for diffalg's accumulate-products kernel _sum_products.
+theta_apply and s_apply sum one list each; theta_matrix_apply takes the
+lists with the factors of Theta's rows and sums each component in one
+call, and j_matrix_apply builds each of its components the same way.  The
 recursion operator R = Theta J is computed once, as theta_matrix_apply after
 j_matrix_apply.  nullcurve.variational_flow does not use Theta: it reads a
 field's flow off its frame coefficients, which on a flat field with rho = 0
@@ -48,6 +52,8 @@ from .diffalg import (
     specialize,
     total_derivative,
     zero,
+    _ONE,
+    _sum_products,
 )
 from .nullcurve import Projections, _as_constant, make_X, projections
 
@@ -57,7 +63,14 @@ _A = param("a")
 _A_INV = param("a", -1)
 _EPS1 = param("eps1")
 _EPS12 = param("eps1") * param("eps2")
-_TWO_K1, _TWO_K2, _K1P, _K2P = 2 * _K1, 2 * _K2, gen("k1", 1), gen("k2", 1)
+# The factors of (f''', f', f) in theta f and of (f', f) in s f, then as Theta's rows take them.
+_THETA, _S = (_A_INV, 2 * _K1, gen("k1", 1)), (2 * _K2, gen("k2", 1))
+_THETA_ROW1, _S_ROW = (tuple(_A_INV * c for c in t) for t in (_THETA, _S))
+_THETA_ROW2 = tuple(-_EPS12 * c for c in _THETA_ROW1)
+# j_matrix_apply's factors, its integration constants folded in.
+_QUARTER, _QUARTER_A, _QUARTER_A_K1 = (Fraction(1, 4) * c for c in (_ONE, _A, _A * _K1))
+_HALF_EPS1_K1, _EPS2_K2 = Fraction(1, 2) * _EPS1 * _K1, param("eps2") * _K2
+_HALF_EPS12_A_K2, _TWO_EPS12_K2 = Fraction(1, 2) * _EPS12 * _A * _K2, 2 * _EPS12 * _K2
 
 Constant = Union[DiffPoly, int, Fraction]
 
@@ -78,31 +91,33 @@ def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> D
     )
 
 
-def _theta_s(f: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    """(theta f, s f) by the Leibniz rule: D f and D^3 f are the only D taken."""
+def _theta_s(f: DiffPoly, theta=_THETA, s=_S) -> tuple[list, list]:
+    """The _sum_products lists of (theta f, s f), with the factors given.
+
+    By the Leibniz rule D f and D^3 f are the only D taken.
+    """
     f1 = total_derivative(f)
-    f3 = total_derivative(f1, 2)
-    return _A_INV * f3 + _TWO_K1 * f1 + _K1P * f, _TWO_K2 * f1 + _K2P * f
+    jets = (total_derivative(f1, 2), f1, f)
+    return [(c, x, 1) for c, x in zip(theta, jets)], [(c, x, 1) for c, x in zip(s, jets[1:])]
 
 
 def theta_apply(f: DiffPoly) -> DiffPoly:
     """theta(f) = (1/a) f''' + k1 f' + (k1 f)'; purely differential, evaluated
     by the Leibniz rule, three D per operand."""
-    return _theta_s(f)[0]
+    return _sum_products(_theta_s(f)[0])
 
 
 def s_apply(f: DiffPoly) -> DiffPoly:
     """s(f) = (k2 f)' + k2 f'; purely differential, evaluated
     by the Leibniz rule, three D per operand."""
-    return _theta_s(f)[1]
+    return _sum_products(_theta_s(f)[1])
 
 
 def theta_matrix_apply(pq: tuple[DiffPoly, DiffPoly]) -> FlowPair:
     """(1/a) [[theta, s], [s, -eps1 eps2 theta]] applied to a column."""
-    (theta_p, s_p), (theta_q, s_q) = map(_theta_s, pq)
-    first = _A_INV * (theta_p + s_q)
-    second = _A_INV * (s_p - _EPS12 * theta_q)
-    return FlowPair(first, second)
+    theta_p, s_p = _theta_s(pq[0], _THETA_ROW1, _S_ROW)
+    theta_q, s_q = _theta_s(pq[1], _THETA_ROW2, _S_ROW)
+    return FlowPair(_sum_products(theta_p + s_q), _sum_products(s_p + theta_q))
 
 
 def j_matrix_apply(
@@ -117,11 +132,14 @@ def j_matrix_apply(
     x, y = xy
     c1 = _as_constant(constants[0], "j first site")
     c2 = _as_constant(constants[1], "j second site")
-    i1 = anti_derivative(x) - 2 * _EPS1 * c1 * _A_INV
-    i2 = anti_derivative(_K1 * x + 2 * _EPS12 * _K2 * y) + 4 * c2
-    quarter = Fraction(1, 4)
-    j1 = quarter * total_derivative(x) + quarter * _A * _K1 * i1 + quarter * _A * i2
-    j2 = Fraction(1, 2) * _EPS12 * _A * _K2 * i1 + _EPS12 * total_derivative(y)
+    # With i1 = Dinv(x) - 2 eps1 c1/a and i2 = Dinv(k1 x + 2 eps1 eps2 k2 y) + 4 c2,
+    # j1 = (x' + a k1 i1 + a i2)/4 and j2 = eps1 eps2 (a k2 i1/2 + y').
+    i1 = anti_derivative(x)
+    i2 = anti_derivative(_sum_products([(_K1, x, 1), (_TWO_EPS12_K2, y, 1)]))
+    j1 = _sum_products([(_QUARTER, total_derivative(x), 1), (_QUARTER_A_K1, i1, 1),
+                        (_HALF_EPS1_K1, c1, -1), (_QUARTER_A, i2, 1), (_A, c2, 1)])
+    y1 = total_derivative(y)
+    j2 = _sum_products([(_HALF_EPS12_A_K2, i1, 1), (_EPS2_K2, c1, -1), (_EPS12, y1, 1)])
     return (j1, j2)
 
 

@@ -103,3 +103,49 @@ def test_export_writes_the_committed_tree(tmp_path):
     d_tree = subprocess.run(git + ["rev-parse", "HEAD:d"], capture_output=True, text=True,
                             check=True).stdout.strip()
     assert bench_pairs.directory_trees(str(repo), commit) == {"d": d_tree}
+
+
+def test_outputs_of_one_tree_match_and_a_changed_file_is_named(tmp_path):
+    commands = {"flow": "flow --seed 1 --const c",
+                "translation": "simulate --flow translation --n 32 --t-end 0.01 --out out"}
+    base, head = tmp_path / "base", tmp_path / "head"
+    for side in (base, head):
+        bench_pairs.run_outputs(str(_PATH.parents[1]), str(side), commands)
+    assert (base / "flow" / "stdout").read_text() == (
+        "c*k1''' + 3*a*c*k1*k1' + 6*a*c*eps1*eps2*k2*k2', -2*c*k2''' - 3*a*c*k1*k2'\n")
+    assert (base / "translation" / "exit").read_text() == "0\n"
+    assert sorted(p.name for p in (base / "translation" / "out").iterdir()) == [
+        "k1.csv", "k2.csv", "report.json"]
+    assert bench_pairs.differing_files(str(base), str(head)) == []
+    k1 = head / "translation" / "out" / "k1.csv"
+    k1.write_bytes(k1.read_bytes().replace(b"e", b"E", 1))
+    (base / "flow" / "exit").unlink()
+    assert bench_pairs.differing_files(str(base), str(head)) == [
+        "flow/exit: only in head", "translation/out/k1.csv: differs"]
+
+
+def test_outputs_flag_exits_one_only_when_two_revisions_differ(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-C", str(repo)]
+    package = repo / "src" / "nullflow"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    commits = []
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    for version in ("one", "two"):
+        (package / "cli.py").write_text(
+            "def main(argv):\n    open('written.txt', 'w').write('same')\n"
+            "    print(%r, *argv)\n    return 0\n" % version)
+        subprocess.run(git + ["add", "src"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", version], check=True)
+        commits.append(subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
+                                      text=True, check=True).stdout.strip())
+    monkeypatch.setattr(bench_pairs, "HERE_REPO", str(repo))
+    monkeypatch.setattr(bench_pairs, "OUTPUT_COMMANDS", {"cmd": "hierarchy --upto 1"})
+    argv = ["--outputs", "--scratch", str(tmp_path / "scratch"), "--base", commits[0]]
+    assert bench_pairs.main(argv + ["--head", commits[0]]) == 0
+    assert capsys.readouterr().out == "no difference: 1 commands compared\n"
+    assert (tmp_path / "scratch" / "head-outputs" / "cmd" / "stdout").read_text() == (
+        "one hierarchy --upto 1\n")
+    assert bench_pairs.main(argv + ["--head", commits[1]]) == 1
+    assert capsys.readouterr().out == "cmd/stdout: differs\n"

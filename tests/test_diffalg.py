@@ -544,3 +544,28 @@ def test_kernels_match_the_merge_and_sort_reference():
         for got, want in checks:
             _assert_canonical(got)
             assert _decoded(got) == want
+
+
+def test_sum_products_equals_the_binary_operator_sum():
+    # The kernel's oracle is the same sum built by DiffPoly *, + and -.
+    rng = random.Random(71)
+    for _ in range(40):
+        products = [(_random_terms(rng, rng.randrange(6)), _random_terms(rng, rng.randrange(6)),
+                     rng.choice([1, -1, 2, -3])) for _ in range(rng.randrange(1, 5))]
+        got = diffalg._sum_products(products)
+        want = zero()
+        for p, q, sign in products:
+            for _ in range(abs(sign)):
+                want = want + p * q if sign > 0 else want - p * q
+        _assert_canonical(got)
+        assert got == want
+    # Products that cancel exactly, over mixed denominators and a power of a.
+    f = Fraction(1, 3) * K1 * gen("k2", 1) - param("eps1") * param("a", -1) * K2
+    g = Fraction(5, 2) * param("c1") * K2 + gen("k1", 2)
+    cancelled = diffalg._sum_products([(f, g, 2), (g, f, -1), (f * g, one(), -1)])
+    _assert_canonical(cancelled)
+    assert cancelled.is_zero() and cancelled._den == 1
+    left = diffalg._sum_products([(f, g, 1), (param("a", -1) * K2, K1, 3), (f, g, -1)])
+    _assert_canonical(left)
+    assert left == 3 * param("a", -1) * K1 * K2
+    assert diffalg._sum_products([]) == zero() and diffalg._sum_products([])._den == 1

@@ -168,6 +168,31 @@ def test_flow_and_d_v_take_twelve_d_passes(monkeypatch):
     assert len(passes) == 12
 
 
+def test_each_linear_combination_is_built_in_one_accumulator(monkeypatch):
+    # Every polynomial the kernels build passes through _normalized once: one
+    # per D pass, partial derivative, prolongation entry and scaled factor,
+    # and one per linear combination, however many products it sums.  Built
+    # from binary *, + and - these were 65, 123 and 27.
+    rng = random.Random(419)
+    v, u = _general_field(rng), _general_field(rng)
+    column = (K1 * gen("k2", 2), param("c1") * gen("k1", 1) + K2)
+    built = []
+    normalized = diffalg._normalized
+
+    def counted(acc, den):
+        built.append(den)
+        return normalized(acc, den)
+
+    monkeypatch.setattr(diffalg, "_normalized", counted)
+    counts = []
+    for call in (lambda: variational_flow(v), lambda: d_v(v, u),
+                 lambda: theta_matrix_apply(column)):
+        built.clear()
+        call()
+        counts.append(len(built))
+    assert counts == [22, 47, 8]
+
+
 def test_make_x_reproduces_seed_fields():
     built = make_X(zero(), zero(), 0, param("b"))
     assert built == V0

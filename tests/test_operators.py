@@ -147,7 +147,13 @@ def test_non_constant_integration_constants_are_refused_at_every_site():
     for site, call in calls.items():
         with pytest.raises(DiffAlgError, match="at %s must be constant" % site):
             call(K1)
+        # A float would be taken as its binary fraction, a string would not parse.
+        for wrong in (1.5, "b", None):
+            message = "at %s must be a DiffPoly, int or Fraction" % site
+            with pytest.raises(DiffAlgError, match=message):
+                call(wrong)
         call(Fraction(1, 3))
+        call(2)
 
 
 def test_not_exact_aborts():

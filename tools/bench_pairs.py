@@ -17,6 +17,13 @@ two interquartile ranges are apart, and whether every run was correct.
 (statistics.quantiles, method="inclusive") and run count, the failed
 counts and the mean host-speed probe, with each revision's commit and the
 git tree id of each of its top-level directories (`git rev-parse REV:src`).
+
+    python3 tools/bench_pairs.py --outputs --base REV --head REV --scratch DIR
+
+instead runs each command of OUTPUT_COMMANDS through nullflow.cli in each
+exported tree, in a directory of its own under DIR/<side>-outputs that also
+keeps its stdout and exit code; it prints one line per file that differs or
+is on one side only, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -24,12 +31,32 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 HERE_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_NLIE = "simulate --flow nlie --n 512 --dt 1.25e-4 --t-end 0.3 --out out"
+# name -> nullflow arguments as a shell splits them; relative paths keep DIR out of every output
+OUTPUT_COMMANDS = {
+    "hierarchy-upto5-verify": "hierarchy --upto 5 --verify",
+    "hierarchy-upto3-latex": "hierarchy --upto 3 --latex",
+    "hierarchy-upto3-zero-verify": "hierarchy --upto 3 --constants zero --verify",
+    "flow-seed1": "flow --seed 1 --const c",
+    "bracket-readme": "bracket \"k1', k2'\" \"1/2*k1''' + 3*k1*k1' - 6*k2*k2', -k2''' - 3*k1*k2'\"",
+    "simulate-nlie": _NLIE,
+    "simulate-nlie-k2": _NLIE + " --k2-amplitude 0.2 --reconstruct --stride 400",
+    "simulate-translation": "simulate --flow translation --reconstruct --stride 3 --n 64 "
+                            "--dt 1e-3 --t-end 0.01 --out out",
+    "simulate-fifth-order": "simulate --flow file --flow-file flow.txt --stencil central6 --n 64 "
+                            "--length 40 --dt 1e-4 --t-end 0.02 --stride 50 --k2-amplitude 0.2 "
+                            "--out out",
+}
+FIFTH_ORDER_FLOW = "k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''\n"
 
 
 def summarize(records: list) -> dict:
@@ -82,6 +109,35 @@ def export(repo: str, revision: str, dest: str) -> str:
     if archive.returncode != 0:
         raise RuntimeError("git archive %s exited with code %d" % (commit, archive.returncode))
     return commit
+
+
+def run_outputs(tree: str, dest: str, commands: dict) -> None:
+    """Run each named CLI command of tree in dest/<name>, emptied first, beside flow.txt."""
+    for name, argv in commands.items():
+        where = os.path.join(dest, name)
+        shutil.rmtree(where, ignore_errors=True)
+        os.makedirs(where)
+        Path(where, "flow.txt").write_text(FIFTH_ORDER_FLOW)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from nullflow.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *shlex.split(argv)], cwd=where, capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")})
+        Path(where, "stdout").write_bytes(done.stdout)
+        Path(where, "exit").write_text("%d\n" % done.returncode)
+
+
+def differing_files(base: str, head: str) -> list[str]:
+    """One line per file that differs between two directories or is in one only."""
+    def files(top: str) -> set:
+        return {os.path.relpath(os.path.join(d, n), top) for d, _, ns in os.walk(top) for n in ns}
+
+    was, now, lines = files(base), files(head), []
+    for path in sorted(was | now):
+        if path not in was or path not in now:
+            lines.append("%s: only in %s" % (path, "base" if path in was else "head"))
+        elif Path(base, path).read_bytes() != Path(head, path).read_bytes():
+            lines.append("%s: differs" % path)
+    return lines
 
 
 def directory_trees(repo: str, commit: str) -> dict:
@@ -151,11 +207,21 @@ def main(argv=None) -> int:
     parser.add_argument("--head", required=True, help="revision measured as the change")
     parser.add_argument("--scratch", required=True, help="directory for the two exported trees")
     parser.add_argument("--out", default=None, help="JSON file to write, e.g. BENCH_18.json")
-    parser.add_argument("--seeds", required=True, help="comma-separated seeds, one per pair")
+    parser.add_argument("--seeds", help="comma-separated seeds, one per pair")
+    parser.add_argument("--outputs", action="store_true",
+                        help="compare the outputs of OUTPUT_COMMANDS instead of timing")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    if not args.outputs and not args.seeds:
+        parser.error("--seeds is required without --outputs")
     trees = {side: os.path.join(os.path.abspath(args.scratch), side) for side in ("base", "head")}
     commits = {side: export(HERE_REPO, getattr(args, side), trees[side]) for side in trees}
+    if args.outputs:
+        for tree in trees.values():
+            run_outputs(tree, tree + "-outputs", OUTPUT_COMMANDS)
+        lines = differing_files(trees["base"] + "-outputs", trees["head"] + "-outputs")
+        print("\n".join(lines) or "no difference: %d commands compared" % len(OUTPUT_COMMANDS))
+        return 1 if lines else 0
+    seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(trees["base"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     summary = {side: {"revision": getattr(args, side), "commit": commits[side],
