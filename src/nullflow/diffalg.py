@@ -29,9 +29,9 @@ v^(m) to that of v^(m+1).  The power of a sits in byte 1 under a bias of 64
 key sets: a product key is k1 + k2 - _BIAS with the sign carries masked off
 (so the signs multiply by XOR), and a product, D or integration that sets a
 guard raises ExponentLimitError, never wraps.  Only terms, the one decoder
-(format_terms and every reader outside this module walk it), and
-specialize decode keys; values become Fractions only there and in const.
-No cache outlives a call.
+(format_terms and every reader outside this module walk it), decodes keys;
+values become Fractions only there and in const.  specialize rewrites the
+packed keys and int numerators directly.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -170,16 +170,12 @@ def _decode(key: int) -> tuple[tuple, tuple, int, int]:
 def _fields(*polys: "DiffPoly") -> list[tuple[str, int, int]]:
     """(variable, order, byte) of each jet coordinate present in the polys."""
     seen = reduce(or_, (reduce(or_, f._terms, 0) for f in polys), 0) & _var_bits
-    return [(*_owners[byte], byte) for byte in _set_bytes(seen.to_bytes(len(_owners), "little"))]
-
-
-def _accumulate(acc: dict, key: int, value) -> None:
-    # Inlined, with del, in _mul_into, _add_into and _d_once; specialize may add a zero.
-    value += acc.get(key, 0)
-    if value:
-        acc[key] = value
-    else:  # a cancellation, or a zero that specialize handed in
-        acc.pop(key, None)
+    marks = seen.to_bytes(len(_owners), "little").translate(_NONZERO)
+    out, byte = [], marks.find(1)
+    while byte >= 0:
+        out.append((*_owners[byte], byte))
+        byte = marks.find(1, byte + 1)
+    return out
 
 
 def _normalized(acc: dict, den: int) -> "DiffPoly":
@@ -204,7 +200,7 @@ def _add_into(acc: dict, den: int, terms: dict, tden: int, sign: int) -> int:
         for key in acc:
             acc[key] *= up
     scale, get = sign * (common // tden), acc.get
-    for key, value in terms.items():  # _accumulate inlined
+    for key, value in terms.items():
         value = get(key, 0) + value * scale
         if value:
             acc[key] = value
@@ -446,6 +442,10 @@ def specialize(
     Fractions; a sign must become +-1 and a nonzero.  rename maps curvature
     variables to new names.
     """
+    # One pass over the packed keys: keep clears each substituted byte and
+    # sign bit and each renamed coordinate's byte, a substituted a gets its
+    # bias back, and each renamed exponent is added into its new byte.
+    powers, keep, flip = [], -1, 0
     for name, value in values.items():
         is_sign = name in ("eps1", "eps2")
         if not is_sign:
@@ -454,29 +454,46 @@ def specialize(
             value not in (1, -1) if is_sign else name == "a" and value == 0
         ):
             raise DiffAlgError("cannot specialize %s to %r" % (name, value))
+        if is_sign:
+            bit = 1 if name == "eps1" else 4
+            keep, flip = keep & ~bit, flip | (bit if value == -1 else 0)
+        elif (name, None) in _byte:
+            byte = _byte[name, None]
+            powers.append((byte, _A_BIAS if name == "a" else 0, value.numerator, value.denominator))
+            keep &= ~(0xFF << 8 * byte)
     rename = rename or {}
     for target in rename.values():
         gen(target)  # raises for a name that is no variable
     f = _as_poly(f)
-    acc: dict[int, Fraction] = {}
-    for key, q in f._terms.items():
-        gens, pows, e1, e2 = _decode(key)
-        q, kept = Fraction(q, f._den), []
-        for name, exp in pows:
-            if name in values:
-                q *= Fraction(values[name]) ** exp
-            else:
-                kept.append((name, exp))
-        if e1 and "eps1" in values:
-            q, e1 = q * values["eps1"], 0
-        if e2 and "eps2" in values:
-            q, e2 = q * values["eps2"], 0
-        moved: dict = {}
-        for (v, m), e in gens:
-            coord = (rename.get(v, v), m)
-            moved[coord] = moved.get(coord, 0) + e
-        _accumulate(acc, _encode(moved.items(), kept, e1, e2), q)
-    return _over_lcm(acc)
+    # A new byte may be handed out here, so _guard and the key size are read after.
+    moves = [(byte, 8 * _byte_of(rename[var], order)) for var, order, byte in _fields(f)
+             if var in rename]
+    for byte, _ in moves:
+        keep &= ~(0xFF << 8 * byte)
+    bias, guard, size, acc = _BIAS if "a" in values else 0, _guard, len(_owners), {}
+    for key, num in f._terms.items():
+        data, den = key.to_bytes(size, "little"), f._den
+        for byte, offset, up, down in powers:
+            exp = data[byte] - offset
+            if exp > 0:
+                num, den = num * up ** exp, den * down ** exp
+            elif exp:  # a^-n; a negative a leaves den negative, which lcm and // absorb
+                num, den = num * down ** -exp, den * up ** -exp
+        if (key & flip) in (1, 4):  # one substituted sign is -1
+            num = -num
+        key = (key & keep) + bias
+        for byte, shift in moves:
+            exp = data[byte]
+            if exp:  # adds into a byte of at most 127: an overfill sets its guard, never carries
+                key += exp << shift
+                if key & guard:
+                    raise ExponentLimitError(_OUT_OF_FIELD)
+        prior, prior_den = acc.get(key, (0, den))
+        same = prior_den == den
+        acc[key] = (prior + num, den) if same else (prior * den + num * prior_den, prior_den * den)
+    common = lcm(*(den for _, den in acc.values()))
+    return _normalized({key: num * (common // den) for key, (num, den) in acc.items() if num},
+                       common)
 
 
 # -- flow pairs -------------------------------------------------------------
@@ -531,7 +548,7 @@ def _d_once(f: DiffPoly) -> DiffPoly:
             message = "total derivative would exceed MAX_ORDER=%d on %s"
             raise OrderLimitError(message % (MAX_ORDER, var))
         steps.append((byte, (1 << 8 * _byte_of(var, order + 1)) - (1 << 8 * byte)))
-    guard, size, get = _guard, len(_owners), acc.get  # _accumulate inlined below
+    guard, size, get = _guard, len(_owners), acc.get
     for key, q in f._terms.items():
         data = key.to_bytes(size, "little")
         for byte, step in steps:

@@ -300,6 +300,8 @@ def test_specialize_substitutes_and_renames():
     u, v = gen("u"), gen("v")
     assert got == -2 * u + Fraction(1, 2) * v + param("b") * u * v
     assert specialize(eps1 * K1 + K1, {"eps1": -1}).is_zero()
+    assert specialize(eps1 * eps2 * K1 - eps2 * K2, {"eps1": -1, "eps2": -1}) == K1 + K2
+    assert specialize(param("a", -3) * K1, {"a": Fraction(-2, 3)}) == Fraction(-27, 8) * K1
     assert specialize(K1 * K2 + K1 * K1, {}, {"k2": "k1"}) == 2 * K1 * K1
     assert specialize(param("G") * K1, {"G": 0}).is_zero()
     assert specialize(f, {}) == f
@@ -569,3 +571,86 @@ def test_sum_products_equals_the_binary_operator_sum():
     _assert_canonical(left)
     assert left == 3 * param("a", -1) * K1 * K2
     assert diffalg._sum_products([]) == zero() and diffalg._sum_products([])._den == 1
+
+
+# -- the decode-and-re-encode specialize the key-rewriting kernel replaced --
+
+
+def _ref_specialize(f: DiffPoly, values: dict, rename: dict) -> DiffPoly:
+    acc: dict = {}
+    for key, q in f._terms.items():
+        gens, pows, e1, e2 = _key(key)
+        q, kept = Fraction(q, f._den), []
+        for name, exp in pows:
+            if name in values:
+                q *= Fraction(values[name]) ** exp
+            else:
+                kept.append((name, exp))
+        if e1 and "eps1" in values:
+            q, e1 = q * values["eps1"], 0
+        if e2 and "eps2" in values:
+            q, e2 = q * values["eps2"], 0
+        moved: dict = {}
+        for (v, m), e in gens:
+            coord = (rename.get(v, v), m)
+            moved[coord] = moved.get(coord, 0) + e
+        _ref_accumulate(acc, diffalg._encode(moved.items(), kept, e1, e2), q)
+    return diffalg._over_lcm(acc)
+
+
+def test_specialize_matches_the_decode_and_re_encode_reference():
+    rng = random.Random(29)
+    renames = [{}, {"k1": "u"}, {"k2": "k1"}, {"k1": "k2", "k2": "k1"}, {"k1": "u", "k2": "v"},
+               {"u": "k2"}]
+    draws = {"a": [2, -3, Fraction(-2, 3), Fraction(5, 7)], "eps1": [1, -1], "eps2": [1, -1],
+             "b": [0, 3, -1, Fraction(-1, 2)], "c1": [0, Fraction(4, 9)], "G": [-2, Fraction(3, 5)],
+             "c10": [7], "c": [Fraction(-7, 4)]}
+    signs = [one(), param("eps1"), param("eps2"), param("eps1") * param("eps2")]
+    for i in range(150):
+        f = _random_terms(rng, rng.randrange(1, 9)) * rng.choice(signs)
+        f = f * param("a", rng.choice([-5, -3, 0, 3, 4]))
+        names = rng.sample(sorted(draws), rng.randrange(6))
+        values = {name: rng.choice(draws[name]) for name in names}
+        rename = rng.choice(renames) if i % 10 else {"k1": "w_spec%d" % i, "k2": "u"}
+        got = specialize(f, values, rename)  # first, so a fresh name gets its bytes here
+        want = _ref_specialize(f, values, rename)
+        _assert_canonical(got)
+        assert got == want and str(got) == str(want)
+    # Cancellation to zero: through a sign, a value of a, and a merging rename.
+    a, eps1, k1p, k2p = param("a"), param("eps1"), gen("k1", 1), gen("k2", 1)
+    for f, values, rename in [
+        (Fraction(2, 3) * eps1 * K1 * K2 + Fraction(2, 3) * K1 * K2, {"eps1": -1}, {}),
+        (param("a", -2) * k1p - Fraction(1, 4) * k1p, {"a": -2}, {"k1": "u"}),
+        (k1p * K2 - K1 * k2p + param("b") * K1, {"b": 0, "a": 3}, {"k2": "k1"}),
+        (a * K1 * K2 - 2 * K2 * K1 * eps1, {"a": 2, "eps1": 1}, {"k1": "k2", "k2": "k1"}),
+    ]:
+        got = specialize(f, values, rename)
+        _assert_canonical(got)
+        assert got.is_zero() and got._den == 1 and got == _ref_specialize(f, values, rename)
+    # Terms that meet over different denominators.
+    assert specialize(a * K1 - param("a", 2) * K1, {"a": Fraction(5, 7)}) == Fraction(10, 49) * K1
+    # A merge past the field while a parameter is substituted fails on both
+    # routes, also when the value zeroes the term.
+    f = param("a", 3) * param("b") * K1 ** 100 * K2 ** 28 + K1
+    for b in (Fraction(1, 3), 0):
+        for route in (specialize, _ref_specialize):
+            with pytest.raises(ExponentLimitError):
+                route(f, {"a": 2, "b": b}, {"k2": "k1"})
+    assert specialize(f, {"a": 2}, {"k2": "k1", "k1": "k2"}) == _ref_specialize(
+        f, {"a": 2}, {"k2": "k1", "k1": "k2"})
+
+
+def test_specialize_decodes_no_key(monkeypatch):
+    from nullflow.operators import hs_classic_sigma
+
+    a, eps1, eps2 = param("a"), param("eps1"), param("eps2")
+    f = a * eps1 * K1 + param("a", -1) * eps2 * K2 * gen("k1", 2) + param("c1") * K1 * K2
+    values, rename = {"a": 2, "eps1": 1, "eps2": -1}, {"k1": "u", "k2": "v"}
+    want, sigma = _ref_specialize(f, values, rename), hs_classic_sigma(3)
+
+    def refuse(key):
+        raise AssertionError("a key was decoded")
+
+    monkeypatch.setattr(diffalg, "_decode", refuse)
+    assert specialize(f, values, rename) == want
+    assert hs_classic_sigma(3).components() == sigma.components()
