@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .diffalg import (
@@ -30,7 +29,7 @@ from .diffalg import (
     specialize,
 )
 from .expr import parse_expr
-from .nullcurve import FLAT, LocalVectorField, make_X, variational_flow
+from .nullcurve import FLAT, LocalVectorField, make_X, variational_flow, _EPS12, _HALF
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,8 @@ def recursion_step(
         c1 = c2 = const(0)
     else:
         raise ValueError("constant policy must be 'fresh' or 'zero'")
-    half = Fraction(1, 2)
-    eps12 = param("eps1") * param("eps2")
-    h = half * entry.flow.p1
-    l = -eps12 * entry.flow.p2
+    h = _HALF * entry.flow.p1
+    l = -_EPS12 * entry.flow.p2
     field = make_X(h, l, c1, c2)
     return HierarchyEntry(
         n,

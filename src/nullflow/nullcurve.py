@@ -78,6 +78,17 @@ _A_INV_K1, _A_INV_K2, _EPS12_A_INV = _A_INV * _K1, _A_INV * _K2, _EPS12 * _A_INV
 _EPS12_A_INV_K1, _HALF_EPS1_A_INV_K1 = _EPS12_A_INV * _K1, _HALF_A_INV * _EPS1_K1
 
 
+def _as_constant(value: DiffPoly | int | Fraction, what: str) -> DiffPoly:
+    """A constant DiffPoly, int or Fraction as a DiffPoly; else DiffAlgError naming what."""
+    if isinstance(value, (int, Fraction)):
+        value = const(value)
+    elif not isinstance(value, DiffPoly):
+        raise DiffAlgError("%s must be a DiffPoly, int or Fraction" % (what,))
+    if not value.is_constant():
+        raise DiffAlgError("%s must be constant" % (what,))
+    return value
+
+
 @dataclass(frozen=True)
 class FrameMetric:
     """Ambient data: the curvature constant G (the symbol G, or a constant).
@@ -90,12 +101,7 @@ class FrameMetric:
     G: DiffPoly = field(default_factory=lambda: param("G"))
 
     def __post_init__(self) -> None:
-        if isinstance(self.G, (int, Fraction)):
-            object.__setattr__(self, "G", const(self.G))
-        elif not isinstance(self.G, DiffPoly):
-            raise DiffAlgError("metric G must be a DiffPoly, int or Fraction")
-        if not self.G.is_constant():
-            raise DiffAlgError("metric G must be constant")
+        object.__setattr__(self, "G", _as_constant(self.G, "metric G"))
 
 
 FLAT = FrameMetric(G=const(0))
@@ -193,18 +199,6 @@ def _transport(
     return proj, FrameCoeffs(alpha, beta, delta), FlowPair(vk1, vk2), psi1
 
 
-def _as_constant(value: DiffPoly | int | Fraction, site: str) -> DiffPoly:
-    """value as a DiffPoly; DiffAlgError naming site unless a constant DiffPoly, int or Fraction."""
-    if isinstance(value, (int, Fraction)):
-        value = const(value)
-    elif not isinstance(value, DiffPoly):
-        message = "integration constant at %s must be a DiffPoly, int or Fraction"
-        raise DiffAlgError(message % (site,))
-    if not value.is_constant():
-        raise DiffAlgError("integration constant at %s must be constant" % (site,))
-    return value
-
-
 def make_X(
     h: DiffPoly,
     l: DiffPoly,
@@ -217,8 +211,8 @@ def make_X(
     pick the member of the two-parameter family.  Every field returned here
     classifies as T_PLambda and has rho identically zero.
     """
-    c1 = _as_constant(c1, "make_X c1")
-    c2 = _as_constant(c2, "make_X c2")
+    c1 = _as_constant(c1, "integration constant at make_X c1")
+    c2 = _as_constant(c2, "integration constant at make_X c2")
     p = anti_derivative(h)
     q = anti_derivative(_sum_products([(_K1, h, 1), (_K2, l, -1)]))
     g = _sum_products([(_EPS1_A, p, -1), (_ONE, c1, 1)])

@@ -9,14 +9,14 @@ coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
 engine serves every derivative of a right-hand side.  compile_flow
-prepares its plan once: per order the float weights (cached per order
-and accuracy), dx^m and one output slice per row, and the pad width.
-Each call pads every curvature row once with wrap-around points into
-one flat buffer and takes one np.correlate per order over it.
-compile_flow also points every factor of every term at its index in one
-slot list [k1, k2, d^m k1, d^m k2, ...]; each component starts from
-zeros and adds its terms, which are formed in place.  Nothing that does
-not depend on the curvature values is redone per right-hand side.  One
+specializes both components once and prepares its plan: per order the
+float weights, dx^m and one output slice per row, and the pad width.
+Each call pads both curvature rows once with wrap-around points into
+one flat buffer and takes one np.correlate per order over it.  Each
+component is one program, its terms' factors pointing at their index in
+the slot list [k1, k2, d^m k1, d^m k2, ...]; _evaluate starts from zeros
+and adds the terms, which are formed in place.  Nothing that does not
+depend on the curvature values is redone per right-hand side.  One
 classical RK4 step kernel, which sums its stages in place, serves both
 the fixed-step curvature evolution and the frame propagators below.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diffalg import DiffPoly, FlowPair, gen, one, specialize
+from .diffalg import DiffPoly, FlowPair, gen, one, specialize, _fields
 
 
 class UnboundParameter(ValueError):
@@ -215,15 +215,8 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
     return offsets, weights
 
 
-@cache
-def _kernel(m: int, accuracy: int) -> np.ndarray:
-    """The stencil's float weights in offset order for np.correlate, zero taps included."""
-    _, weights = fd_weights(m, accuracy)
-    return np.array([float(w) for w in weights])
-
-
 class StencilPlan(NamedTuple):
-    """spatial_derivative's bookkeeping for `rows` rows of n points, fixed once.
+    """spatial_derivative's bookkeeping for the two rows of n points, fixed once.
 
     Each row is padded by r wrap-around points on each side; passes holds,
     per order m, (m, float weights, dx**m, one output slice per row).
@@ -231,49 +224,46 @@ class StencilPlan(NamedTuple):
 
     n: int
     r: int
-    rows: int
     passes: tuple
 
 
-def stencil_plan(
-    orders: Sequence[int], n: int, dx: float, accuracy: int = 4, rows: int = 2
-) -> StencilPlan:
+def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) -> StencilPlan:
     """Plan the periodic derivatives of the given orders m >= 1 for spatial_derivative.
 
-    r is the widest stencil's half-width.  Row i's derivative of order m,
-    a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of that
-    order's correlation with the padded buffer.  A stencil wider than the
-    grid, or no order at all, raises ValueError.
+    The weights are fd_weights' in offset order, zero taps included, as
+    floats.  r is the widest stencil's half-width.  Row i's derivative of
+    order m, a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of
+    that order's correlation with the padded buffer.  A stencil wider than
+    the grid, or no order at all, raises ValueError.
     """
     if not orders:
         raise ValueError("a stencil plan needs at least one derivative order")
-    weights = {m: _kernel(m, accuracy) for m in orders}
+    weights = {m: np.array([float(w) for w in fd_weights(m, accuracy)[1]]) for m in orders}
     r = max(len(w) // 2 for w in weights.values())
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
-    width = n + 2 * r
     passes = []
     for m, w in weights.items():
         start = r - len(w) // 2
-        slices = tuple(slice(at, at + n) for at in range(start, start + rows * width, width))
+        slices = (slice(start, start + n), slice(start + n + 2 * r, start + 2 * (n + r)))
         passes.append((m, w, dx**m, slices))
-    return StencilPlan(n, r, rows, tuple(passes))
+    return StencilPlan(n, r, tuple(passes))
 
 
 def spatial_derivative(
     rows: Sequence[np.ndarray], plan: StencilPlan
 ) -> dict[int, list[np.ndarray]]:
-    """Periodic derivatives {m: [d^m row / dx^m for each row]} as plan lays them out.
+    """Periodic derivatives {m: [d^m row / dx^m for each row]} of the two rows.
 
-    Every row is padded into one flat buffer, and each order takes one
+    Both rows are padded into one flat buffer, and each order takes one
     np.correlate over it.  An output is the dot product of the same
     samples whatever the buffer holds around them, so each row's
     derivative is bit-for-bit that of the row padded alone.  Rows of
     another count or length than the plan's raise ValueError.
     """
-    n, r, count, passes = plan
-    if len(rows) != count:
-        raise ValueError("the stencil plan takes %d rows, got %d" % (count, len(rows)))
+    n, r, passes = plan
+    if len(rows) != 2:
+        raise ValueError("the stencil plan takes 2 rows, got %d" % (len(rows),))
     for row in rows:
         if len(row) != n:
             raise ValueError("a row has %d points, the stencil plan %d" % (len(row), n))
@@ -288,48 +278,38 @@ def spatial_derivative(
 
 # -- compiling flows to grid functions --------------------------------------
 
-class _CompiledPoly:
-    def __init__(self, poly: DiffPoly, bindings: dict, variables: Sequence[str]):
-        """bindings are exact (ints and Fractions); each coefficient is rounded once."""
-        index = {name: i for i, name in enumerate(variables)}
-        self.terms = []
-        for gens, q, powers, eps1, eps2 in specialize(poly, bindings).terms():
-            if powers or eps1 or eps2:
-                raise UnboundParameter(powers[0][0] if powers else "eps1" if eps1 else "eps2")
-            try:
-                value = float(q)
-            except OverflowError:
-                value = math.inf
-            if not value or math.isinf(value):
-                term = math.prod((gen(v, m) ** e for (v, m), e in gens), start=one())
-                fault = "overflows" if value else "underflows"
-                raise ValueError("coefficient of %s %s a float" % (term, fault))
-            factors = tuple(
-                (index[var], order, exp) for (var, order), exp in gens
-            )
-            self.terms.append((value, factors))
-        self.program = None  # set by bind_slots
+def _program(poly: DiffPoly, slot: dict) -> list:
+    """The specialized poly as (float coefficient, [(slot, exponent) per factor]) per term.
 
-    def bind_slots(self, orders: Sequence[int]) -> None:
-        """Point each factor at its slot in [k1, k2] + [d^m k1, d^m k2 for m in orders]."""
-        slot = {(0, 0): 0, (1, 0): 1}
-        for i, m in enumerate(orders, 1):
-            slot[0, m], slot[1, m] = 2 * i, 2 * i + 1
-        self.program = [
-            (value, [(slot[vi, order], exp) for vi, order, exp in factors])
-            for value, factors in self.terms
-        ]
+    A parameter left in poly raises UnboundParameter, and a coefficient
+    that rounds to 0 or inf a ValueError naming its term.
+    """
+    program = []
+    for gens, q, powers, eps1, eps2 in poly.terms():
+        if powers or eps1 or eps2:
+            raise UnboundParameter(powers[0][0] if powers else "eps1" if eps1 else "eps2")
+        try:
+            value = float(q)
+        except OverflowError:
+            value = math.inf
+        if not value or math.isinf(value):
+            term = math.prod((gen(v, m) ** e for (v, m), e in gens), start=one())
+            fault = "overflows" if value else "underflows"
+            raise ValueError("coefficient of %s %s a float" % (term, fault))
+        program.append((value, [(slot[field], exp) for field, exp in gens]))
+    return program
 
-    def __call__(self, slots: Sequence[np.ndarray]) -> np.ndarray:
-        """The polynomial on the slot list bind_slots() laid out."""
-        total = np.zeros(len(slots[0]))
-        for value, factors in self.program:
-            term = value  # float *= array makes a new array; later factors go in place
-            for at, exp in factors:
-                d = slots[at]
-                term *= d**exp if exp > 1 else d
-            total += term
-        return total
+
+def _evaluate(program: list, slots: Sequence[np.ndarray]) -> np.ndarray:
+    """A _program on its slot list: a zeros start, then each term added."""
+    total = np.zeros(len(slots[0]))
+    for value, factors in program:
+        term = value  # float *= array makes a new array; later factors go in place
+        for at, exp in factors:
+            d = slots[at]
+            term *= d**exp if exp > 1 else d
+        total += term
+    return total
 
 
 def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
@@ -337,8 +317,10 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
 
     a, eps1, eps2 come from the config; params supplies the rest, must be
     finite, may not rebind those three to different values, and may name
-    no parameter the flow lacks.  The stencil plan is made here, so a
-    stencil wider than the grid raises ValueError before any rhs call.
+    no parameter the flow lacks.  Each factor points at its slot in
+    [k1, k2] + [d^m k1, d^m k2 for each order m the flow needs].  The
+    stencil plan is made here, so a stencil wider than the grid raises
+    ValueError before any rhs call.
     """
     bindings = config.bindings()
     unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
@@ -351,11 +333,11 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
         if name in bindings and value != bindings[name]:
             raise ValueError("%s is fixed by the config" % (name,))
         bindings[name] = Fraction(value)
-    p1 = _CompiledPoly(flow.p1, bindings, flow.variables)
-    p2 = _CompiledPoly(flow.p2, bindings, flow.variables)
-    needed = sorted({o for c in (p1, p2) for _, factors in c.terms for _, o, _ in factors if o})
-    p1.bind_slots(needed)
-    p2.bind_slots(needed)
+    polys = [specialize(p, bindings) for p in (flow.p1, flow.p2)]
+    needed = sorted({order for _, order, _ in _fields(*polys) if order})
+    slot = {(v, m): 2 * i + vi for i, m in enumerate([0, *needed])
+            for vi, v in enumerate(flow.variables)}
+    p1, p2 = (_program(p, slot) for p in polys)
     plan = stencil_plan(needed, config.grid_points, config.dx, config.accuracy) if needed else None
 
     def rhs(k1: np.ndarray, k2: np.ndarray):
@@ -363,7 +345,7 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
         if plan is not None:
             for derivatives in spatial_derivative((k1, k2), plan).values():
                 slots += derivatives
-        return p1(slots), p2(slots)
+        return _evaluate(p1, slots), _evaluate(p2, slots)
 
     return rhs
 

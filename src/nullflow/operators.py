@@ -55,21 +55,27 @@ from .diffalg import (
     _ONE,
     _sum_products,
 )
-from .nullcurve import Projections, _as_constant, make_X, projections
+from .nullcurve import (
+    Projections,
+    make_X,
+    projections,
+    _A,
+    _A_INV,
+    _EPS1,
+    _EPS12,
+    _EPS2_K2,
+    _K1,
+    _K2,
+    _as_constant,
+)
 
-_K1 = gen("k1")
-_K2 = gen("k2")
-_A = param("a")
-_A_INV = param("a", -1)
-_EPS1 = param("eps1")
-_EPS12 = param("eps1") * param("eps2")
 # The factors of (f''', f', f) in theta f and of (f', f) in s f, then as Theta's rows take them.
 _THETA, _S = (_A_INV, 2 * _K1, gen("k1", 1)), (2 * _K2, gen("k2", 1))
 _THETA_ROW1, _S_ROW = (tuple(_A_INV * c for c in t) for t in (_THETA, _S))
 _THETA_ROW2 = tuple(-_EPS12 * c for c in _THETA_ROW1)
 # j_matrix_apply's factors, its integration constants folded in.
 _QUARTER, _QUARTER_A, _QUARTER_A_K1 = (Fraction(1, 4) * c for c in (_ONE, _A, _A * _K1))
-_HALF_EPS1_K1, _EPS2_K2 = Fraction(1, 2) * _EPS1 * _K1, param("eps2") * _K2
+_HALF_EPS1_K1 = Fraction(1, 2) * _EPS1 * _K1
 _HALF_EPS12_A_K2, _TWO_EPS12_K2 = Fraction(1, 2) * _EPS12 * _A * _K2, 2 * _EPS12 * _K2
 
 Constant = Union[DiffPoly, int, Fraction]
@@ -81,8 +87,8 @@ def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> D
     The first constant rides with the k1*Dinv(f) site (so it surfaces as
     c*k1), the second with the bare Dinv(k1 f) site.
     """
-    ca = _as_constant(constants[0], "omega k1-site")
-    cb = _as_constant(constants[1], "omega bare site")
+    ca = _as_constant(constants[0], "integration constant at omega k1-site")
+    cb = _as_constant(constants[1], "integration constant at omega bare site")
     return (
         _A_INV * total_derivative(f)
         + _K1 * (anti_derivative(f) + ca)
@@ -130,8 +136,8 @@ def j_matrix_apply(
     of the vector field built from (h, l) with the same constants.
     """
     x, y = xy
-    c1 = _as_constant(constants[0], "j first site")
-    c2 = _as_constant(constants[1], "j second site")
+    c1 = _as_constant(constants[0], "integration constant at j first site")
+    c2 = _as_constant(constants[1], "integration constant at j second site")
     # With i1 = Dinv(x) - 2 eps1 c1/a and i2 = Dinv(k1 x + 2 eps1 eps2 k2 y) + 4 c2,
     # j1 = (x' + a k1 i1 + a i2)/4 and j2 = eps1 eps2 (a k2 i1/2 + y').
     i1 = anti_derivative(x)

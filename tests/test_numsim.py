@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nullflow import numsim
+from nullflow.diffalg import specialize
 from nullflow.expr import parse_flow
 from nullflow.hierarchy import generate, seed
 from nullflow.numsim import (
@@ -77,16 +78,17 @@ def test_fd_weights_match_classical_tables():
 
 
 def test_spatial_derivative_orders_of_accuracy():
+    # d^3 sin = -cos in row 0 and d^3 cos = sin in row 1.
     for acc, floor in ((4, 4.0), (6, 6.0)):
         errors = []
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
-            values = np.sin(sigma)
-            plan = stencil_plan([3], n, 2 * np.pi / n, acc, rows=1)
-            approx = spatial_derivative([values], plan)[3][0]
-            errors.append(np.abs(approx + np.cos(sigma)).max())
-        rate = math.log2(errors[0] / errors[1])
-        assert rate > floor - 0.3
+            plan = stencil_plan([3], n, 2 * np.pi / n, acc)
+            approx = spatial_derivative([np.sin(sigma), np.cos(sigma)], plan)[3]
+            errors.append([np.abs(approx[0] + np.cos(sigma)).max(),
+                           np.abs(approx[1] - np.sin(sigma)).max()])
+        for coarse, fine in zip(*errors):
+            assert math.log2(coarse / fine) > floor - 0.3
 
 
 def test_config_validation():
@@ -704,11 +706,12 @@ def test_padded_stencil_equals_the_roll_formula():
     for n in (16, 512):
         rows = rng.standard_normal((2, n))
         for accuracy in (4, 6):
-            for batch in (rows, rows[:1]):  # both rows in one call, and one row alone
-                got = spatial_derivative(batch, stencil_plan(orders, n, 0.37, accuracy, len(batch)))
+            plan = stencil_plan(orders, n, 0.37, accuracy)
+            for batch in (rows, rows[::-1]):  # a row's derivative does not depend on its place
+                got = spatial_derivative(batch, plan)
                 assert sorted(got) == list(orders)
                 for m in orders:
-                    assert len(got[m]) == len(batch)
+                    assert len(got[m]) == 2
                     for values, derivative in zip(batch, got[m]):
                         expected = _roll_derivative(values, m, 0.37, accuracy)
                         assert np.array_equal(derivative, expected)
@@ -741,10 +744,19 @@ def test_rows_off_the_plan_are_refused():
         rhs(np.ones(16), np.ones(20))
 
 
-def _evaluate_terms(compiled, derivs):
-    """compiled.terms on derivs[order][vi]: a zeros start, then each term added."""
+def _reference_terms(poly, bindings, variables):
+    """(float coefficient, [(variable index, order, exponent)]) per term of
+    poly specialized at bindings, in the order its terms() lists them."""
+    return [
+        (float(q), [(variables.index(var), order, exp) for (var, order), exp in gens])
+        for gens, q, _, _, _ in specialize(poly, bindings).terms()
+    ]
+
+
+def _evaluate_terms(terms, derivs):
+    """terms on derivs[order][vi]: a zeros start, then each term added."""
     total = np.zeros(len(derivs[0][0]))
-    for value, factors in compiled.terms:
+    for value, factors in terms:
         term = value
         for vi, order, exp in factors:
             d = derivs[order][vi]
@@ -755,23 +767,21 @@ def _evaluate_terms(compiled, derivs):
 
 def _per_variable_rhs(flow, params, config):
     """compile_flow's RHS with one stencil call per (variable, order) pair,
-    each padding its own row, and the terms read off _CompiledPoly.terms:
-    the route its single call and slot lists must equal."""
+    the row padded beside zeros, and the terms read off specialize: the
+    route its single call and slot lists must equal.  (The roll formula is
+    no oracle here: np.correlate sums a kernel of 13 or more taps, as an
+    order-7 flow needs under central6, in another order.)"""
     bindings = config.bindings() | {name: Fraction(value) for name, value in params.items()}
-    p1 = numsim._CompiledPoly(flow.p1, bindings, flow.variables)
-    p2 = numsim._CompiledPoly(flow.p2, bindings, flow.variables)
-    orders = [
-        sorted({o for c in (p1, p2) for _, f in c.terms for v, o, _ in f if v == vi and o})
-        for vi in range(2)
-    ]
+    terms = [_reference_terms(p, bindings, flow.variables) for p in (flow.p1, flow.p2)]
+    needed = {(vi, m) for t in terms for _, factors in t for vi, m, _ in factors if m}
 
     def rhs(k1, k2):
         derivs = {0: (k1, k2)}
-        for vi, base in ((0, k1), (1, k2)):
-            for m in orders[vi]:
-                plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy, 1)
-                derivs.setdefault(m, [None, None])[vi] = spatial_derivative([base], plan)[m][0]
-        return _evaluate_terms(p1, derivs), _evaluate_terms(p2, derivs)
+        for vi, m in needed:
+            plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy)
+            row = spatial_derivative(((k1, k2)[vi], np.zeros(config.grid_points)), plan)[m][0]
+            derivs.setdefault(m, [None, None])[vi] = row
+        return _evaluate_terms(terms[0], derivs), _evaluate_terms(terms[1], derivs)
 
     return rhs
 
@@ -819,24 +829,35 @@ def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
     assert calls == [[1, 3]]
 
 
-def test_compiled_poly_equals_the_full_array_route():
+def test_compiled_poly_equals_the_full_array_route(monkeypatch):
+    # The stencil hands back unrelated random rows, so each factor must read
+    # its own slot; the route builds every term from a full array of its
+    # coefficient and takes every power, exponent 1 included.
     rng = np.random.default_rng(3)
     n = 64
     derivs = {o: rng.standard_normal((2, n)) for o in range(4)}
-    bindings = {"a": Fraction(1.3), "eps1": -1, "eps2": 1, "c": Fraction(0.7)}
-    flow = seed(1).flow
+    calls = []
+
+    def stencil(rows, plan):
+        calls.append([m for m, *_ in plan.passes])
+        return {m: list(derivs[m]) for m in calls[-1]}
+
+    monkeypatch.setattr(numsim, "spatial_derivative", stencil)
+    config = SimConfig(domain_length=2 * np.pi, grid_points=n, a=1.3, eps1=-1)
+    bindings = config.bindings() | {"c": Fraction(0.7)}
     extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
-    for poly in (flow.p1, flow.p2, extra.p1, extra.p2):
-        compiled = numsim._CompiledPoly(poly, bindings, flow.variables)
-        compiled.bind_slots([1, 2, 3])
-        slots = [derivs[order][vi] for order in range(4) for vi in range(2)]
-        expected = np.zeros(n)
-        for value, factors in compiled.terms:
-            term = np.full(n, value)
-            for vi, order, exp in factors:
-                term *= derivs[order][vi] ** exp
-            expected += term
-        assert np.array_equal(compiled(slots), expected)
+    for flow, params, orders in ((seed(1).flow, {"c": 0.7}, [1, 3]), (extra, {}, [1, 2, 3])):
+        calls.clear()
+        got = compile_flow(flow, params, config)(*derivs[0])
+        assert calls == [orders]
+        for poly, component in zip((flow.p1, flow.p2), got):
+            expected = np.zeros(n)
+            for value, factors in _reference_terms(poly, bindings, flow.variables):
+                term = np.full(n, value)
+                for vi, order, exp in factors:
+                    term *= derivs[order][vi] ** exp
+                expected += term
+            assert np.array_equal(component, expected)
 
 
 def test_rk4_steps_equal_the_textbook_loop():
