@@ -242,10 +242,11 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     r = max(len(w) // 2 for w in weights.values())
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
+    width = n + 2 * r
     passes = []
     for m, w in weights.items():
         start = r - len(w) // 2
-        slices = (slice(start, start + n), slice(start + n + 2 * r, start + 2 * (n + r)))
+        slices = tuple(slice(at, at + n) for at in (start, start + width))
         passes.append((m, w, dx**m, slices))
     return StencilPlan(n, r, tuple(passes))
 

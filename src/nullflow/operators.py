@@ -55,19 +55,8 @@ from .diffalg import (
     _ONE,
     _sum_products,
 )
-from .nullcurve import (
-    Projections,
-    make_X,
-    projections,
-    _A,
-    _A_INV,
-    _EPS1,
-    _EPS12,
-    _EPS2_K2,
-    _K1,
-    _K2,
-    _as_constant,
-)
+from .nullcurve import Projections, _as_constant, make_X, projections
+from .nullcurve import _A, _A_INV, _EPS1, _EPS12, _EPS2_K2, _K1, _K2  # the named monomials
 
 # The factors of (f''', f', f) in theta f and of (f', f) in s f, then as Theta's rows take them.
 _THETA, _S = (_A_INV, 2 * _K1, gen("k1", 1)), (2 * _K2, gen("k2", 1))
