@@ -30,8 +30,10 @@ key sets: a product key is k1 + k2 - _BIAS with the sign carries masked off
 (so the signs multiply by XOR), and a product, D or integration that sets a
 guard raises ExponentLimitError, never wraps.  Only terms, the one decoder
 (format_terms and every reader outside this module walk it), decodes keys;
-values become Fractions only there and in const.  specialize rewrites the
-packed keys and int numerators directly.  No cache outlives a call.
+values become Fractions only there, and const takes only ints and
+Fractions.  One byte scan, _nonzero_fields, serves both readers of key
+bytes: the decoder and _fields, which reads the OR of the keys.  specialize
+rewrites packed keys and int numerators directly.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -144,21 +146,21 @@ def _encode(gens, pows, e1: int, e2: int) -> int:
 _NONZERO = bytes(1) + b"\x01" * 255  # bytes.translate table: which bytes are set
 
 
-def _set_bytes(data: bytes) -> Iterator[int]:
-    """Indices of the nonzero bytes of data above the sign byte and a's."""
-    marks = data.translate(_NONZERO)
-    byte = marks.find(1, 2)
+def _nonzero_fields(bits: int) -> list[tuple[str, int | None, int]]:
+    """(name, order, byte) of each nonzero byte of bits, in byte order: the one key scan."""
+    marks = bits.to_bytes(len(_owners), "little").translate(_NONZERO)
+    out, byte = [], marks.find(1)
     while byte >= 0:
-        yield byte
+        out.append((*_owners[byte], byte))
         byte = marks.find(1, byte + 1)
+    return out
 
 
 def _decode(key: int) -> tuple[tuple, tuple, int, int]:
     """(gens, powers, eps1, eps2) of a key: gens sorted, powers in rank order."""
     data = key.to_bytes(len(_owners), "little")
     gens, pows = [], [("a", data[1] - _A_BIAS)] if data[1] != _A_BIAS else []
-    for byte in _set_bytes(data):
-        name, order = _owners[byte]
+    for name, order, byte in _nonzero_fields(key & ~0xFFFF):  # the sign and a bytes cleared
         if order is None:
             pows.append((name, data[byte]))
         else:
@@ -169,13 +171,7 @@ def _decode(key: int) -> tuple[tuple, tuple, int, int]:
 
 def _fields(*polys: "DiffPoly") -> list[tuple[str, int, int]]:
     """(variable, order, byte) of each jet coordinate present in the polys."""
-    seen = reduce(or_, (reduce(or_, f._terms, 0) for f in polys), 0) & _var_bits
-    marks = seen.to_bytes(len(_owners), "little").translate(_NONZERO)
-    out, byte = [], marks.find(1)
-    while byte >= 0:
-        out.append((*_owners[byte], byte))
-        byte = marks.find(1, byte + 1)
-    return out
+    return _nonzero_fields(reduce(or_, (reduce(or_, f._terms, 0) for f in polys), 0) & _var_bits)
 
 
 def _normalized(acc: dict, den: int) -> "DiffPoly":
@@ -224,12 +220,6 @@ def _mul_into(acc: dict, left: dict, right: dict, scale: int = 1) -> None:
                 acc[key] = value
             else:
                 del acc[key]
-
-
-def _over_lcm(terms: dict) -> "DiffPoly":
-    """Nonzero Fraction values put over their lcm, which leaves them coprime."""
-    den = lcm(*(q.denominator for q in terms.values()))
-    return DiffPoly({k: q.numerator * (den // q.denominator) for k, q in terms.items()}, den)
 
 
 class DiffPoly:
@@ -393,9 +383,10 @@ def _plain_coordinate(var: str, order: int, exp: int) -> str:
 
 
 def const(value: Union[int, Fraction]) -> DiffPoly:
-    """The constant polynomial with the given exact rational value."""
-    q = Fraction(value)
-    return _over_lcm({_BIAS: q} if q else {})
+    """The constant polynomial with the given exact value, an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise DiffAlgError("a constant must be an int or a Fraction, got %r" % (value,))
+    return DiffPoly({_BIAS: value.numerator}, value.denominator) if value else DiffPoly()
 
 
 def zero() -> DiffPoly:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diffalg import (
-    DiffPoly,
     FlowPair,
     const,
     lie_bracket_flows,
@@ -157,13 +156,8 @@ _REFERENCE_FORMS: dict[int, dict[str, str]] = {
 }
 
 
-def _component(entry: HierarchyEntry, name: str) -> DiffPoly:
-    kind, part = name.split(".")
-    if kind == "field":
-        return getattr(entry.field, part)
-    if kind == "flow":
-        return entry.flow.p1 if part == "k1" else entry.flow.p2
-    raise ValueError("unknown component %r" % (name,))
+# The names of field.components() + flow.components(), in that order.
+_COMPONENTS = ("field.f", "field.h", "field.g", "field.l", "flow.k1", "flow.k2")
 
 
 def verify_reference_forms(entries: Sequence[HierarchyEntry] | None = None) -> dict:
@@ -182,6 +176,7 @@ def verify_reference_forms(entries: Sequence[HierarchyEntry] | None = None) -> d
         if index not in by_index:
             continue
         entry = by_index[index]
+        components = dict(zip(_COMPONENTS, entry.field.components() + entry.flow.components()))
         for name, text in sorted(_REFERENCE_FORMS[index].items()):
             expected = parse_expr(text)
             unminted = {
@@ -190,8 +185,7 @@ def verify_reference_forms(entries: Sequence[HierarchyEntry] | None = None) -> d
                 if re.fullmatch(r"c\d+", p) and p not in entry.constants_used
             }
             expected = specialize(expected, unminted)
-            got = _component(entry, name)
-            difference = got - expected
+            difference = components[name] - expected
             checks.append(
                 {
                     "index": index,

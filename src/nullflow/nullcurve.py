@@ -132,9 +132,6 @@ class LocalVectorField:
             self.f - other.f, self.h - other.h, self.g - other.g, self.l - other.l
         )
 
-    def __neg__(self) -> "LocalVectorField":
-        return LocalVectorField(-self.f, -self.h, -self.g, -self.l)
-
     def scale(self, factor: DiffPoly) -> "LocalVectorField":
         return LocalVectorField(
             factor * self.f, factor * self.h, factor * self.g, factor * self.l

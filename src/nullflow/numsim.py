@@ -25,11 +25,12 @@ asks for exactly it; the run report records it beside the run's steps,
 RHS evaluations and the dt used, all read off the one schedule evolve
 follows.  SimConfig takes counts and signs only as exact ints.  A grid
 of more than MAX_GRID_POINTS points, a run of more than MAX_STEPS steps
-and one saving more than MAX_SAVED_SAMPLES samples are refused, and a
-state that leaves the finite range or exceeds BLOWUP_LIMIT stops the
-run with BlowUp.  Every run goes through run_flow: it compiles and
-evolves a flow and, when asked, reconstructs each saved state and
-reduces it at once to its drifts, keeping only the last frame.
+and one saving more than MAX_SAVED_SAMPLES samples are refused, and so
+is an initial state above BLOWUP_LIMIT, before the first step; a step
+that leaves the finite range or BLOWUP_LIMIT stops the run with BlowUp.
+Every run goes through run_flow: it compiles and evolves a flow and,
+when asked, reconstructs each saved state and reduces it at once to its
+drifts, keeping only the last frame.
 
 Reconstruction integrates the linear frame equations Y' = A(sigma) Y,
 
@@ -316,9 +317,9 @@ def _evaluate(program: list, slots: Sequence[np.ndarray]) -> np.ndarray:
 def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     """Bind parameters and return rhs(k1, k2) -> (dk1/dt, dk2/dt).
 
-    a, eps1, eps2 come from the config; params supplies the rest, must be
-    finite, may not rebind those three to different values, and may name
-    no parameter the flow lacks.  Each factor points at its slot in
+    a, eps1, eps2 come from the config; params supplies the rest as finite
+    ints or floats, may not rebind those three to different values, and
+    may name no parameter the flow lacks.  Each factor points at its slot in
     [k1, k2] + [d^m k1, d^m k2 for each order m the flow needs].  The
     stencil plan is made here, so a stencil wider than the grid raises
     ValueError before any rhs call.
@@ -328,7 +329,8 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     if unused:
         raise ValueError("unused parameter bindings: %s" % ", ".join(sorted(unused)))
     for name, value in params.items():
-        value = float(value)
+        if type(value) not in (int, float):
+            raise ValueError("parameter %s must be an int or a float, got %r" % (name, value))
         if not math.isfinite(value):
             raise ValueError("parameter %s must be finite, got %r" % (name, value))
         if name in bindings and value != bindings[name]:
@@ -407,11 +409,13 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
-    A state of another shape, more than MAX_STEPS steps or more than
-    MAX_SAVED_SAMPLES saved samples raise ValueError before the first
-    step; a non-finite state or one above BLOWUP_LIMIT raises BlowUp.
+    A state of another shape or above BLOWUP_LIMIT, more than MAX_STEPS
+    steps or more than MAX_SAVED_SAMPLES saved samples raise ValueError
+    before the first step; a step to NaN or beyond BLOWUP_LIMIT raises BlowUp.
     """
     _check_state(state0, config)
+    if not np.abs(state0).max() <= BLOWUP_LIMIT:  # NaN fails this too
+        raise ValueError("initial state exceeds BLOWUP_LIMIT = %g" % BLOWUP_LIMIT)
     if config.t_end <= 0:
         raise ValueError("config.t_end must be positive to evolve")
     steps, dt, stride, saved = _schedule(config)

@@ -286,6 +286,18 @@ def test_simulate_blowup_exits_five(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_simulate_initial_state_above_the_blowup_limit_exits_one(tmp_path, capsys):
+    # Translation leaves a constant exactly steady, so this run used to stop
+    # at step 1 with BlowUp.last_good holding the out-of-range 1e9.
+    out = tmp_path / "initrange"
+    code = main(["simulate", "--flow", "translation", "--profile", "constant",
+                 "--amplitude", "1e9", "--n", "16", "--dt", "1e-3", "--t-end", "1e-3",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: initial state exceeds BLOWUP_LIMIT = 1e+08\n"
+    assert not out.exists()
+
+
 def test_simulate_error_paths_exit_one(tmp_path, capsys):
     flow_file = tmp_path / "flow.txt"
     flow_file.write_text("G*k1', 0\n")

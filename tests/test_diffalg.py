@@ -82,6 +82,25 @@ def test_only_a_takes_negative_powers():
         param("b", -1)
     with pytest.raises(DiffAlgError):
         param("q")
+    with pytest.raises(DiffAlgError, match="negative derivative order"):
+        gen("k1", -1)
+    with pytest.raises(DiffAlgError, match="negative polynomial power"):
+        K1 ** -1
+
+
+def test_const_takes_only_ints_and_fractions():
+    # A float would enter as its binary fraction (0.1 as
+    # 3602879701896397/36028797018963968) and a string would be parsed.
+    for bad in (0.1, "1/3", None):
+        with pytest.raises(DiffAlgError, match="a constant must be an int or a Fraction, got"):
+            const(bad)
+    with pytest.raises(TypeError, match="cannot coerce 1.5 to DiffPoly"):
+        K1 + 1.5
+    for value, numerators, den in ((0, [], 1), (-3, [-3], 1), (True, [1], 1),
+                                   (Fraction(-6, 4), [-3], 2)):
+        got = const(value)
+        _assert_canonical(got)
+        assert (list(got._terms.values()), got._den) == (numerators, den)
 
 
 def test_canonical_text_is_ordered_and_stable():
@@ -290,7 +309,10 @@ def test_translation_is_central():
 def test_flow_pair_rejects_stray_variables():
     with pytest.raises(DiffAlgError):
         FlowPair(gen("u", 1), zero())
-    FlowPair(gen("u", 1), gen("v", 1), variables=("u", "v"))
+    uv = FlowPair(gen("u", 1), gen("v", 1), variables=("u", "v"))
+    for route in (frechet, lie_bracket_flows):
+        with pytest.raises(DiffAlgError, match="flow pairs over different variables"):
+            route(FlowPair(K1, K2), uv)
 
 
 def test_specialize_substitutes_and_renames():
@@ -595,7 +617,8 @@ def _ref_specialize(f: DiffPoly, values: dict, rename: dict) -> DiffPoly:
             coord = (rename.get(v, v), m)
             moved[coord] = moved.get(coord, 0) + e
         _ref_accumulate(acc, diffalg._encode(moved.items(), kept, e1, e2), q)
-    return diffalg._over_lcm(acc)
+    den = math.lcm(*(q.denominator for q in acc.values()))
+    return DiffPoly({key: q.numerator * (den // q.denominator) for key, q in acc.items()}, den)
 
 
 def test_specialize_matches_the_decode_and_re_encode_reference():

@@ -34,6 +34,13 @@ def test_seeds_and_recursion_match_reference_forms():
     names = {(c["index"], c["component"]) for c in report["checks"]}
     assert (2, "flow.k1") in names
     assert (3, "field.f") in names
+    # Entries 0 and 1 alone are checked in full, each in component-name order.
+    report = verify_reference_forms(generate(1))
+    components = ["field.f", "field.g", "field.h", "field.l", "flow.k1", "flow.k2"]
+    assert report["ok"]
+    assert [(c["index"], c["component"], c["difference"]) for c in report["checks"]] == [
+        (index, name, "0") for index in (0, 1) for name in components
+    ]
 
 
 def test_mint_order_is_c1_c2_then_c3_c4():

@@ -75,6 +75,8 @@ def test_fd_weights_match_classical_tables():
     for bad in (0, 3, -2):
         with pytest.raises(ValueError, match="accuracy must be a positive even int"):
             fd_weights(1, bad)
+    with pytest.raises(ValueError, match="derivative order must be >= 1"):
+        fd_weights(0, 4)
 
 
 def test_spatial_derivative_orders_of_accuracy():
@@ -103,6 +105,12 @@ def test_config_validation():
         SimConfig(domain_length=-1.0)
     with pytest.raises(ValueError):
         SimConfig(domain_length=1.0, a=0.0)
+    for name, bad, message in (("dt", -1e-3, "dt and t_end must be nonnegative"),
+                               ("t_end", -1.0, "dt and t_end must be nonnegative"),
+                               ("output_stride", -1, "output_stride must be nonnegative"),
+                               ("eps1", 2, "eps1 and eps2 must be")):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{"domain_length": 1.0, name: bad})
     for name in ("domain_length", "dt", "t_end", "a"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -113,6 +121,11 @@ def test_config_validation():
             compile_flow(seed(1).flow, {"c": bad}, config)
         with pytest.raises(ValueError, match="finite"):
             compile_flow(TRANSLATION, {"b": bad}, config)
+    # Only exact ints and floats, the rule SimConfig applies to its float
+    # fields: float() would take each of these silently.
+    for bad in ("2", True, b"3", np.float32(0.1), np.float64(0.1), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="parameter c must be an int or a float, got"):
+            compile_flow(seed(1).flow, {"c": bad}, config)
 
 
 def test_config_refuses_counts_and_signs_that_are_not_exact_ints():
@@ -173,6 +186,27 @@ def test_evolve_and_reconstruction_refuse_a_state_of_another_shape():
         with pytest.raises(ValueError, match=message):
             reconstruct_curve(np.zeros(shape), config)
     assert not calls
+
+
+def test_evolve_refuses_an_initial_state_out_of_range_and_a_zero_t_end():
+    # A translated constant stays exactly steady, so only the initial
+    # check can keep BlowUp.last_good within BLOWUP_LIMIT.
+    config = SimConfig(domain_length=2 * np.pi, grid_points=16, dt=1e-3, t_end=1e-3)
+    rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
+    calls = []
+
+    def counted(k1, k2):
+        calls.append(1)
+        return rhs(k1, k2)
+
+    for k1, k2 in ((1e9, 0.0), (0.0, -2 * numsim.BLOWUP_LIMIT), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="initial state exceeds BLOWUP_LIMIT = 1e\\+08"):
+            evolve(np.array([np.full(16, k1), np.full(16, k2)]), counted, config)
+    with pytest.raises(ValueError, match="config.t_end must be positive to evolve"):
+        evolve(uniform_grid(config, 1.0), counted, dataclasses.replace(config, t_end=0))
+    assert not calls
+    limit = uniform_grid(config, numsim.BLOWUP_LIMIT, -numsim.BLOWUP_LIMIT)
+    assert np.array_equal(evolve(limit, counted, config)[1][-1], limit)
 
 
 def test_uniform_grid_rejects_non_finite_profiles():

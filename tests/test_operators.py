@@ -226,6 +226,8 @@ def test_classic_seed_flows():
     assert sigma1 == parse_flow(
         "u'''/2 + 3*u*u' - 6*v*v', -v''' - 3*u*v'", ("u", "v")
     )
+    with pytest.raises(ValueError, match="hierarchy index must be nonnegative"):
+        hs_classic_sigma(-1)
 
 
 def test_classic_first_recursion_is_known():
