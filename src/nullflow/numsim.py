@@ -10,15 +10,16 @@ refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
 engine serves every derivative of a right-hand side.  compile_flow
 specializes both components once and prepares its plan: per order the
-float weights, dx^m and one output slice per row, and the pad width.
-Each call pads both curvature rows once with wrap-around points into
-one flat buffer and takes one np.correlate per order over it.  Each
-component is one program, its terms' factors pointing at their index in
-the slot list [k1, k2, d^m k1, d^m k2, ...]; _evaluate starts from zeros
-and adds the terms, which are formed in place.  Nothing that does not
-depend on the curvature values is redone per right-hand side.  One
-classical RK4 step kernel, which sums its stages in place, serves both
-the fixed-step curvature evolution and the frame propagators below.
+float weights, dx^m and one output slice per row, and a wrap index.
+The compiled RHS maps the (2, n) state to a new (2, n) slope: one take
+pads both rows into a flat buffer and each order takes one np.correlate
+over it.  Each component is one program, its terms' factors pointing at
+their index in the slot list [k1, k2, d^m k1, d^m k2, ...]; _evaluate
+adds the terms, formed in place, into its row of one zero (2, n) output.
+Nothing that does not depend on the curvature values is redone per
+right-hand side.  One classical RK4 step kernel, which sums its stages
+in place, serves both the fixed-step curvature evolution and the frame
+propagators below.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
@@ -125,7 +127,7 @@ class SimConfig:
             value = getattr(self, name)
             if type(value) not in (int, float):
                 raise ValueError("%s must be an int or a float, got %r" % (name, value))
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, inf and ints past the float range fail this
                 raise ValueError("%s must be finite" % (name,))
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
@@ -184,8 +186,8 @@ def uniform_grid(config: SimConfig, k1, k2=None) -> np.ndarray:
     return state
 
 
-def _check_state(state: np.ndarray, config: SimConfig) -> None:
-    shape = (2, config.grid_points)
+def _check_state(state: np.ndarray, n: int) -> None:
+    shape = (2, n)
     if np.shape(state) != shape:
         raise ValueError("a curvature state has shape %s, got %s" % (shape, np.shape(state)))
 
@@ -217,14 +219,15 @@ def fd_weights(m: int, accuracy: int) -> tuple[list[int], list[Fraction]]:
 
 
 class StencilPlan(NamedTuple):
-    """spatial_derivative's bookkeeping for the two rows of n points, fixed once.
+    """spatial_derivative's bookkeeping for a (2, n) state, fixed once.
 
-    Each row is padded by r wrap-around points on each side; passes holds,
-    per order m, (m, float weights, dx**m, one output slice per row).
+    wrap indexes the flat state: each row padded by r wrap-around points a
+    side, row 0 then row 1; passes holds, per order m, (m, float weights,
+    dx**m, one output slice per row).
     """
 
     n: int
-    r: int
+    wrap: np.ndarray
     passes: tuple
 
 
@@ -234,8 +237,8 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     The weights are fd_weights' in offset order, zero taps included, as
     floats.  r is the widest stencil's half-width.  Row i's derivative of
     order m, a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of
-    that order's correlation with the padded buffer.  A stencil wider than
-    the grid, or no order at all, raises ValueError.
+    that order's correlation with the padded buffer state.take(wrap).  A
+    stencil wider than the grid, or no order at all, raises ValueError.
     """
     if not orders:
         raise ValueError("a stencil plan needs at least one derivative order")
@@ -249,29 +252,24 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
         start = r - len(w) // 2
         slices = tuple(slice(at, at + n) for at in (start, start + width))
         passes.append((m, w, dx**m, slices))
-    return StencilPlan(n, r, tuple(passes))
+    wrap = np.concatenate([np.arange(-r, n + r) % n + row * n for row in (0, 1)])
+    return StencilPlan(n, wrap, tuple(passes))
 
 
-def spatial_derivative(
-    rows: Sequence[np.ndarray], plan: StencilPlan
-) -> dict[int, list[np.ndarray]]:
-    """Periodic derivatives {m: [d^m row / dx^m for each row]} of the two rows.
+def spatial_derivative(state: np.ndarray, plan: StencilPlan) -> dict[int, list[np.ndarray]]:
+    """Periodic derivatives {m: [d^m row / dx^m for each row]} of the (2, n) state.
 
-    Both rows are padded into one flat buffer, and each order takes one
-    np.correlate over it.  An output is the dot product of the same
+    One take pads both rows into one flat buffer, and each order takes
+    one np.correlate over it.  An output is the dot product of the same
     samples whatever the buffer holds around them, so each row's
-    derivative is bit-for-bit that of the row padded alone.  Rows of
-    another count or length than the plan's raise ValueError.
+    derivative is bit-for-bit that of the row padded alone, whatever the
+    state's memory layout.  A state of another shape raises ValueError
+    naming both shapes.
     """
-    n, r, passes = plan
-    if len(rows) != 2:
-        raise ValueError("the stencil plan takes 2 rows, got %d" % (len(rows),))
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("a row has %d points, the stencil plan %d" % (len(row), n))
-    flat = np.concatenate([part for row in rows for part in (row[n - r :], row, row[:r])])
+    _check_state(state, plan.n)
+    flat = state.take(plan.wrap)
     out = {}
-    for m, weights, scale, slices in passes:
+    for m, weights, scale, slices in plan.passes:
         full = np.correlate(flat, weights, "valid")
         full /= scale
         out[m] = [full[s] for s in slices]
@@ -302,27 +300,28 @@ def _program(poly: DiffPoly, slot: dict) -> list:
     return program
 
 
-def _evaluate(program: list, slots: Sequence[np.ndarray]) -> np.ndarray:
-    """A _program on its slot list: a zeros start, then each term added."""
-    total = np.zeros(len(slots[0]))
-    for value, factors in program:
-        term = value  # float *= array makes a new array; later factors go in place
-        for at, exp in factors:
-            d = slots[at]
-            term *= d**exp if exp > 1 else d
-        total += term
-    return total
+def _evaluate(programs: Sequence[list], slots: Sequence[np.ndarray]) -> np.ndarray:
+    """Each _program on the slot list, its terms added into its row of one zero (2, n) output."""
+    out = np.zeros((2, len(slots[0])))
+    for total, program in zip(out, programs):
+        for value, factors in program:
+            term = value  # float *= array makes a new array; later factors go in place
+            for at, exp in factors:
+                d = slots[at]
+                term *= d**exp if exp > 1 else d
+            total += term
+    return out
 
 
 def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
-    """Bind parameters and return rhs(k1, k2) -> (dk1/dt, dk2/dt).
+    """Bind parameters and return rhs(state), the new (2, n) slope of a (2, n) state.
 
     a, eps1, eps2 come from the config; params supplies the rest as finite
     ints or floats, may not rebind those three to different values, and
     may name no parameter the flow lacks.  Each factor points at its slot in
     [k1, k2] + [d^m k1, d^m k2 for each order m the flow needs].  The
     stencil plan is made here, so a stencil wider than the grid raises
-    ValueError before any rhs call.
+    ValueError before any rhs call; rhs refuses a state of another shape.
     """
     bindings = config.bindings()
     unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
@@ -331,7 +330,7 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     for name, value in params.items():
         if type(value) not in (int, float):
             raise ValueError("parameter %s must be an int or a float, got %r" % (name, value))
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf and ints past the float range fail this
             raise ValueError("parameter %s must be finite, got %r" % (name, value))
         if name in bindings and value != bindings[name]:
             raise ValueError("%s is fixed by the config" % (name,))
@@ -340,15 +339,15 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     needed = sorted({order for _, order, _ in _fields(*polys) if order})
     slot = {(v, m): 2 * i + vi for i, m in enumerate([0, *needed])
             for vi, v in enumerate(flow.variables)}
-    p1, p2 = (_program(p, slot) for p in polys)
+    programs = [_program(p, slot) for p in polys]
     plan = stencil_plan(needed, config.grid_points, config.dx, config.accuracy) if needed else None
 
-    def rhs(k1: np.ndarray, k2: np.ndarray):
-        slots = [k1, k2]
-        if plan is not None:
-            for derivatives in spatial_derivative((k1, k2), plan).values():
-                slots += derivatives
-        return _evaluate(p1, slots), _evaluate(p2, slots)
+    def rhs(state: np.ndarray) -> np.ndarray:
+        if plan is None:
+            _check_state(state, config.grid_points)
+            return _evaluate(programs, state)
+        derivatives = spatial_derivative(state, plan)  # checks the shape first
+        return _evaluate(programs, sum(derivatives.values(), [state[0], state[1]]))  # the slots
 
     return rhs
 
@@ -405,6 +404,7 @@ def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
 def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """March the (2, n) state0 from t = 0 to t_end with fixed-step RK4.
 
+    rhs(state) gives the (2, n) slope; evolve copies it, so rhs may reuse its buffers.
     Returns (times, states) of shapes (S,) and (S, 2, n), allocated once.
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
@@ -413,7 +413,7 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     steps or more than MAX_SAVED_SAMPLES saved samples raise ValueError
     before the first step; a step to NaN or beyond BLOWUP_LIMIT raises BlowUp.
     """
-    _check_state(state0, config)
+    _check_state(state0, config.grid_points)
     if not np.abs(state0).max() <= BLOWUP_LIMIT:  # NaN fails this too
         raise ValueError("initial state exceeds BLOWUP_LIMIT = %g" % BLOWUP_LIMIT)
     if config.t_end <= 0:
@@ -422,7 +422,7 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     times = np.zeros(saved)
     states = np.empty((saved, 2, config.grid_points))
     states[0] = y = state0
-    slope = lambda stage, state: np.array(rhs(*state))  # a copy the sums may reuse
+    slope = lambda stage, state: np.array(rhs(state))  # a copy the sums may reuse
     for step in range(1, steps + 1):
         new_y = _rk4_step(slope, y, dt)
         if not np.abs(new_y).max() <= BLOWUP_LIMIT:  # NaN fails this too
@@ -522,7 +522,7 @@ def reconstruct_curve(state: np.ndarray, config: SimConfig) -> FramePath:
     The curve starts from standard_initial_frame of the configured
     signature, which satisfies the pairing table exactly.
     """
-    _check_state(state, config)
+    _check_state(state, config.grid_points)
     if not np.isfinite(state).all():
         raise ValueError("curvature state holds non-finite values")
     gamma0, t0, w10, n0, w20, eta = standard_initial_frame(config.eps1, config.eps2)

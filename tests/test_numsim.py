@@ -86,7 +86,7 @@ def test_spatial_derivative_orders_of_accuracy():
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
             plan = stencil_plan([3], n, 2 * np.pi / n, acc)
-            approx = spatial_derivative([np.sin(sigma), np.cos(sigma)], plan)[3]
+            approx = spatial_derivative(np.array([np.sin(sigma), np.cos(sigma)]), plan)[3]
             errors.append([np.abs(approx[0] + np.cos(sigma)).max(),
                            np.abs(approx[1] - np.sin(sigma)).max()])
         for coarse, fine in zip(*errors):
@@ -111,15 +111,17 @@ def test_config_validation():
                                ("eps1", 2, "eps1 and eps2 must be")):
         with pytest.raises(ValueError, match=message):
             SimConfig(**{"domain_length": 1.0, name: bad})
+    # An int past the float range is refused as inf is, not by the
+    # OverflowError of its conversion.
     for name in ("domain_length", "dt", "t_end", "a"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError, match="%s must be finite" % name):
                 SimConfig(**{"domain_length": 1.0, name: bad})
     config = SimConfig(domain_length=2 * np.pi, grid_points=64)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400):
+        with pytest.raises(ValueError, match="parameter c must be finite"):
             compile_flow(seed(1).flow, {"c": bad}, config)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="parameter b must be finite"):
             compile_flow(TRANSLATION, {"b": bad}, config)
     # Only exact ints and floats, the rule SimConfig applies to its float
     # fields: float() would take each of these silently.
@@ -175,9 +177,9 @@ def test_evolve_and_reconstruction_refuse_a_state_of_another_shape():
     config = SimConfig(domain_length=2 * np.pi, grid_points=n, dt=1e-3, t_end=1e-2)
     calls = []
 
-    def rhs(k1, k2):
+    def rhs(state):
         calls.append(1)
-        return k1, k2
+        return state
 
     for shape in ((2, n + 1), (n,), (3, n)):
         message = re.escape("has shape (2, 32), got %s" % (shape,))
@@ -195,9 +197,9 @@ def test_evolve_refuses_an_initial_state_out_of_range_and_a_zero_t_end():
     rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
     calls = []
 
-    def counted(k1, k2):
+    def counted(state):
         calls.append(1)
-        return rhs(k1, k2)
+        return rhs(state)
 
     for k1, k2 in ((1e9, 0.0), (0.0, -2 * numsim.BLOWUP_LIMIT), (math.nan, 0.0)):
         with pytest.raises(ValueError, match="initial state exceeds BLOWUP_LIMIT = 1e\\+08"):
@@ -334,14 +336,14 @@ def test_evolve_copies_slopes_from_an_rhs_that_reuses_its_buffers():
         domain_length=2 * np.pi, grid_points=64, dt=1e-3, t_end=1e-2, output_stride=1
     )
     state = uniform_grid(config, np.sin)
-    out = (np.empty(64), np.empty(64))
+    out = np.empty((2, 64))
 
-    def reused(k1, k2):
-        np.negative(k1, out=out[0])
-        np.divide(k2, 2, out=out[1])
+    def reused(state):
+        np.negative(state[0], out=out[0])
+        np.divide(state[1], 2, out=out[1])
         return out
 
-    fresh = evolve(state, lambda k1, k2: (-k1, k2 / 2), config)
+    fresh = evolve(state, lambda state: (-state[0], state[1] / 2), config)
     times, states = evolve(state, reused, config)
     assert len(states) == len(fresh[1]) == 11
     assert np.array_equal(times, fresh[0])
@@ -353,7 +355,7 @@ def test_non_finite_slopes_stop_the_first_step():
     state = uniform_grid(config, np.sin, 0.25)
     for bad in (math.nan, math.inf):
         with pytest.raises(BlowUp) as info:
-            evolve(state, lambda k1, k2: (np.full_like(k1, bad), k2), config)
+            evolve(state, lambda state: (np.full_like(state[0], bad), state[1]), config)
         err = info.value
         assert err.step == 1
         assert err.time == pytest.approx(config.dt)
@@ -515,9 +517,9 @@ def test_run_report_counts_steps_and_rhs_evaluations():
                        output_stride=3)
     calls = []
 
-    def rhs(k1, k2):
+    def rhs(state):
         calls.append(1)
-        return -k2, k1
+        return -state[1], state[0]
 
     times, states = evolve(uniform_grid(config, np.sin), rhs, config)
     report = run_report(config, times, states)
@@ -764,18 +766,24 @@ def test_a_stencil_wider_than_the_grid_is_refused():
         compile_flow(parse_flow("k1^(11), k2'"), {}, config)
 
 
-def test_rows_off_the_plan_are_refused():
+def test_rows_off_the_plan_are_refused(monkeypatch):
+    # One error naming both shapes, before any correlation, from the stencil
+    # and from both branches of the compiled RHS.
+    correlations = []
+    monkeypatch.setattr(np, "correlate", lambda *args: correlations.append(args))
     plan = stencil_plan([1], 16, 0.4)
-    with pytest.raises(ValueError, match="a row has 15 points, the stencil plan 16"):
-        spatial_derivative([np.ones(16), np.ones(15)], plan)
-    with pytest.raises(ValueError, match="the stencil plan takes 2 rows, got 1"):
-        spatial_derivative([np.ones(16)], plan)
+    config = SimConfig(domain_length=6.4, grid_points=16)
+    calls = [lambda state: spatial_derivative(state, plan),
+             compile_flow(seed(1).flow, {"c": 1.0}, config),
+             compile_flow(parse_flow("k1*k2 - k2, k1^2 - 3"), {}, config)]
+    for shape in ((2, 17), (16,), (3, 16)):
+        message = re.escape("a curvature state has shape (2, 16), got %s" % (shape,))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(np.ones(shape))
+    assert not correlations
     with pytest.raises(ValueError, match="needs at least one derivative order"):
         stencil_plan([], 16, 0.4)
-    config = SimConfig(domain_length=6.4, grid_points=16)
-    rhs = compile_flow(seed(1).flow, {"c": 1.0}, config)
-    with pytest.raises(ValueError, match="a row has 20 points, the stencil plan 16"):
-        rhs(np.ones(16), np.ones(20))
 
 
 def _reference_terms(poly, bindings, variables):
@@ -809,12 +817,12 @@ def _per_variable_rhs(flow, params, config):
     terms = [_reference_terms(p, bindings, flow.variables) for p in (flow.p1, flow.p2)]
     needed = {(vi, m) for t in terms for _, factors in t for vi, m, _ in factors if m}
 
-    def rhs(k1, k2):
-        derivs = {0: (k1, k2)}
+    def rhs(state):
+        derivs = {0: state}
         for vi, m in needed:
             plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy)
-            row = spatial_derivative(((k1, k2)[vi], np.zeros(config.grid_points)), plan)[m][0]
-            derivs.setdefault(m, [None, None])[vi] = row
+            alone = np.stack([state[vi], np.zeros(config.grid_points)])
+            derivs.setdefault(m, [None, None])[vi] = spatial_derivative(alone, plan)[m][0]
         return _evaluate_terms(terms[0], derivs), _evaluate_terms(terms[1], derivs)
 
     return rhs
@@ -839,11 +847,40 @@ def test_one_stencil_call_per_rhs_equals_the_per_variable_route():
             names = sorted((flow.p1.parameters() | flow.p2.parameters()) - {"a", "eps1", "eps2"})
             params = {name: 0.5 + 0.25 * i for i, name in enumerate(names)}
             for state in states:
-                got = compile_flow(flow, params, config)(*state)
-                expected = _per_variable_rhs(flow, params, config)(*state)
+                got = compile_flow(flow, params, config)(state)
+                expected = _per_variable_rhs(flow, params, config)(state)
                 for g, e in zip(got, expected):
                     assert np.array_equal(g, e)
                     assert np.array_equal(np.signbit(g), np.signbit(e))
+
+
+def test_rhs_is_bit_identical_on_any_memory_layout():
+    # A Fortran-ordered copy and a strided view (its skipped columns NaN)
+    # hold the same values as the C-ordered state, so the one take that
+    # pads them must give the same slope, sign bits included.
+    rng = np.random.default_rng(5)
+    n = 64
+    states = [rng.standard_normal((2, n)), np.stack([1.0 + rng.random(n), np.zeros(n)])]
+    flows = [(seed(1).flow, {"c": 0.7}), (parse_flow("-k1*k2, -k2*k1' + k1"), {}),
+             (parse_flow("k1*k2 - k2, k1^2 - 3"), {})]
+    for stencil in ("central4", "central6"):
+        config = SimConfig(domain_length=7.0, grid_points=n, derivative_stencil=stencil)
+        plan = stencil_plan([1, 3], n, config.dx, config.accuracy)
+        for state in states:
+            big = np.full((2, 2 * n), np.nan)
+            big[:, ::2] = state
+            layouts = [np.asfortranarray(state), big[:, ::2]]
+            assert not any(layout.flags.c_contiguous for layout in layouts)
+            for layout in layouts:
+                derivs, expected = spatial_derivative(layout, plan), spatial_derivative(state, plan)
+                for m in (1, 3):
+                    assert all(np.array_equal(g, e) for g, e in zip(derivs[m], expected[m]))
+                for flow, params in flows:
+                    rhs = compile_flow(flow, params, config)
+                    got, expected = rhs(layout), rhs(state)
+                    assert got.shape == (2, n) and got.flags.c_contiguous
+                    assert np.array_equal(got, expected)
+                    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
@@ -857,9 +894,9 @@ def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
     monkeypatch.setattr(numsim, "spatial_derivative", counted)
     config = SimConfig(domain_length=7.0, grid_points=64)
     state = np.ones((2, 64))
-    compile_flow(seed(1).flow, {"c": 1.0}, config)(*state)
+    compile_flow(seed(1).flow, {"c": 1.0}, config)(state)
     assert calls == [[1, 3]]
-    compile_flow(parse_flow("k1*k2, k2"), {}, config)(*state)
+    compile_flow(parse_flow("k1*k2, k2"), {}, config)(state)
     assert calls == [[1, 3]]
 
 
@@ -882,7 +919,7 @@ def test_compiled_poly_equals_the_full_array_route(monkeypatch):
     extra = parse_flow("k1^2*k2' - 3*k2''^2*k1 + 2, k1''' + 5")
     for flow, params, orders in ((seed(1).flow, {"c": 0.7}, [1, 3]), (extra, {}, [1, 2, 3])):
         calls.clear()
-        got = compile_flow(flow, params, config)(*derivs[0])
+        got = compile_flow(flow, params, config)(derivs[0])
         assert calls == [orders]
         for poly, component in zip((flow.p1, flow.p2), got):
             expected = np.zeros(n)
@@ -908,10 +945,10 @@ def test_rk4_steps_equal_the_textbook_loop():
     k1, k2 = state.copy()
     assert len(states) == 6
     for saved in states[1:]:
-        a1, b1 = rhs(k1, k2)
-        a2, b2 = rhs(k1 + 0.5 * dt * a1, k2 + 0.5 * dt * b1)
-        a3, b3 = rhs(k1 + 0.5 * dt * a2, k2 + 0.5 * dt * b2)
-        a4, b4 = rhs(k1 + dt * a3, k2 + dt * b3)
+        a1, b1 = rhs(np.array([k1, k2]))
+        a2, b2 = rhs(np.array([k1 + 0.5 * dt * a1, k2 + 0.5 * dt * b1]))
+        a3, b3 = rhs(np.array([k1 + 0.5 * dt * a2, k2 + 0.5 * dt * b2]))
+        a4, b4 = rhs(np.array([k1 + dt * a3, k2 + dt * b3]))
         k1 = k1 + (dt / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
         k2 = k2 + (dt / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
         assert np.array_equal(saved[0], k1)
@@ -921,9 +958,9 @@ def test_rk4_steps_equal_the_textbook_loop():
 def test_evolve_refuses_more_than_max_steps():
     calls = []
 
-    def rhs(k1, k2):
+    def rhs(state):
         calls.append(1)
-        return k1, k2
+        return state
 
     for dt in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
         config = SimConfig(domain_length=2 * np.pi, grid_points=16, dt=dt, t_end=1.0)
@@ -939,7 +976,7 @@ def test_evolve_refuses_more_than_max_saved_samples():
     class Reached(Exception):
         pass
 
-    def rhs(k1, k2):
+    def rhs(state):
         raise Reached
 
     dt = 2.0**-10
@@ -999,7 +1036,7 @@ def test_evolve_memory_is_the_saved_block():
     state = uniform_grid(config, np.sin, np.cos)
     tracemalloc.start()
     try:
-        times, states = evolve(state, lambda k1, k2: (k2, -k1), config)
+        times, states = evolve(state, lambda state: (state[1], -state[0]), config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -55,8 +55,12 @@ OUTPUT_COMMANDS = {
     "simulate-fifth-order": "simulate --flow file --flow-file flow.txt --stencil central6 --n 64 "
                             "--length 40 --dt 1e-4 --t-end 0.02 --stride 50 --k2-amplitude 0.2 "
                             "--out out",
+    "simulate-no-derivative": "simulate --flow file --flow-file noderiv.txt --n 32 --dt 1e-3 "
+                              "--t-end 0.01 --out out",
 }
-FIFTH_ORDER_FLOW = "k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''\n"
+# file name -> the flow it holds, written beside every command
+FLOW_FILES = {"flow.txt": "k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''\n",
+              "noderiv.txt": "k1*k2 - k2, k1^2 - 3\n"}
 
 
 def summarize(records: list) -> dict:
@@ -112,12 +116,13 @@ def export(repo: str, revision: str, dest: str) -> str:
 
 
 def run_outputs(tree: str, dest: str, commands: dict) -> None:
-    """Run each named CLI command of tree in dest/<name>, emptied first, beside flow.txt."""
+    """Run each named CLI command of tree in dest/<name>, emptied first, beside FLOW_FILES."""
     for name, argv in commands.items():
         where = os.path.join(dest, name)
         shutil.rmtree(where, ignore_errors=True)
         os.makedirs(where)
-        Path(where, "flow.txt").write_text(FIFTH_ORDER_FLOW)
+        for file_name, flow in FLOW_FILES.items():
+            Path(where, file_name).write_text(flow)
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from nullflow.cli import main; "
              "sys.exit(main(sys.argv[1:]))", *shlex.split(argv)], cwd=where, capture_output=True,
