@@ -108,6 +108,8 @@ def _profiles(args, length: float):
 
 def _check_out(out: str) -> None:
     """Refuse, before any work, an --out that cannot become a directory."""
+    if not out:
+        raise ValueError("--out is empty; name the directory to write")
     existing = out
     while not os.path.lexists(existing):  # as typed: "file/.." does not exist
         existing = os.path.dirname(existing) or "."

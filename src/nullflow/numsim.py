@@ -14,12 +14,12 @@ float weights, dx^m and one output slice per row, and a wrap index.
 The compiled RHS maps the (2, n) state to a new (2, n) slope: one take
 pads both rows into a flat buffer and each order takes one np.correlate
 over it.  Each component is one program, its terms' factors pointing at
-their index in the slot list [k1, k2, d^m k1, d^m k2, ...]; _evaluate
-adds the terms, formed in place, into its row of one zero (2, n) output.
-Nothing that does not depend on the curvature values is redone per
-right-hand side.  One classical RK4 step kernel, which sums its stages
-in place, serves both the fixed-step curvature evolution and the frame
-propagators below.
+their index in the slot list [k1, k2, d^m k1, d^m k2, ...], the rows and
+then the stencil's flat list; _evaluate adds the terms, formed in place,
+into its row of one zero (2, n) output.  Nothing that does not depend on
+the curvature values is redone per right-hand side.  One RK4 step kernel
+copies only the first slope and adds each later one into that copy at
+once; it serves the curvature evolution and the frame propagators.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -222,8 +222,8 @@ class StencilPlan(NamedTuple):
     """spatial_derivative's bookkeeping for a (2, n) state, fixed once.
 
     wrap indexes the flat state: each row padded by r wrap-around points a
-    side, row 0 then row 1; passes holds, per order m, (m, float weights,
-    dx**m, one output slice per row).
+    side, row 0 then row 1; passes holds, per order m in the order of
+    spatial_derivative's list, (m, float weights, dx**m, a slice per row).
     """
 
     n: int
@@ -256,23 +256,23 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     return StencilPlan(n, wrap, tuple(passes))
 
 
-def spatial_derivative(state: np.ndarray, plan: StencilPlan) -> dict[int, list[np.ndarray]]:
-    """Periodic derivatives {m: [d^m row / dx^m for each row]} of the (2, n) state.
+def spatial_derivative(state: np.ndarray, plan: StencilPlan) -> list[np.ndarray]:
+    """Periodic derivatives [d^m row0 / dx^m, d^m row1 / dx^m per order m, in plan order].
 
-    One take pads both rows into one flat buffer, and each order takes
-    one np.correlate over it.  An output is the dot product of the same
-    samples whatever the buffer holds around them, so each row's
-    derivative is bit-for-bit that of the row padded alone, whatever the
-    state's memory layout.  A state of another shape raises ValueError
-    naming both shapes.
+    One take pads both rows of the (2, n) state into one flat buffer, and
+    each order takes one np.correlate over it.  An output is the dot
+    product of the same samples whatever the buffer holds around them, so
+    each row's derivative is bit-for-bit that of the row padded alone,
+    whatever the state's memory layout.  A state of another shape raises
+    ValueError naming both shapes.
     """
     _check_state(state, plan.n)
     flat = state.take(plan.wrap)
-    out = {}
-    for m, weights, scale, slices in plan.passes:
+    out = []
+    for _, weights, scale, (row0, row1) in plan.passes:
         full = np.correlate(flat, weights, "valid")
         full /= scale
-        out[m] = [full[s] for s in slices]
+        out += full[row0], full[row1]
     return out
 
 
@@ -347,7 +347,7 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
             _check_state(state, config.grid_points)
             return _evaluate(programs, state)
         derivatives = spatial_derivative(state, plan)  # checks the shape first
-        return _evaluate(programs, sum(derivatives.values(), [state[0], state[1]]))  # the slots
+        return _evaluate(programs, [state[0], state[1], *derivatives])  # the slots
 
     return rhs
 
@@ -358,22 +358,21 @@ def _rk4_step(slope: Callable, y: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of size h from y.
 
     slope(stage, y) is the right-hand side at stage 0, 1 or 2 of the step
-    (start, middle, end) and must return a new array; stage 1 is asked
-    twice.  The sum s1 + 2 s2 + 2 s3 + s4 is formed left to right in
-    place in s2.
+    (start, middle, end); stage 1 is asked twice.  Only s1 is copied, and
+    the copy is the total: each later slope is added into it before the
+    next call, so slope may hand out one buffer every time.  The sum
+    s1 + 2 s2 + 2 s3 + s4 is formed left to right.
     """
     half = 0.5 * h
-    s1 = slope(0, y)
+    s1 = np.array(slope(0, y))
     s2 = slope(1, y + half * s1)
+    s1 += s2 * 2.0
     s3 = slope(1, y + half * s2)
+    s1 += s3 * 2.0
     s4 = slope(2, y + h * s3)
-    s2 *= 2.0
-    s2 += s1
-    s3 *= 2.0
-    s2 += s3
-    s2 += s4
-    s2 *= h / 6.0
-    return y + s2
+    s1 += s4
+    s1 *= h / 6.0
+    return y + s1
 
 
 def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
@@ -404,7 +403,7 @@ def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
 def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """March the (2, n) state0 from t = 0 to t_end with fixed-step RK4.
 
-    rhs(state) gives the (2, n) slope; evolve copies it, so rhs may reuse its buffers.
+    rhs(state) gives the (2, n) slope and may reuse its buffers: _rk4_step copies what it keeps.
     Returns (times, states) of shapes (S,) and (S, 2, n), allocated once.
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
@@ -422,7 +421,7 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     times = np.zeros(saved)
     states = np.empty((saved, 2, config.grid_points))
     states[0] = y = state0
-    slope = lambda stage, state: np.array(rhs(state))  # a copy the sums may reuse
+    slope = lambda stage, state: np.asarray(rhs(state))
     for step in range(1, steps + 1):
         new_y = _rk4_step(slope, y, dt)
         if not np.abs(new_y).max() <= BLOWUP_LIMIT:  # NaN fails this too

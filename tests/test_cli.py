@@ -374,6 +374,18 @@ def test_simulate_out_naming_a_file_exits_one_before_any_work(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_simulate_empty_out_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_flow called")
+
+    monkeypatch.setattr("nullflow.numsim.run_flow", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--flow", "translation", "--n", "16", "--t-end", "1e-3",
+                 "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out is empty; name the directory to write\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_out_below_a_file_exits_one_before_any_work(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_flow called")

@@ -86,7 +86,7 @@ def test_spatial_derivative_orders_of_accuracy():
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
             plan = stencil_plan([3], n, 2 * np.pi / n, acc)
-            approx = spatial_derivative(np.array([np.sin(sigma), np.cos(sigma)]), plan)[3]
+            approx = spatial_derivative(np.array([np.sin(sigma), np.cos(sigma)]), plan)
             errors.append([np.abs(approx[0] + np.cos(sigma)).max(),
                            np.abs(approx[1] - np.sin(sigma)).max()])
         for coarse, fine in zip(*errors):
@@ -744,11 +744,10 @@ def test_padded_stencil_equals_the_roll_formula():
         for accuracy in (4, 6):
             plan = stencil_plan(orders, n, 0.37, accuracy)
             for batch in (rows, rows[::-1]):  # a row's derivative does not depend on its place
-                got = spatial_derivative(batch, plan)
-                assert sorted(got) == list(orders)
-                for m in orders:
-                    assert len(got[m]) == 2
-                    for values, derivative in zip(batch, got[m]):
+                got = spatial_derivative(batch, plan)  # [d^m row0, d^m row1 for m in orders]
+                assert len(got) == 2 * len(orders)
+                for i, m in enumerate(orders):
+                    for values, derivative in zip(batch, got[2 * i:2 * i + 2]):
                         expected = _roll_derivative(values, m, 0.37, accuracy)
                         assert np.array_equal(derivative, expected)
 
@@ -757,7 +756,7 @@ def test_a_stencil_wider_than_the_grid_is_refused():
     # Order 11 under central6 needs 17 points, one more than the grid has;
     # under central4 it needs 15, so it fits.
     rows = np.ones((2, 16))
-    assert len(spatial_derivative(rows, stencil_plan([1, 11], 16, 0.1, 4))[11][1]) == 16
+    assert len(spatial_derivative(rows, stencil_plan([1, 11], 16, 0.1, 4))[3]) == 16  # d^11 row1
     with pytest.raises(ValueError, match="stencil wider than the grid"):
         stencil_plan([1, 11], 16, 0.1, 6)
     config = SimConfig(domain_length=1.6, grid_points=16, dt=1e-3, t_end=1e-3,
@@ -822,7 +821,7 @@ def _per_variable_rhs(flow, params, config):
         for vi, m in needed:
             plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy)
             alone = np.stack([state[vi], np.zeros(config.grid_points)])
-            derivs.setdefault(m, [None, None])[vi] = spatial_derivative(alone, plan)[m][0]
+            derivs.setdefault(m, [None, None])[vi] = spatial_derivative(alone, plan)[0]
         return _evaluate_terms(terms[0], derivs), _evaluate_terms(terms[1], derivs)
 
     return rhs
@@ -873,8 +872,8 @@ def test_rhs_is_bit_identical_on_any_memory_layout():
             assert not any(layout.flags.c_contiguous for layout in layouts)
             for layout in layouts:
                 derivs, expected = spatial_derivative(layout, plan), spatial_derivative(state, plan)
-                for m in (1, 3):
-                    assert all(np.array_equal(g, e) for g, e in zip(derivs[m], expected[m]))
+                assert len(derivs) == len(expected) == 4  # rows 0 and 1 of orders 1 and 3
+                assert all(np.array_equal(g, e) for g, e in zip(derivs, expected))
                 for flow, params in flows:
                     rhs = compile_flow(flow, params, config)
                     got, expected = rhs(layout), rhs(state)
@@ -911,7 +910,7 @@ def test_compiled_poly_equals_the_full_array_route(monkeypatch):
 
     def stencil(rows, plan):
         calls.append([m for m, *_ in plan.passes])
-        return {m: list(derivs[m]) for m in calls[-1]}
+        return [row for m in calls[-1] for row in derivs[m]]
 
     monkeypatch.setattr(numsim, "spatial_derivative", stencil)
     config = SimConfig(domain_length=2 * np.pi, grid_points=n, a=1.3, eps1=-1)
@@ -953,6 +952,34 @@ def test_rk4_steps_equal_the_textbook_loop():
         k2 = k2 + (dt / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
         assert np.array_equal(saved[0], k1)
         assert np.array_equal(saved[1], k2)
+
+
+def test_rk4_step_reads_each_slope_before_the_next_call():
+    # A slope that writes every stage into one buffer must step exactly as
+    # one that returns fresh arrays, sign bits included: on a curvature
+    # state and on a propagator stack whose -0.0 entries stay signed zeros.
+    rng = np.random.default_rng(13)
+    weights = (0.7, 1.3, 2.1)  # one per stage, so a stale stage shows
+    stack = rng.standard_normal((5, 32, 4))
+    stack[:, ::3] = -0.0
+    for y in (rng.standard_normal((2, 64)), stack):
+        buffer = np.empty_like(y)
+        stages = []
+
+        def fresh(stage, y):
+            return weights[stage] * y * np.cos(y)
+
+        def reused(stage, y):
+            stages.append(stage)
+            np.copyto(buffer, fresh(stage, y))
+            return buffer
+
+        expected = numsim._rk4_step(fresh, y, 0.05)
+        got = numsim._rk4_step(reused, y, 0.05)
+        assert stages == [0, 1, 1, 2]
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.signbit(expected[:, ::3]).all()
 
 
 def test_evolve_refuses_more_than_max_steps():
