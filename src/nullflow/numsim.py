@@ -17,9 +17,9 @@ over it.  Each component is one program, its terms' factors pointing at
 their index in the slot list [k1, k2, d^m k1, d^m k2, ...], the rows and
 then the stencil's flat list; _evaluate adds the terms, formed in place,
 into its row of one zero (2, n) output.  Nothing that does not depend on
-the curvature values is redone per right-hand side.  One RK4 step kernel
-copies only the first slope and adds each later one into that copy at
-once; it serves the curvature evolution and the frame propagators.
+the curvature values is redone per right-hand side.  One classical RK4
+step kernel, which sums its stages in place, serves both the fixed-step
+curvature evolution and the frame propagators.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -358,21 +358,22 @@ def _rk4_step(slope: Callable, y: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of size h from y.
 
     slope(stage, y) is the right-hand side at stage 0, 1 or 2 of the step
-    (start, middle, end); stage 1 is asked twice.  Only s1 is copied, and
-    the copy is the total: each later slope is added into it before the
-    next call, so slope may hand out one buffer every time.  The sum
-    s1 + 2 s2 + 2 s3 + s4 is formed left to right.
+    (start, middle, end) and must return a new array; stage 1 is asked
+    twice.  The sum s1 + 2 s2 + 2 s3 + s4 is formed left to right in
+    place in s2.
     """
     half = 0.5 * h
-    s1 = np.array(slope(0, y))
+    s1 = slope(0, y)
     s2 = slope(1, y + half * s1)
-    s1 += s2 * 2.0
     s3 = slope(1, y + half * s2)
-    s1 += s3 * 2.0
     s4 = slope(2, y + h * s3)
-    s1 += s4
-    s1 *= h / 6.0
-    return y + s1
+    s2 *= 2.0
+    s2 += s1
+    s3 *= 2.0
+    s2 += s3
+    s2 += s4
+    s2 *= h / 6.0
+    return y + s2
 
 
 def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
@@ -403,7 +404,7 @@ def _schedule(config: SimConfig) -> tuple[int, float, int, int]:
 def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """March the (2, n) state0 from t = 0 to t_end with fixed-step RK4.
 
-    rhs(state) gives the (2, n) slope and may reuse its buffers: _rk4_step copies what it keeps.
+    rhs(state) gives the (2, n) slope; evolve copies it, so rhs may reuse its buffers.
     Returns (times, states) of shapes (S,) and (S, 2, n), allocated once.
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
@@ -421,7 +422,7 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     times = np.zeros(saved)
     states = np.empty((saved, 2, config.grid_points))
     states[0] = y = state0
-    slope = lambda stage, state: np.asarray(rhs(state))
+    slope = lambda stage, state: np.array(rhs(state))  # a copy the sums may reuse
     for step in range(1, steps + 1):
         new_y = _rk4_step(slope, y, dt)
         if not np.abs(new_y).max() <= BLOWUP_LIMIT:  # NaN fails this too

@@ -124,28 +124,22 @@ def test_outputs_of_one_tree_match_and_a_changed_file_is_named(tmp_path):
         "flow/exit: only in head", "translation/out/k1.csv: differs"]
 
 
-def _fake_repo(repo, clis) -> list[str]:
-    """A git repo with one commit per source of nullflow/cli.py; their commit ids."""
+def test_outputs_flag_exits_one_only_when_two_revisions_differ(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "repo"
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-C", str(repo)]
     package = repo / "src" / "nullflow"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     commits = []
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
-    for source in clis:
-        (package / "cli.py").write_text(source)
+    for version in ("one", "two"):
+        (package / "cli.py").write_text(
+            "def main(argv):\n    open('written.txt', 'w').write('same')\n"
+            "    print(%r, *argv)\n    return 0\n" % version)
         subprocess.run(git + ["add", "src"], check=True)
-        subprocess.run(git + ["commit", "-q", "-m", "cli"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", version], check=True)
         commits.append(subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
                                       text=True, check=True).stdout.strip())
-    return commits
-
-
-def test_outputs_flag_exits_one_only_when_two_revisions_differ(tmp_path, monkeypatch, capsys):
-    repo = tmp_path / "repo"
-    commits = _fake_repo(repo, [
-        "def main(argv):\n    open('written.txt', 'w').write('same')\n"
-        "    print(%r, *argv)\n    return 0\n" % version for version in ("one", "two")])
     monkeypatch.setattr(bench_pairs, "HERE_REPO", str(repo))
     monkeypatch.setattr(bench_pairs, "OUTPUT_COMMANDS", {"cmd": "hierarchy --upto 1"})
     argv = ["--outputs", "--scratch", str(tmp_path / "scratch"), "--base", commits[0]]
@@ -155,36 +149,3 @@ def test_outputs_flag_exits_one_only_when_two_revisions_differ(tmp_path, monkeyp
         "one hierarchy --upto 1\n")
     assert bench_pairs.main(argv + ["--head", commits[1]]) == 1
     assert capsys.readouterr().out == "cmd/stdout: differs\n"
-
-
-def test_an_ignored_report_key_is_left_out_and_named(tmp_path, monkeypatch, capsys):
-    # Three revisions write report.json: the second differs from the first
-    # only in "timings", the third also in "steps".
-    reports = [{"steps": 10, "timings": 0.5}, {"steps": 10, "timings": 0.7},
-               {"steps": 11, "timings": 0.5}]
-    repo = tmp_path / "repo"
-    commits = _fake_repo(repo, [
-        "import json, os\ndef main(argv):\n    os.makedirs('out')\n"
-        "    json.dump(%r, open('out/report.json', 'w'), indent=2)\n"
-        "    open('out/k1.csv', 'w').write('1\\n')\n    return 0\n" % (r,) for r in reports])
-    monkeypatch.setattr(bench_pairs, "HERE_REPO", str(repo))
-    monkeypatch.setattr(bench_pairs, "OUTPUT_COMMANDS", {"cmd": "simulate"})
-    argv = ["--outputs", "--scratch", str(tmp_path / "scratch"), "--base", commits[0]]
-    assert bench_pairs.main(argv + ["--head", commits[1]]) == 1
-    assert capsys.readouterr().out == "cmd/out/report.json: differs\n"
-    ignore = ["--ignore-report-key", "timings"]
-    assert bench_pairs.main(argv + ["--head", commits[1]] + ignore) == 0
-    assert capsys.readouterr().out == (
-        "left out of every report.json: timings\nno difference: 1 commands compared\n")
-    assert bench_pairs.main(argv + ["--head", commits[2]] + ignore) == 1
-    assert capsys.readouterr().out == (
-        "left out of every report.json: timings\ncmd/out/report.json: differs\n")
-    # Only report.json is parsed: any other file is still compared byte for byte.
-    base, head = tmp_path / "scratch" / "base-outputs", tmp_path / "scratch" / "head-outputs"
-    (head / "cmd" / "out" / "k1.csv").write_text("1.0\n")
-    assert bench_pairs.differing_files(str(base), str(head), ["timings", "steps"]) == [
-        "cmd/out/k1.csv: differs"]
-    # Parsed reports still tell 1 from 1.0.
-    (head / "cmd" / "out" / "report.json").write_text('{"steps": 10.0, "timings": 0.5}')
-    assert bench_pairs.differing_files(str(base), str(head), ["timings"]) == [
-        "cmd/out/k1.csv: differs", "cmd/out/report.json: differs"]

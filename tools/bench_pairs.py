@@ -23,10 +23,7 @@ git tree id of each of its top-level directories (`git rev-parse REV:src`).
 instead runs each command of OUTPUT_COMMANDS through nullflow.cli in each
 exported tree, in a directory of its own under DIR/<side>-outputs that also
 keeps its stdout and exit code; it prints one line per file that differs or
-is on one side only, and exits 1 if there is any.  Each repeated
---ignore-report-key KEY drops that top-level key from every report.json,
-which is then compared as parsed JSON, and prints one line naming it; every
-other file is compared byte for byte.
+is on one side only, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
 
 HERE_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,27 +131,16 @@ def run_outputs(tree: str, dest: str, commands: dict) -> None:
         Path(where, "exit").write_text("%d\n" % done.returncode)
 
 
-def differing_files(base: str, head: str, ignored: Sequence[str] = ()) -> list[str]:
-    """One line per file that differs between two directories or is in one only.
-
-    With ignored keys, each report.json is compared as its parsed JSON
-    without them, re-serialized so that 1 and 1.0 still differ.
-    """
+def differing_files(base: str, head: str) -> list[str]:
+    """One line per file that differs between two directories or is in one only."""
     def files(top: str) -> set:
         return {os.path.relpath(os.path.join(d, n), top) for d, _, ns in os.walk(top) for n in ns}
-
-    def content(top: str, path: str) -> bytes | str:
-        data = Path(top, path).read_bytes()
-        if not ignored or os.path.basename(path) != "report.json":
-            return data
-        report = {k: v for k, v in json.loads(data).items() if k not in ignored}
-        return json.dumps(report, sort_keys=True)
 
     was, now, lines = files(base), files(head), []
     for path in sorted(was | now):
         if path not in was or path not in now:
             lines.append("%s: only in %s" % (path, "base" if path in was else "head"))
-        elif content(base, path) != content(head, path):
+        elif Path(base, path).read_bytes() != Path(head, path).read_bytes():
             lines.append("%s: differs" % path)
     return lines
 
@@ -230,22 +215,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", help="comma-separated seeds, one per pair")
     parser.add_argument("--outputs", action="store_true",
                         help="compare the outputs of OUTPUT_COMMANDS instead of timing")
-    parser.add_argument("--ignore-report-key", action="append", default=[], metavar="KEY",
-                        help="with --outputs, leave this top-level report.json key out")
     args = parser.parse_args(argv)
     if not args.outputs and not args.seeds:
         parser.error("--seeds is required without --outputs")
-    if args.ignore_report_key and not args.outputs:
-        parser.error("--ignore-report-key needs --outputs")
     trees = {side: os.path.join(os.path.abspath(args.scratch), side) for side in ("base", "head")}
     commits = {side: export(HERE_REPO, getattr(args, side), trees[side]) for side in trees}
     if args.outputs:
         for tree in trees.values():
             run_outputs(tree, tree + "-outputs", OUTPUT_COMMANDS)
-        for key in args.ignore_report_key:
-            print("left out of every report.json: %s" % key)
-        lines = differing_files(trees["base"] + "-outputs", trees["head"] + "-outputs",
-                                args.ignore_report_key)
+        lines = differing_files(trees["base"] + "-outputs", trees["head"] + "-outputs")
         print("\n".join(lines) or "no difference: %d commands compared" % len(OUTPUT_COMMANDS))
         return 1 if lines else 0
     seeds = [int(s) for s in args.seeds.split(",")]
