@@ -9,17 +9,18 @@ coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
 engine serves every derivative of a right-hand side.  compile_flow
-specializes both components once and prepares its plan: per order the
-float weights, dx^m and one output slice per row, and a wrap index.
-The compiled RHS maps the (2, n) state to a new (2, n) slope: one take
-pads both rows into a flat buffer and each order takes one np.correlate
-over it.  Each component is one program, its terms' factors pointing at
-their index in the slot list [k1, k2, d^m k1, d^m k2, ...], the rows and
-then the stencil's flat list; _evaluate adds the terms, formed in place,
-into its row of one zero (2, n) output.  Nothing that does not depend on
-the curvature values is redone per right-hand side.  One classical RK4
-step kernel, which sums its stages in place, serves both the fixed-step
-curvature evolution and the frame propagators.
+specializes both components once and prepares its plan (per order the
+float weights, dx^m and the slice that reshapes to both rows; a wrap
+index), then pairs a term of each component whose factors read the same
+(2, n) blocks, the state or a derivative, with the same exponents.  The
+compiled RHS maps the (2, n) state to a new (2, n) slope: one take pads
+both rows into a flat buffer, each order's np.correlate over it is a
+(2, n) view, and each view and power the terms read is made once.  A
+pair is one product, its coefficients a (2, 1) column, added into the
+whole zero output; a lone term is added into its row.  Nothing that does
+not depend on the curvature values is redone per right-hand side.  One
+classical RK4 step kernel, which sums its stages in place, serves both
+the fixed-step curvature evolution and the frame propagators.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -58,6 +59,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
+from operator import getitem
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,9 +189,11 @@ def uniform_grid(config: SimConfig, k1, k2=None) -> np.ndarray:
 
 
 def _check_state(state: np.ndarray, n: int) -> None:
-    shape = (2, n)
-    if np.shape(state) != shape:
-        raise ValueError("a curvature state has shape %s, got %s" % (shape, np.shape(state)))
+    if not isinstance(state, np.ndarray) or state.dtype.kind not in "fiu":
+        raise ValueError("a curvature state must be a numpy array of real numbers, got %s"
+                         % getattr(state, "dtype", type(state).__name__))
+    if state.shape != (2, n):
+        raise ValueError("a curvature state has shape %s, got %s" % ((2, n), state.shape))
 
 
 # -- finite differences ----------------------------------------------------
@@ -222,8 +226,9 @@ class StencilPlan(NamedTuple):
     """spatial_derivative's bookkeeping for a (2, n) state, fixed once.
 
     wrap indexes the flat state: each row padded by r wrap-around points a
-    side, row 0 then row 1; passes holds, per order m in the order of
-    spatial_derivative's list, (m, float weights, dx**m, a slice per row).
+    side, row 0 then row 1, and row 1 by 2r more; passes holds, per order m
+    in spatial_derivative's order, (m, float weights, dx**m, the slice of
+    the correlation that reshapes to (2, n + 2r), the first n columns).
     """
 
     n: int
@@ -237,8 +242,8 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     The weights are fd_weights' in offset order, zero taps included, as
     floats.  r is the widest stencil's half-width.  Row i's derivative of
     order m, a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of
-    that order's correlation with the padded buffer state.take(wrap).  A
-    stencil wider than the grid, or no order at all, raises ValueError.
+    that order's correlation with the padded buffer state.take(wrap), one
+    reshape away.  A stencil wider than the grid, or no order, raises ValueError.
     """
     if not orders:
         raise ValueError("a stencil plan needs at least one derivative order")
@@ -246,40 +251,37 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     r = max(len(w) // 2 for w in weights.values())
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
-    width = n + 2 * r
-    passes = []
-    for m, w in weights.items():
-        start = r - len(w) // 2
-        slices = tuple(slice(at, at + n) for at in (start, start + width))
-        passes.append((m, w, dx**m, slices))
-    wrap = np.concatenate([np.arange(-r, n + r) % n + row * n for row in (0, 1)])
-    return StencilPlan(n, wrap, tuple(passes))
+    width, columns = n + 2 * r, np.s_[:, :n]
+    passes = tuple((m, w, dx**m, slice(r - len(w) // 2, r - len(w) // 2 + 2 * width), columns)
+                   for m, w in weights.items())
+    wrap = np.concatenate([np.arange(-r, n + r) % n, np.arange(-r, n + 3 * r) % n + n])
+    return StencilPlan(n, wrap, passes)
 
 
 def spatial_derivative(state: np.ndarray, plan: StencilPlan) -> list[np.ndarray]:
-    """Periodic derivatives [d^m row0 / dx^m, d^m row1 / dx^m per order m, in plan order].
+    """Periodic derivatives [d^m state / dx^m per order m, in plan order], each a (2, n) view.
 
     One take pads both rows of the (2, n) state into one flat buffer, and
-    each order takes one np.correlate over it.  An output is the dot
-    product of the same samples whatever the buffer holds around them, so
-    each row's derivative is bit-for-bit that of the row padded alone,
-    whatever the state's memory layout.  A state of another shape raises
-    ValueError naming both shapes.
+    each order takes one np.correlate over it, reshaped to both rows.  An
+    output is the dot product of the same samples whatever the buffer holds
+    around them, so each row's derivative is bit-for-bit that of the row
+    padded alone, whatever the state's memory layout.  A state of another
+    shape, or not a numpy array of real numbers, raises ValueError naming it.
     """
     _check_state(state, plan.n)
     flat = state.take(plan.wrap)
     out = []
-    for _, weights, scale, (row0, row1) in plan.passes:
+    for _, weights, scale, rows, columns in plan.passes:
         full = np.correlate(flat, weights, "valid")
         full /= scale
-        out += full[row0], full[row1]
+        out.append(full[rows].reshape(2, -1)[columns])
     return out
 
 
 # -- compiling flows to grid functions --------------------------------------
 
 def _program(poly: DiffPoly, slot: dict) -> list:
-    """The specialized poly as (float coefficient, [(slot, exponent) per factor]) per term.
+    """The specialized poly as (float coefficient, [slot + (exponent,) per factor]) per term.
 
     A parameter left in poly raises UnboundParameter, and a coefficient
     that rounds to 0 or inf a ValueError naming its term.
@@ -296,21 +298,32 @@ def _program(poly: DiffPoly, slot: dict) -> list:
             term = math.prod((gen(v, m) ** e for (v, m), e in gens), start=one())
             fault = "overflows" if value else "underflows"
             raise ValueError("coefficient of %s %s a float" % (term, fault))
-        program.append((value, [(slot[field], exp) for field, exp in gens]))
+        program.append((value, [slot[field] + (exp,) for field, exp in gens]))
     return program
 
 
-def _evaluate(programs: Sequence[list], slots: Sequence[np.ndarray]) -> np.ndarray:
-    """Each _program on the slot list, its terms added into its row of one zero (2, n) output."""
-    out = np.zeros((2, len(slots[0])))
-    for total, program in zip(out, programs):
-        for value, factors in program:
-            term = value  # float *= array makes a new array; later factors go in place
-            for at, exp in factors:
-                d = slots[at]
-                term *= d**exp if exp > 1 else d
-            total += term
-    return out
+def _align(program0: list, program1: list) -> list:
+    """Both rows' _program terms as (coefficient, target key, [(block, key, exponent)]).
+
+    A row-0 term pairs with the first row-1 term left with as many factors
+    and exponents, each position reading one block: key is the row both
+    read, None for the block or the slice that swaps its rows.  Passed row-1
+    terms go before the pair alone, so each row keeps its order.  A pair has
+    a (2, 1) coefficient column and target key None (the whole output).
+    """
+    ops, j = [], 0
+    for value, factors in program0:
+        for k, (value1, factors1) in enumerate(program1[j:], j):
+            pair = [(b0, r0 if r0 == r1 else None if r0 == 0 else slice(None, None, -1), e0)
+                    for (b0, r0, e0), (b1, r1, e1) in zip(factors, factors1) if (b0, e0) == (b1, e1)]
+            if len(pair) == len(factors) == len(factors1):
+                ops += [(v, 1, f) for v, f in program1[j:k]]
+                ops.append((np.array([[value], [value1]]), None, pair))
+                j = k + 1
+                break
+        else:
+            ops.append((value, 0, factors))
+    return ops + [(v, 1, f) for v, f in program1[j:]]
 
 
 def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
@@ -318,10 +331,11 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
 
     a, eps1, eps2 come from the config; params supplies the rest as finite
     ints or floats, may not rebind those three to different values, and
-    may name no parameter the flow lacks.  Each factor points at its slot in
-    [k1, k2] + [d^m k1, d^m k2 for each order m the flow needs].  The
-    stencil plan is made here, so a stencil wider than the grid raises
-    ValueError before any rhs call; rhs refuses a state of another shape.
+    may name no parameter the flow lacks.  A factor reads row v of the
+    block of its order, the state or one (2, n) derivative per order the
+    flow needs; _align pairs the two components' terms.  The stencil plan
+    is made here, so a stencil wider than the grid raises ValueError before
+    any rhs call; rhs refuses a state spatial_derivative refuses.
     """
     bindings = config.bindings()
     unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
@@ -337,17 +351,36 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
         bindings[name] = Fraction(value)
     polys = [specialize(p, bindings) for p in (flow.p1, flow.p2)]
     needed = sorted({order for _, order, _ in _fields(*polys) if order})
-    slot = {(v, m): 2 * i + vi for i, m in enumerate([0, *needed])
-            for vi, v in enumerate(flow.variables)}
-    programs = [_program(p, slot) for p in polys]
-    plan = stencil_plan(needed, config.grid_points, config.dx, config.accuracy) if needed else None
+    slot = {(v, m): (i, vi) for i, m in enumerate([0, *needed]) for vi, v in enumerate(flow.variables)}
+    n, base, derived = config.grid_points, len(needed) + 3, []
+
+    def derive(*item):  # (make, operand, arg) -> its index among the operands, made once per call
+        if item not in derived:
+            derived.append(item)
+        return base + derived.index(item)
+
+    def operand(block, key, exp):  # blocks[block][key] ** exp
+        at = block if key is None else derive(getitem, block, key)
+        return at if exp == 1 else derive(pow, at, exp)
+
+    program = []
+    for coef, target, factors in _align(*(_program(p, slot) for p in polys)):
+        first, *rest = [operand(*factor) for factor in factors] or [base - 1]  # 1.0
+        program.append((coef, operand(base - 2, target, 1), first, rest))
+    plan = stencil_plan(needed, n, config.dx, config.accuracy) if needed else None
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        if plan is None:
-            _check_state(state, config.grid_points)
-            return _evaluate(programs, state)
-        derivatives = spatial_derivative(state, plan)  # checks the shape first
-        return _evaluate(programs, [state[0], state[1], *derivatives])  # the slots
+        derivatives = spatial_derivative(state, plan) if plan else _check_state(state, n) or ()
+        out = np.zeros((2, n))
+        operands = [state, *derivatives, out, 1.0]
+        for make, at, arg in derived:  # each view and power, made once
+            operands.append(make(operands[at], arg))
+        for coef, target, first, rest in program:
+            term = coef * operands[first]  # a new array; the later factors go in place
+            for at in rest:
+                term *= operands[at]
+            operands[target] += term
+        return out
 
     return rhs
 

@@ -41,6 +41,11 @@ from nullflow.numsim import (
 )
 
 TRANSLATION = parse_flow("b*k1', b*k2'")
+# Pairs a whole block (k1 with k2) and a swapped one with a broadcast factor
+# (k2*k2' with k1*k2'); its squares, +-1 coefficients and third-degree terms
+# stay one row each.
+PAIRED = parse_flow("k1 + k2*k2' - k1^2*k1'', k1*k2' - k2 + 3*k2''*k2'^2")
+FIFTH_ORDER = parse_flow("k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''")
 
 
 def _soliton(amplitude, a=1.0, center=0.0):
@@ -86,7 +91,7 @@ def test_spatial_derivative_orders_of_accuracy():
         for n in (64, 128):
             sigma = np.arange(n) * (2 * np.pi / n)
             plan = stencil_plan([3], n, 2 * np.pi / n, acc)
-            approx = spatial_derivative(np.array([np.sin(sigma), np.cos(sigma)]), plan)
+            approx = spatial_derivative(np.array([np.sin(sigma), np.cos(sigma)]), plan)[0]
             errors.append([np.abs(approx[0] + np.cos(sigma)).max(),
                            np.abs(approx[1] - np.sin(sigma)).max()])
         for coarse, fine in zip(*errors):
@@ -188,6 +193,31 @@ def test_evolve_and_reconstruction_refuse_a_state_of_another_shape():
         with pytest.raises(ValueError, match=message):
             reconstruct_curve(np.zeros(shape), config)
     assert not calls
+
+
+def test_evolve_and_reconstruction_refuse_a_state_that_is_not_a_real_array():
+    n = 16
+    config = SimConfig(domain_length=2 * np.pi, grid_points=n, dt=1e-3, t_end=1e-2)
+    calls = []
+
+    def rhs(state):
+        calls.append(1)
+        return np.zeros_like(state)
+
+    real = np.ones((2, n))
+    for bad, given in ((real.tolist(), "list"), (real.astype(complex), "complex128"),
+                       (real.astype(object), "object"), (real.astype(bool), "bool")):
+        message = "a curvature state must be a numpy array of real numbers, got %s$" % given
+        with pytest.raises(ValueError, match=message):
+            evolve(bad, rhs, config)
+        with pytest.raises(ValueError, match=message):
+            reconstruct_curve(bad, config)
+        with pytest.raises(ValueError, match=message):
+            compile_flow(seed(1).flow, {"c": 1.0}, config)(bad)
+    assert not calls
+    # An int state is real: it evolves as the float state with the same values.
+    rhs = compile_flow(TRANSLATION, {"b": 1.0}, config)
+    assert np.array_equal(evolve(real.astype(int), rhs, config)[1], evolve(real, rhs, config)[1])
 
 
 def test_evolve_refuses_an_initial_state_out_of_range_and_a_zero_t_end():
@@ -744,10 +774,10 @@ def test_padded_stencil_equals_the_roll_formula():
         for accuracy in (4, 6):
             plan = stencil_plan(orders, n, 0.37, accuracy)
             for batch in (rows, rows[::-1]):  # a row's derivative does not depend on its place
-                got = spatial_derivative(batch, plan)  # [d^m row0, d^m row1 for m in orders]
-                assert len(got) == 2 * len(orders)
+                got = spatial_derivative(batch, plan)  # [d^m rows for m in orders]
+                assert len(got) == len(orders)
                 for i, m in enumerate(orders):
-                    for values, derivative in zip(batch, got[2 * i:2 * i + 2]):
+                    for values, derivative in zip(batch, got[i]):
                         expected = _roll_derivative(values, m, 0.37, accuracy)
                         assert np.array_equal(derivative, expected)
 
@@ -756,7 +786,7 @@ def test_a_stencil_wider_than_the_grid_is_refused():
     # Order 11 under central6 needs 17 points, one more than the grid has;
     # under central4 it needs 15, so it fits.
     rows = np.ones((2, 16))
-    assert len(spatial_derivative(rows, stencil_plan([1, 11], 16, 0.1, 4))[3]) == 16  # d^11 row1
+    assert len(spatial_derivative(rows, stencil_plan([1, 11], 16, 0.1, 4))[1][1]) == 16  # d^11 row1
     with pytest.raises(ValueError, match="stencil wider than the grid"):
         stencil_plan([1, 11], 16, 0.1, 6)
     config = SimConfig(domain_length=1.6, grid_points=16, dt=1e-3, t_end=1e-3,
@@ -821,7 +851,7 @@ def _per_variable_rhs(flow, params, config):
         for vi, m in needed:
             plan = stencil_plan([m], config.grid_points, config.dx, config.accuracy)
             alone = np.stack([state[vi], np.zeros(config.grid_points)])
-            derivs.setdefault(m, [None, None])[vi] = spatial_derivative(alone, plan)[0]
+            derivs.setdefault(m, [None, None])[vi] = spatial_derivative(alone, plan)[0][0]
         return _evaluate_terms(terms[0], derivs), _evaluate_terms(terms[1], derivs)
 
     return rhs
@@ -836,6 +866,7 @@ def test_one_stencil_call_per_rhs_equals_the_per_variable_route():
         parse_flow("k1*k2' + 3, k2'' - 2"),  # constant terms
         parse_flow("k1'^2*k2, k2'^3*k1 - k1''^2"),  # factors with exponents above 1
         parse_flow("-k1*k2, -k2*k1' + k1"),  # -0.0 at every node when k2 = 0 and k1 > 0
+        PAIRED,
     ]
     rng = np.random.default_rng(11)
     states = [rng.standard_normal((2, 64)), np.stack([1.0 + rng.random(64), np.zeros(64)])]
@@ -861,7 +892,7 @@ def test_rhs_is_bit_identical_on_any_memory_layout():
     n = 64
     states = [rng.standard_normal((2, n)), np.stack([1.0 + rng.random(n), np.zeros(n)])]
     flows = [(seed(1).flow, {"c": 0.7}), (parse_flow("-k1*k2, -k2*k1' + k1"), {}),
-             (parse_flow("k1*k2 - k2, k1^2 - 3"), {})]
+             (parse_flow("k1*k2 - k2, k1^2 - 3"), {}), (PAIRED, {})]
     for stencil in ("central4", "central6"):
         config = SimConfig(domain_length=7.0, grid_points=n, derivative_stencil=stencil)
         plan = stencil_plan([1, 3], n, config.dx, config.accuracy)
@@ -872,7 +903,7 @@ def test_rhs_is_bit_identical_on_any_memory_layout():
             assert not any(layout.flags.c_contiguous for layout in layouts)
             for layout in layouts:
                 derivs, expected = spatial_derivative(layout, plan), spatial_derivative(state, plan)
-                assert len(derivs) == len(expected) == 4  # rows 0 and 1 of orders 1 and 3
+                assert len(derivs) == len(expected) == 2  # rows 0 and 1 of orders 1 and 3
                 assert all(np.array_equal(g, e) for g, e in zip(derivs, expected))
                 for flow, params in flows:
                     rhs = compile_flow(flow, params, config)
@@ -880,6 +911,26 @@ def test_rhs_is_bit_identical_on_any_memory_layout():
                     assert got.shape == (2, n) and got.flags.c_contiguous
                     assert np.array_equal(got, expected)
                     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_aligned_terms_compile_to_operations_on_both_rows(monkeypatch):
+    # (operations, of which on both rows) per flow: a fallback to one
+    # operation per term would give as many operations as terms.
+    aligned = []
+    align = numsim._align
+
+    def recorded(program0, program1):
+        ops = align(program0, program1)
+        aligned.append((len(ops), sum(target is None for _, target, _ in ops)))
+        return ops
+
+    monkeypatch.setattr(numsim, "_align", recorded)
+    config = SimConfig(domain_length=7.0, grid_points=64)
+    for flow, params, expected in ((seed(1).flow, {"c": 1.0}, (3, 2)), (TRANSLATION, {"b": 0.5}, (1, 1)),
+                                   (FIFTH_ORDER, {}, (2, 2)), (PAIRED, {}, (4, 2))):
+        aligned.clear()
+        compile_flow(flow, params, config)
+        assert aligned == [expected]
 
 
 def test_rhs_makes_one_stencil_call_or_none(monkeypatch):
@@ -910,7 +961,7 @@ def test_compiled_poly_equals_the_full_array_route(monkeypatch):
 
     def stencil(rows, plan):
         calls.append([m for m, *_ in plan.passes])
-        return [row for m in calls[-1] for row in derivs[m]]
+        return [derivs[m] for m in calls[-1]]
 
     monkeypatch.setattr(numsim, "spatial_derivative", stencil)
     config = SimConfig(domain_length=2 * np.pi, grid_points=n, a=1.3, eps1=-1)

@@ -57,10 +57,13 @@ OUTPUT_COMMANDS = {
                             "--out out",
     "simulate-no-derivative": "simulate --flow file --flow-file noderiv.txt --n 32 --dt 1e-3 "
                               "--t-end 0.01 --out out",
+    "simulate-paired": "simulate --flow file --flow-file paired.txt --n 32 --dt 1e-3 --t-end 0.01 "
+                       "--stride 2 --k2-amplitude 0.2 --reconstruct --out out",
 }
 # file name -> the flow it holds, written beside every command
 FLOW_FILES = {"flow.txt": "k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''\n",
-              "noderiv.txt": "k1*k2 - k2, k1^2 - 3\n"}
+              "noderiv.txt": "k1*k2 - k2, k1^2 - 3\n",
+              "paired.txt": "k1 + k2*k2' - k1^2*k1'', k1*k2' - k2 + 3*k2''*k2'^2\n"}
 
 
 def summarize(records: list) -> dict:
