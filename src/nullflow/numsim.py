@@ -9,18 +9,17 @@ coefficient is rounded to a float once; one that rounds to 0 or inf is
 refused.  Centered finite-difference weights are read off the Lagrange
 basis exactly (central4 or central6, a config field).  One stencil
 engine serves every derivative of a right-hand side.  compile_flow
-specializes both components once and prepares its plan (per order the
-float weights, dx^m and the slice that reshapes to both rows; a wrap
-index), then pairs a term of each component whose factors read the same
-(2, n) blocks, the state or a derivative, with the same exponents.  The
-compiled RHS maps the (2, n) state to a new (2, n) slope: one take pads
-both rows into a flat buffer, each order's np.correlate over it is a
-(2, n) view, and each view and power the terms read is made once.  A
-pair is one product, its coefficients a (2, 1) column, added into the
-whole zero output; a lone term is added into its row.  Nothing that does
-not depend on the curvature values is redone per right-hand side.  One
-classical RK4 step kernel, which sums its stages in place, serves both
-the fixed-step curvature evolution and the frame propagators.
+specializes both components once, prepares its stencil plan and pairs a
+term of each component whose factors read the same (2, n) blocks, the
+state or one derivative, with the same exponents.  The compiled RHS maps
+the (2, n) state to a new (2, n) slope: one take pads both rows into a
+flat buffer, each order's np.correlate over it reshapes to a (2, n)
+view, and each view and power the terms read is made once.  A pair is
+one product with a (2, 1) coefficient column, added into the whole zero
+output; a lone term is added into its row.  Nothing that does not depend
+on the curvature values is redone per right-hand side.  One classical
+RK4 step kernel, which sums its stages in place, serves both the
+fixed-step curvature evolution and the frame propagators.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -262,11 +261,10 @@ def spatial_derivative(state: np.ndarray, plan: StencilPlan) -> list[np.ndarray]
     """Periodic derivatives [d^m state / dx^m per order m, in plan order], each a (2, n) view.
 
     One take pads both rows of the (2, n) state into one flat buffer, and
-    each order takes one np.correlate over it, reshaped to both rows.  An
-    output is the dot product of the same samples whatever the buffer holds
-    around them, so each row's derivative is bit-for-bit that of the row
-    padded alone, whatever the state's memory layout.  A state of another
-    shape, or not a numpy array of real numbers, raises ValueError naming it.
+    each order's np.correlate over it reshapes to both rows.  An output is
+    the dot product of the same samples whatever the buffer holds around
+    them, so each row's derivative is bit-for-bit that of the row padded
+    alone, whatever the memory layout.  _check_state's ValueError comes first.
     """
     _check_state(state, plan.n)
     flat = state.take(plan.wrap)
@@ -305,24 +303,22 @@ def _program(poly: DiffPoly, slot: dict) -> list:
 def _align(program0: list, program1: list) -> list:
     """Both rows' _program terms as (coefficient, target key, [(block, key, exponent)]).
 
-    A row-0 term pairs with the first row-1 term left with as many factors
-    and exponents, each position reading one block: key is the row both
-    read, None for the block or the slice that swaps its rows.  Passed row-1
-    terms go before the pair alone, so each row keeps its order.  A pair has
-    a (2, 1) coefficient column and target key None (the whole output).
+    A row-0 term pairs with the first row-1 term left that reads the same
+    blocks with the same exponents, into a (2, 1) coefficient column; key
+    None is a whole block or the whole output, a slice swaps the rows.
+    Skipped row-1 terms go first, so each row keeps its order.
     """
     ops, j = [], 0
-    for value, factors in program0:
-        for k, (value1, factors1) in enumerate(program1[j:], j):
-            pair = [(b0, r0 if r0 == r1 else None if r0 == 0 else slice(None, None, -1), e0)
-                    for (b0, r0, e0), (b1, r1, e1) in zip(factors, factors1) if (b0, e0) == (b1, e1)]
-            if len(pair) == len(factors) == len(factors1):
-                ops += [(v, 1, f) for v, f in program1[j:k]]
-                ops.append((np.array([[value], [value1]]), None, pair))
+    for v0, f0 in program0:
+        for k, (v1, f1) in enumerate(program1[j:], j):
+            pair = [(b0, r0 if r0 == r1 else None if r0 < r1 else slice(None, None, -1), e0)
+                    for (b0, r0, e0), (b1, r1, e1) in zip(f0, f1) if (b0, e0) == (b1, e1)]
+            if len(pair) == len(f0) == len(f1):
+                ops += [(v, 1, f) for v, f in program1[j:k]] + [(np.array([[v0], [v1]]), None, pair)]
                 j = k + 1
                 break
         else:
-            ops.append((value, 0, factors))
+            ops.append((v0, 0, f0))
     return ops + [(v, 1, f) for v, f in program1[j:]]
 
 
@@ -442,8 +438,8 @@ def evolve(state0: np.ndarray, rhs: Callable, config: SimConfig) -> tuple[np.nda
     The actual step divides t_end exactly and is as close to config.dt
     as that allows (dt = 0 requests the stability bound).  States are
     saved every output_stride steps; initial and final are always kept.
-    A state of another shape or above BLOWUP_LIMIT, more than MAX_STEPS
-    steps or more than MAX_SAVED_SAMPLES saved samples raise ValueError
+    A state that is not a real (2, n) array or lies above BLOWUP_LIMIT, more
+    than MAX_STEPS steps or more than MAX_SAVED_SAMPLES samples raise ValueError
     before the first step; a step to NaN or beyond BLOWUP_LIMIT raises BlowUp.
     """
     _check_state(state0, config.grid_points)

@@ -41,9 +41,9 @@ from nullflow.numsim import (
 )
 
 TRANSLATION = parse_flow("b*k1', b*k2'")
-# Pairs a whole block (k1 with k2) and a swapped one with a broadcast factor
-# (k2*k2' with k1*k2'); its squares, +-1 coefficients and third-degree terms
-# stay one row each.
+# Pairs a whole block with unit coefficients (k1 with -k2) and swapped rows
+# with a broadcast factor (k2*k2' with k1*k2'); the third-degree terms, with
+# their squares, stay one row each.
 PAIRED = parse_flow("k1 + k2*k2' - k1^2*k1'', k1*k2' - k2 + 3*k2''*k2'^2")
 FIFTH_ORDER = parse_flow("k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''")
 
@@ -903,7 +903,7 @@ def test_rhs_is_bit_identical_on_any_memory_layout():
             assert not any(layout.flags.c_contiguous for layout in layouts)
             for layout in layouts:
                 derivs, expected = spatial_derivative(layout, plan), spatial_derivative(state, plan)
-                assert len(derivs) == len(expected) == 2  # rows 0 and 1 of orders 1 and 3
+                assert len(derivs) == len(expected) == 2  # both rows of orders 1 and 3
                 assert all(np.array_equal(g, e) for g, e in zip(derivs, expected))
                 for flow, params in flows:
                     rhs = compile_flow(flow, params, config)
