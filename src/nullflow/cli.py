@@ -58,7 +58,6 @@ def _cmd_hierarchy(args) -> int:
         print("  k2_t = %s" % render(entry.flow.p2, fmt))
     if not args.verify:
         return 0
-    ok = True
     report = verify_reference_forms(entries)
     for check in report["checks"]:
         if check["ok"]:
@@ -68,7 +67,7 @@ def _cmd_hierarchy(args) -> int:
                 "reference V%d %s: FAIL (difference: %s)"
                 % (check["index"], check["component"], check["difference"])
             )
-    ok = ok and report["ok"]
+    ok = report["ok"]
     orders = [max(map(order_of, entry.flow.components())) for entry in entries]
     for i, left in enumerate(entries):
         for j, right in enumerate(entries[i + 1 :], i + 1):

@@ -10,12 +10,14 @@ The total derivative D treats parameters as constants and bumps generator
 orders.  On top of D the module provides the variational tools the rest of
 the package needs: anti-derivatives on the image of D (by integration by
 parts alone; the Euler operator is kept as the tests' exactness oracle), the
-prolongation of an evolutionary vector field (prolong, apply_prolongation),
-and through it Frechet derivatives of flow pairs and the Lie bracket of
-evolution flows.  Every linear combination of products, here and in
-nullcurve and operators, is built by the one accumulate-products kernel
-_sum_products: one lcm denominator, every product added into one dict, one
-reduction to canonical form.
+prolongation of an evolutionary vector field (prolong, whose table
+_prolonged contracts with a target's partial derivatives), and through it
+Frechet derivatives of flow pairs and the Lie bracket of evolution flows.
+The prolongation sums here, nullcurve's projections, transport, make_X
+and d_v, and operators' Theta and J are each built by the one
+accumulate-products kernel _sum_products: one lcm denominator, every
+product added into one dict, one reduction to canonical form (omega_apply,
+inner and LocalVectorField's arithmetic use DiffPoly's operators).
 
 Canonical form.  A polynomial is a dict from term keys to nonzero int
 numerators over one positive int denominator coprime to their content (the
@@ -401,6 +403,8 @@ def gen(variable: str, order: int = 0) -> DiffPoly:
     """The polynomial consisting of a single generator."""
     if not variable or not variable.isidentifier():
         raise DiffAlgError("bad generator variable %r" % (variable,))
+    if type(order) is not int:
+        raise DiffAlgError("a derivative order must be an int, got %r" % (order,))
     if order < 0:
         raise DiffAlgError("negative derivative order")
     if order > MAX_ORDER:
@@ -411,7 +415,9 @@ def gen(variable: str, order: int = 0) -> DiffPoly:
 
 
 def param(name: str, exp: int = 1) -> DiffPoly:
-    """A parameter symbol (a, b, c, G, c1, c2, ..., eps1, eps2) to a power."""
+    """A parameter symbol (a, b, c, G, c1, c2, ..., eps1, eps2) to an int power."""
+    if type(exp) is not int:
+        raise DiffAlgError("an exponent must be an int, got %r" % (exp,))
     if name == "eps1":
         return DiffPoly({_encode((), (), exp % 2, 0): 1})
     if name == "eps2":
@@ -522,7 +528,9 @@ class FlowPair:
 
 
 def total_derivative(f: Polylike, n: int = 1) -> DiffPoly:
-    """Apply the total derivative D (parameters are constants) n times."""
+    """Apply the total derivative D (parameters are constants) n >= 0 times."""
+    if type(n) is not int or n < 0:
+        raise DiffAlgError("a derivative count must be an int >= 0, got %r" % (n,))
     out = _as_poly(f)
     for _ in range(n):
         out = _d_once(out)
@@ -694,13 +702,6 @@ def _prolonged(target: DiffPoly, table: dict, sign: int) -> list:
     return [(partial_derivative(target, c), table[c], sign) for c in sorted(target.generators())]
 
 
-def apply_prolongation(
-    target: DiffPoly, table: dict[tuple[str, int], DiffPoly]
-) -> DiffPoly:
-    """The prolonged field applied to target: sum of dtarget/dv^(m) * table[v, m]."""
-    return _sum_products(_prolonged(target, table, 1))
-
-
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
     """Directional (Frechet) derivative of A along B: A'[B].
 
@@ -710,7 +711,7 @@ def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
     if a.variables != b.variables:
         raise DiffAlgError("flow pairs over different variables")
     table = prolong(b, jet_orders(*a.components()))
-    return FlowPair(*(apply_prolongation(c, table) for c in a.components()), a.variables)
+    return FlowPair(*(_sum_products(_prolonged(c, table, 1)) for c in a.components()), a.variables)
 
 
 def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:

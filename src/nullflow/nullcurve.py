@@ -19,20 +19,20 @@ The frame transport along a field has coefficients alpha, beta, delta, and
 the frame equations' compatibility reads its curvature flow off them:
 V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
 (eps1 eps2 (delta' + k1 psi') + k2 (phi' + rho))/a - eps2 G l.  One kernel,
-_transport, takes both, with each D of phi, psi and g taken once.  Every
-linear combination here (phi, psi, rho, alpha, beta, delta, the flow, the
-f and g of make_X, each component of d_v) is one call of diffalg's
-accumulate-products kernel _sum_products, its constant factors module
-constants, so no partial sum is ever put in canonical form.
+_transport, takes both, with each D of phi, psi and g taken once.  Each
+of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X and
+each component of d_v is one call of diffalg's accumulate-products
+kernel _sum_products, its constant factors module constants, so no
+partial sum is ever put in canonical form.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
 not preserve arc length pick up the correction V(f)' + rho/(2a) f' when
 differentiating f', and scalar_action implements that corrected derivation.
 Both apply diffalg's one prolongation kernel (prolong, then the products
-of _prolonged, which apply_prolongation sums) to the field's curvature
-flow with correction rho/(2a); d_v adds its frame products to the same
-sum.  diffalg.frechet is its third caller, with no correction.  On T_PLambda
+of _prolonged, summed by _sum_products) to the field's curvature flow
+with correction rho/(2a); d_v adds its frame products to the same sum.
+diffalg.frechet is its third caller, with no correction.  On T_PLambda
 (rho = 0) the corrected derivation therefore coincides with the evolution
 derivation of the field's curvature flow, which is what makes the
 flow-level bracket identity of gamma_bracket hold there with the plain Lie
@@ -51,7 +51,6 @@ from .diffalg import (
     FlowPair,
     NotExact,
     anti_derivative,
-    apply_prolongation,
     const,
     gen,
     jet_orders,
@@ -230,7 +229,7 @@ def scalar_action(
     """
     proj, _, flow, _ = _transport(v, metric)
     table = prolong(flow, jet_orders(target), _HALF_A_INV * proj.rho)
-    return apply_prolongation(target, table)
+    return _sum_products(_prolonged(target, table, 1))
 
 
 def d_v(

@@ -12,14 +12,14 @@ engine serves every derivative of a right-hand side.  compile_flow
 specializes both components once, prepares its stencil plan and pairs a
 term of each component whose factors read the same (2, n) blocks, the
 state or one derivative, with the same exponents.  The compiled RHS maps
-the (2, n) state to a new (2, n) slope: one take pads both rows into a
-flat buffer, each order's np.correlate over it reshapes to a (2, n)
-view, and each view and power the terms read is made once.  A pair is
-one product with a (2, 1) coefficient column, added into the whole zero
-output; a lone term is added into its row.  Nothing that does not depend
-on the curvature values is redone per right-hand side.  One classical
-RK4 step kernel, which sums its stages in place, serves both the
-fixed-step curvature evolution and the frame propagators.
+the (2, n) state to a new (2, n) slope with one spatial_derivative call,
+whose plan has no pass for a flow with no derivative, and makes each
+view and power the terms read once.  A pair is one product with a (2, 1)
+coefficient column, added into the whole zero output; a lone term is
+added into its row.  Nothing that does not depend on the curvature
+values is redone per right-hand side.  One classical RK4 step kernel,
+which sums its stages in place, serves both the fixed-step curvature
+evolution and the frame propagators.
 The stability bound STABILITY_C * dx^3 of third-order flows, used for
 every flow whatever its order, must be a positive float, and dt = 0
 asks for exactly it; the run report records it beside the run's steps,
@@ -63,7 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diffalg import DiffPoly, FlowPair, gen, one, specialize, _fields
+from .diffalg import DiffPoly, FlowPair, gen, one, specialize
 
 
 class UnboundParameter(ValueError):
@@ -101,6 +101,13 @@ STABILITY_C = 0.1
 SUBSTEPS = 4  # RK4 substeps per grid cell in reconstruct_curve
 
 
+def _check_real(what: str, value) -> None:
+    if type(value) not in (int, float):
+        raise ValueError("%s must be an int or a float, got %r" % (what, value))
+    if not abs(value) <= sys.float_info.max:  # NaN, inf and ints past the float range fail this
+        raise ValueError("%s must be finite, got %r" % (what, value))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Domain, signature, and discretization choices for one run.
@@ -125,11 +132,7 @@ class SimConfig:
             if type(value) is not int:
                 raise ValueError("%s must be an int, got %r" % (name, value))
         for name in ("domain_length", "dt", "t_end", "a"):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError("%s must be an int or a float, got %r" % (name, value))
-            if not abs(value) <= sys.float_info.max:  # NaN, inf and ints past the float range fail this
-                raise ValueError("%s must be finite" % (name,))
+            _check_real(name, getattr(self, name))
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
         if not 16 <= self.grid_points <= MAX_GRID_POINTS:
@@ -239,15 +242,13 @@ def stencil_plan(orders: Sequence[int], n: int, dx: float, accuracy: int = 4) ->
     """Plan the periodic derivatives of the given orders m >= 1 for spatial_derivative.
 
     The weights are fd_weights' in offset order, zero taps included, as
-    floats.  r is the widest stencil's half-width.  Row i's derivative of
-    order m, a 2h + 1 point stencil, is the view at r - h + i (n + 2r) of
-    that order's correlation with the padded buffer state.take(wrap), one
-    reshape away.  A stencil wider than the grid, or no order, raises ValueError.
+    floats; r is the widest stencil's half-width, 0 with no order and no
+    pass.  Row i's order-m derivative, a 2h + 1 point stencil, is the view
+    at r - h + i (n + 2r) of that order's correlation with state.take(wrap),
+    one reshape away.  A stencil wider than the grid raises ValueError.
     """
-    if not orders:
-        raise ValueError("a stencil plan needs at least one derivative order")
     weights = {m: np.array([float(w) for w in fd_weights(m, accuracy)[1]]) for m in orders}
-    r = max(len(w) // 2 for w in weights.values())
+    r = max((len(w) // 2 for w in weights.values()), default=0)
     if 2 * r + 1 > n:
         raise ValueError("stencil wider than the grid")
     width, columns = n + 2 * r, np.s_[:, :n]
@@ -329,24 +330,22 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     ints or floats, may not rebind those three to different values, and
     may name no parameter the flow lacks.  A factor reads row v of the
     block of its order, the state or one (2, n) derivative per order the
-    flow needs; _align pairs the two components' terms.  The stencil plan
-    is made here, so a stencil wider than the grid raises ValueError before
-    any rhs call; rhs refuses a state spatial_derivative refuses.
+    flow needs; _align pairs the two components' terms.  The stencil plan,
+    empty when the flow needs no derivative, is made here, so a stencil
+    wider than the grid raises ValueError before any rhs call; rhs makes
+    one spatial_derivative call, which refuses a bad state.
     """
     bindings = config.bindings()
     unused = set(params) - set(bindings) - flow.p1.parameters() - flow.p2.parameters()
     if unused:
         raise ValueError("unused parameter bindings: %s" % ", ".join(sorted(unused)))
     for name, value in params.items():
-        if type(value) not in (int, float):
-            raise ValueError("parameter %s must be an int or a float, got %r" % (name, value))
-        if not abs(value) <= sys.float_info.max:  # NaN, inf and ints past the float range fail this
-            raise ValueError("parameter %s must be finite, got %r" % (name, value))
+        _check_real("parameter " + name, value)
         if name in bindings and value != bindings[name]:
             raise ValueError("%s is fixed by the config" % (name,))
         bindings[name] = Fraction(value)
     polys = [specialize(p, bindings) for p in (flow.p1, flow.p2)]
-    needed = sorted({order for _, order, _ in _fields(*polys) if order})
+    needed = sorted({order for p in polys for _, order in p.generators() if order})
     slot = {(v, m): (i, vi) for i, m in enumerate([0, *needed]) for vi, v in enumerate(flow.variables)}
     n, base, derived = config.grid_points, len(needed) + 3, []
 
@@ -363,10 +362,10 @@ def compile_flow(flow: FlowPair, params: dict, config: SimConfig) -> Callable:
     for coef, target, factors in _align(*(_program(p, slot) for p in polys)):
         first, *rest = [operand(*factor) for factor in factors] or [base - 1]  # 1.0
         program.append((coef, operand(base - 2, target, 1), first, rest))
-    plan = stencil_plan(needed, n, config.dx, config.accuracy) if needed else None
+    plan = stencil_plan(needed, n, config.dx, config.accuracy)
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        derivatives = spatial_derivative(state, plan) if plan else _check_state(state, n) or ()
+        derivatives = spatial_derivative(state, plan)
         out = np.zeros((2, n))
         operands = [state, *derivatives, out, 1.0]
         for make, at, arg in derived:  # each view and power, made once

@@ -118,6 +118,23 @@ def test_total_derivative_basics():
     assert total_derivative(param("a") * param("c1")).is_zero()
     assert total_derivative(K1 * K1) == 2 * K1 * gen("k1", 1)
     assert total_derivative(K1, 3) == gen("k1", 3)
+    assert total_derivative(K1, 0) == K1
+
+
+@pytest.mark.parametrize("make, args", [
+    (total_derivative, (K1, -1)),
+    (total_derivative, (K1, 1.5)),
+    (total_derivative, (K1, True)),
+    (gen, ("k1", 1.5)),
+    (gen, ("k1", True)),
+    (param, ("b", 1.5)),
+    (param, ("a", True)),
+    (param, ("eps1", 1.5)),
+])
+def test_orders_exponents_and_counts_are_exact_ints(make, args):
+    # A bool, a float or a negative count is refused, never truncated or ignored.
+    with pytest.raises(DiffAlgError, match="must be an int"):
+        make(*args)
 
 
 def test_total_derivative_is_a_derivation():

@@ -59,6 +59,9 @@ OUTPUT_COMMANDS = {
                               "--t-end 0.01 --out out",
     "simulate-paired": "simulate --flow file --flow-file paired.txt --n 32 --dt 1e-3 --t-end 0.01 "
                        "--stride 2 --k2-amplitude 0.2 --reconstruct --out out",
+    "classify-x-p": "classify \"k1;k1;0;0\"",
+    "classify-x-star-p": "classify \"k1^2;k1';-eps1*a*k1;0\"",
+    "classify-t-p-lambda": "classify \"b;0;0;0\"",
 }
 # file name -> the flow it holds, written beside every command
 FLOW_FILES = {"flow.txt": "k1^(5) + 10*k1*k1''', k2^(5) + 5*k1*k2'''\n",
