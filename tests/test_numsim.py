@@ -860,7 +860,7 @@ def test_one_stencil_call_per_rhs_equals_the_per_variable_route():
     flows = [entry.flow for entry in generate(3)] + [
         parse_flow("k1''''' + k2*k1', k2'*k1"),  # k1 needs orders 1 and 5, k2 only 1
         parse_flow("k2'''*k1'', k1^2"),
-        parse_flow("k1*k2, k2"),  # no derivative, so no stencil call
+        parse_flow("k1*k2, k2"),  # no derivative: one stencil call with an empty plan
         parse_flow("k1''' - k2, -k2'''"),  # coefficients of exactly +1 and -1
         parse_flow("k1*k2' + 3, k2'' - 2"),  # constant terms
         parse_flow("k1'^2*k2, k2'^3*k1 - k1''^2"),  # factors with exponents above 1
