@@ -10,9 +10,9 @@ The total derivative D treats parameters as constants and bumps generator
 orders.  On top of D the module provides the variational tools the rest of
 the package needs: anti-derivatives on the image of D (by integration by
 parts alone; the Euler operator is kept as the tests' exactness oracle), the
-prolongation of an evolutionary vector field (prolong, whose table
-_prolonged contracts with a target's partial derivatives), and through it
-Frechet derivatives of flow pairs and the Lie bracket of evolution flows.
+one prolongation kernel _prolonged, which applies the prolonged
+evolutionary field of a flow to a list of targets, and through it Frechet
+derivatives of flow pairs and the Lie bracket of evolution flows.
 The prolongation sums here, nullcurve's projections, transport, make_X
 and d_v, and operators' Theta and J are each built by the one
 accumulate-products kernel _sum_products: one lcm denominator, every
@@ -317,6 +317,8 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
+        if type(n) is not int:
+            raise DiffAlgError("a polynomial power must be an int, got %r" % (n,))
         if n < 0:
             raise DiffAlgError("negative polynomial power")
         out = one()
@@ -662,29 +664,6 @@ def jet_orders(*targets: DiffPoly) -> dict[str, int]:
     return dict(sorted((var, order) for var, order, _ in _fields(*targets)))
 
 
-def prolong(
-    flow: FlowPair, upto: dict[str, int], correction: DiffPoly | None = None
-) -> dict[tuple[str, int], DiffPoly]:
-    """Prolongation table of the evolutionary field with characteristic `flow`.
-
-    Maps each jet coordinate (v, m), m <= upto[v], to the coefficient of
-    d/dv^(m) in the prolonged field: D^m of v's flow component (Olver,
-    Applications of Lie Groups to Differential Equations, sec. 5.1).  With
-    a correction c the entries obey entry(m) = D(entry(m-1)) + c * v^(m)
-    instead, which is how a flow that rescales arc length acts on v^(m).
-    """
-    table: dict[tuple[str, int], DiffPoly] = {}
-    for var, top in upto.items():
-        entry = flow.components()[flow.variables.index(var)]
-        table[(var, 0)] = entry
-        for m in range(1, top + 1):
-            entry = total_derivative(entry)
-            if correction is not None:
-                entry = _sum_products([(_ONE, entry, 1), (correction, gen(var, m), 1)])
-            table[(var, m)] = entry
-    return table
-
-
 def _sum_products(products: list) -> DiffPoly:
     """Sum of sign * p * q over (p, q, sign) triples, sign an int.
 
@@ -697,9 +676,30 @@ def _sum_products(products: list) -> DiffPoly:
     return _normalized(acc, den)
 
 
-def _prolonged(target: DiffPoly, table: dict, sign: int) -> list:
-    """The products of table's prolonged field applied to target, for _sum_products."""
-    return [(partial_derivative(target, c), table[c], sign) for c in sorted(target.generators())]
+def _prolonged(flow: FlowPair, targets: tuple[DiffPoly, ...], sign: int = 1,
+               correction: DiffPoly | None = None) -> list[list]:
+    """The one prolongation kernel: flow's prolonged field on each target, as products.
+
+    Its table holds the coefficient of d/dv^(m) for each jet coordinate
+    (v, m) up to the targets' own jet_orders: D^m of v's flow component
+    (Olver, Applications of Lie Groups to Differential Equations, sec.
+    5.1).  A correction c makes entry(m) = D(entry(m-1)) + c * v^(m), how a
+    flow that rescales arc length acts on v^(m).  Target T's list holds
+    (dT/dv^(m), entry, sign) per coordinate of T, for _sum_products.
+    """
+    table: dict[tuple[str, int], DiffPoly] = {}
+    for var, top in jet_orders(*targets).items():
+        if var not in flow.variables:
+            raise DiffAlgError("a target uses %r, not one of the flow's %s" % (var, flow.variables))
+        entry = flow.components()[flow.variables.index(var)]
+        table[(var, 0)] = entry
+        for m in range(1, top + 1):
+            entry = total_derivative(entry)
+            if correction is not None:
+                entry = _sum_products([(_ONE, entry, 1), (correction, gen(var, m), 1)])
+            table[(var, m)] = entry
+    return [[(partial_derivative(t, c), table[c], sign) for c in sorted(t.generators())]
+            for t in targets]
 
 
 def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
@@ -710,8 +710,7 @@ def frechet(a: FlowPair, b: FlowPair) -> FlowPair:
     """
     if a.variables != b.variables:
         raise DiffAlgError("flow pairs over different variables")
-    table = prolong(b, jet_orders(*a.components()))
-    return FlowPair(*(_sum_products(_prolonged(c, table, 1)) for c in a.components()), a.variables)
+    return FlowPair(*map(_sum_products, _prolonged(b, a.components())), a.variables)
 
 
 def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:
@@ -722,10 +721,6 @@ def lie_bracket_flows(a: FlowPair, b: FlowPair) -> FlowPair:
     """
     if a.variables != b.variables:
         raise DiffAlgError("flow pairs over different variables")
-    along_a = prolong(a, jet_orders(*b.components()))
-    along_b = prolong(b, jet_orders(*a.components()))
-    pairs = zip(a.components(), b.components())
-    brackets = [
-        _sum_products(_prolonged(cb, along_a, 1) + _prolonged(ca, along_b, -1)) for ca, cb in pairs
-    ]
-    return FlowPair(*brackets, a.variables)
+    along_a = _prolonged(a, b.components())
+    along_b = _prolonged(b, a.components(), -1)
+    return FlowPair(*(_sum_products(x + y) for x, y in zip(along_a, along_b)), a.variables)

@@ -41,17 +41,17 @@ class HierarchyEntry:
 
 def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     """Seed entries: index 0 (translation, scale b) or 1 (third order, scale c)."""
+    if type(index) is not int or index not in (0, 1):
+        raise ValueError("seed index must be an int, 0 or 1, got %r" % (index,))
     if constant in ("a", "G", "eps1", "eps2"):
         raise ValueError("%s is a metric symbol, not a scale constant" % (constant,))
     if index == 0:
         name = "b" if constant is None else constant
         field = make_X(const(0), const(0), 0, param(name))
-    elif index == 1:
+    else:
         name = "c" if constant is None else constant
         c1 = -2 * param("eps1") * param("a", 2) * param(name)
         field = make_X(const(0), const(0), c1, 0)
-    else:
-        raise ValueError("seed index must be 0 or 1")
     return HierarchyEntry(index, field, variational_flow(field, FLAT), (name,))
 
 
@@ -91,8 +91,8 @@ def recursion_step(
 
 def generate(upto: int, policy: str = "fresh") -> list[HierarchyEntry]:
     """Entries 0..upto: the two seeds, then one recursion step per index."""
-    if upto < 0:
-        raise ValueError("upto must be nonnegative")
+    if type(upto) is not int or upto < 0:
+        raise ValueError("upto must be an int >= 0, got %r" % (upto,))
     entries: list[HierarchyEntry] = []
     for index in range(upto + 1):
         if index < 2:

@@ -29,14 +29,14 @@ The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
 not preserve arc length pick up the correction V(f)' + rho/(2a) f' when
 differentiating f', and scalar_action implements that corrected derivation.
-Both apply diffalg's one prolongation kernel (prolong, then the products
-of _prolonged, summed by _sum_products) to the field's curvature flow
-with correction rho/(2a); d_v adds its frame products to the same sum.
-diffalg.frechet is its third caller, with no correction.  On T_PLambda
-(rho = 0) the corrected derivation therefore coincides with the evolution
-derivation of the field's curvature flow, which is what makes the
-flow-level bracket identity of gamma_bracket hold there with the plain Lie
-bracket.
+Each makes one call of diffalg's prolongation kernel _prolonged on the
+field's curvature flow with correction rho/(2a) and sums its products by
+_sum_products; d_v adds its frame products to the same sum.
+diffalg.frechet and lie_bracket_flows call the kernel with no correction.
+On T_PLambda (rho = 0) the corrected derivation therefore coincides with
+the evolution derivation of the field's curvature flow, which is what
+makes the flow-level bracket identity of gamma_bracket hold there with the
+plain Lie bracket.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from .diffalg import (
     anti_derivative,
     const,
     gen,
-    jet_orders,
     param,
-    prolong,
     total_derivative,
     _ONE,
     _prolonged,
@@ -228,8 +226,7 @@ def scalar_action(
     exactly when rho vanishes.
     """
     proj, _, flow, _ = _transport(v, metric)
-    table = prolong(flow, jet_orders(target), _HALF_A_INV * proj.rho)
-    return _sum_products(_prolonged(target, table, 1))
+    return _sum_products(_prolonged(flow, (target,), correction=_HALF_A_INV * proj.rho)[0])
 
 
 def d_v(
@@ -238,8 +235,7 @@ def d_v(
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
     (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
     # One table serves all four components: it reaches their highest orders.
-    table = prolong(flow, jet_orders(*u.components()), _HALF_A_INV * rho)
-    xf, xh, xg, xl = (_prolonged(c, table, 1) for c in u.components())
+    xf, xh, xg, xl = _prolonged(flow, u.components(), correction=_HALF_A_INV * rho)
     f, h, g, l = u.components()
     l_scaled, g_scaled = _EPS12_A_INV * l, _EPS1 * g  # each in two products
     new_f = _sum_products(xf + [(alpha, f, -1), (beta, h, -1), (delta, l_scaled, 1)])

@@ -178,6 +178,8 @@ def hs_classic_sigma(n: int) -> FlowPair:
     the symbolic R raises NotExact there.  Raises NotExact if an
     anti-derivative site fails at some level.
     """
+    if type(n) is not int:
+        raise ValueError("hierarchy index must be an int, got %r" % (n,))
     if n < 0:
         raise ValueError("hierarchy index must be nonnegative")
     seed_constants = (-_EPS1 * param("a", 2), 0) if n % 2 else (0, 1)

@@ -130,6 +130,8 @@ def test_total_derivative_basics():
     (param, ("b", 1.5)),
     (param, ("a", True)),
     (param, ("eps1", 1.5)),
+    (pow, (K1, True)),
+    (pow, (K1, 1.5)),
 ])
 def test_orders_exponents_and_counts_are_exact_ints(make, args):
     # A bool, a float or a negative count is refused, never truncated or ignored.

@@ -15,6 +15,7 @@ from nullflow.hierarchy import (
     seed,
     verify_reference_forms,
 )
+from nullflow.operators import hs_classic_sigma
 
 
 def _minted_only(difference):
@@ -109,6 +110,20 @@ def test_policy_and_seed_validation():
             recursion_step(seed(0), policy=policy)
     with pytest.raises(ValueError):
         generate(-1)
+
+
+@pytest.mark.parametrize("make, index", [
+    (seed, True),
+    (seed, 1.0),
+    (generate, True),
+    (generate, 2.0),
+    (hs_classic_sigma, True),
+    (hs_classic_sigma, 2.0),
+])
+def test_hierarchy_indices_are_exact_ints(make, index):
+    # A bool or a float index is refused, never read as the int it equals.
+    with pytest.raises(ValueError, match="must be an int"):
+        make(index)
 
 
 def test_adjacent_flows_commute():

@@ -332,6 +332,15 @@ def test_scalar_action_of_rho_free_field_is_the_frechet_derivative():
         assert scalar_action(v, p) == plain
 
 
+def test_a_target_over_a_variable_the_flow_lacks_is_refused():
+    # A field's flow is over k1, k2: a target in u is refused by name.
+    u = gen("u", 1)
+    with pytest.raises(DiffAlgError, match="a target uses 'u'"):
+        scalar_action(V1, K1 * u)
+    with pytest.raises(DiffAlgError, match="a target uses 'u'"):
+        d_v(V1, LocalVectorField(zero(), u, zero(), zero()))
+
+
 def test_plain_flow_bracket_needs_zero_rho():
     # Witness that the previous identity genuinely needs rho = 0: this pair
     # has rho != 0 and the two sides differ.

@@ -40,6 +40,8 @@ from pathlib import Path
 
 HERE_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Two flows that do not commute: their bracket has an 8-term and a 5-term component.
+_NONZERO_PAIR = "\"k1^2 + a*k2'', k2' - k1*k2\" \"k1''' + b*k1*k1', k1*k2\""
 _NLIE = "simulate --flow nlie --n 512 --dt 1.25e-4 --t-end 0.3 --out out"
 # name -> nullflow arguments as a shell splits them; relative paths keep DIR out of every output
 OUTPUT_COMMANDS = {
@@ -48,6 +50,8 @@ OUTPUT_COMMANDS = {
     "hierarchy-upto3-zero-verify": "hierarchy --upto 3 --constants zero --verify",
     "flow-seed1": "flow --seed 1 --const c",
     "bracket-readme": "bracket \"k1', k2'\" \"1/2*k1''' + 3*k1*k1' - 6*k2*k2', -k2''' - 3*k1*k2'\"",
+    "bracket-nonzero": "bracket " + _NONZERO_PAIR,
+    "bracket-nonzero-latex": "bracket --latex " + _NONZERO_PAIR,
     "simulate-nlie": _NLIE,
     "simulate-nlie-k2": _NLIE + " --k2-amplitude 0.2 --reconstruct --stride 400",
     "simulate-translation": "simulate --flow translation --reconstruct --stride 3 --n 64 "
