@@ -508,7 +508,9 @@ class FlowPair:
 
     def __post_init__(self) -> None:
         allowed = set(self.variables)
-        for comp in (self.p1, self.p2):
+        for name, comp in (("p1", self.p1), ("p2", self.p2)):
+            if not isinstance(comp, DiffPoly):
+                raise DiffAlgError("flow component %s must be a DiffPoly, got %r" % (name, comp))
             stray = comp.variables() - allowed
             if stray:
                 raise DiffAlgError(

@@ -43,6 +43,8 @@ def seed(index: int, constant: str | None = None) -> HierarchyEntry:
     """Seed entries: index 0 (translation, scale b) or 1 (third order, scale c)."""
     if type(index) is not int or index not in (0, 1):
         raise ValueError("seed index must be an int, 0 or 1, got %r" % (index,))
+    if constant is not None and not isinstance(constant, str):
+        raise ValueError("a scale constant must be a str, got %r" % (constant,))
     if constant in ("a", "G", "eps1", "eps2"):
         raise ValueError("%s is a metric symbol, not a scale constant" % (constant,))
     if index == 0:

@@ -19,11 +19,15 @@ The frame transport along a field has coefficients alpha, beta, delta, and
 the frame equations' compatibility reads its curvature flow off them:
 V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
 (eps1 eps2 (delta' + k1 psi') + k2 (phi' + rho))/a - eps2 G l.  One kernel,
-_transport, takes both, with each D of phi, psi and g taken once.  Each
-of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X and
-each component of d_v is one call of diffalg's accumulate-products
-kernel _sum_products, its constant factors module constants, so no
-partial sum is ever put in canonical form.
+_transport, takes both in 12 passes of D.  Two of them repeat work:
+projections takes D phi and D g for rho, and _transport takes them again
+(dropping them waits on ROADMAP item 5, as it moves the pinned counts).
+Each of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X
+and each component of d_v, gamma_bracket and curvature_identity_residual
+is one call of diffalg's accumulate-products kernel _sum_products, its
+constant factors module constants, so no partial sum is ever put in
+canonical form: _d_v_products lists d_v's products with a sign, and the
+bracket and the residual add their d_v terms' lists into one sum.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
@@ -112,6 +116,11 @@ class LocalVectorField:
     h: DiffPoly
     g: DiffPoly
     l: DiffPoly
+
+    def __post_init__(self) -> None:
+        for name, comp in zip("fhgl", self.components()):
+            if not isinstance(comp, DiffPoly):
+                raise DiffAlgError("field component %s must be a DiffPoly, got %r" % (name, comp))
 
     def components(self) -> tuple[DiffPoly, DiffPoly, DiffPoly, DiffPoly]:
         return (self.f, self.h, self.g, self.l)
@@ -225,24 +234,32 @@ def scalar_action(
     arc-length correction rho/(2a) on each derivative slot; the two agree
     exactly when rho vanishes.
     """
+    if not isinstance(target, DiffPoly):
+        raise DiffAlgError("scalar_action target must be a DiffPoly, got %r" % (target,))
     proj, _, flow, _ = _transport(v, metric)
     return _sum_products(_prolonged(flow, (target,), correction=_HALF_A_INV * proj.rho)[0])
+
+
+def _d_v_products(
+    v: LocalVectorField, u: LocalVectorField, metric: FrameMetric, sign: int = 1
+) -> list[list]:
+    """sign * d_v(v, u) as one product list per component, for _sum_products."""
+    (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
+    # One table serves all four components: it reaches their highest orders.
+    xf, xh, xg, xl = _prolonged(flow, u.components(), sign, _HALF_A_INV * rho)
+    f, h, g, l = u.components()
+    l_scaled, g_scaled = _EPS12_A_INV * l, _EPS1 * g  # each in two products
+    return [xf + [(alpha, f, -sign), (beta, h, -sign), (delta, l_scaled, sign)],
+            xh + [(phi, f, sign), (beta, g_scaled, -sign), (psi1, l_scaled, -sign)],
+            xg + [(phi, _EPS1 * h, sign), (alpha, g, sign), (psi, _EPS2 * l, sign)],
+            xl + [(psi, f, sign), (psi1, _A_INV * h, sign), (delta, _A_INV * g_scaled, sign)]]
 
 
 def d_v(
     v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> LocalVectorField:
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
-    (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
-    # One table serves all four components: it reaches their highest orders.
-    xf, xh, xg, xl = _prolonged(flow, u.components(), correction=_HALF_A_INV * rho)
-    f, h, g, l = u.components()
-    l_scaled, g_scaled = _EPS12_A_INV * l, _EPS1 * g  # each in two products
-    new_f = _sum_products(xf + [(alpha, f, -1), (beta, h, -1), (delta, l_scaled, 1)])
-    new_h = _sum_products(xh + [(phi, f, 1), (beta, g_scaled, -1), (psi1, l_scaled, -1)])
-    new_g = _sum_products(xg + [(phi, _EPS1 * h, 1), (alpha, g, 1), (psi, _EPS2 * l, 1)])
-    new_l = _sum_products(xl + [(psi, f, 1), (psi1, _A_INV * h, 1), (delta, _A_INV * g_scaled, 1)])
-    return LocalVectorField(new_f, new_h, new_g, new_l)
+    return LocalVectorField(*map(_sum_products, _d_v_products(v, u, metric)))
 
 
 def gamma_bracket(
@@ -252,9 +269,11 @@ def gamma_bracket(
 
     Closed on X*_P and on T_PLambda; its induced curvature flow is the
     commutator of the corrected scalar actions, and for rho-free fields the
-    plain Lie bracket of the induced flows.
+    plain Lie bracket of the induced flows.  Each component is one sum.
     """
-    return d_v(v1, v2, metric) - d_v(v2, v1, metric)
+    along_1 = _d_v_products(v1, v2, metric)
+    along_2 = _d_v_products(v2, v1, metric, -1)
+    return LocalVectorField(*(_sum_products(x + y) for x, y in zip(along_1, along_2)))
 
 
 def inner(v: LocalVectorField, u: LocalVectorField) -> DiffPoly:
@@ -271,15 +290,17 @@ def curvature_identity_residual(
     """Defect of the constant-curvature commutation identity; zero when it holds.
 
     Compares d_v along the bracket with the commutator of nested d_v and the
-    G-weighted curvature term on the right-hand side.
+    G-weighted curvature term on the right-hand side:
+    d_v([v1, v2], u) - d_v(v1, d_v(v2, u)) + d_v(v2, d_v(v1, u))
+    - G <u, v1> v2 + G <u, v2> v1, each component one sum.
     """
-    lhs = (
-        d_v(gamma_bracket(v1, v2, metric), u, metric)
-        - d_v(v1, d_v(v2, u, metric), metric)
-        + d_v(v2, d_v(v1, u, metric), metric)
-    )
-    rhs = v2.scale(metric.G * inner(u, v1)) - v1.scale(metric.G * inner(u, v2))
-    return lhs - rhs
+    outer = zip(_d_v_products(gamma_bracket(v1, v2, metric), u, metric),
+                _d_v_products(v1, d_v(v2, u, metric), metric, -1),
+                _d_v_products(v2, d_v(v1, u, metric), metric))
+    g1, g2 = metric.G * inner(u, v1), metric.G * inner(u, v2)
+    return LocalVectorField(*(
+        _sum_products(x + y + z + [(g1, c2, -1), (g2, c1, 1)])
+        for (x, y, z), c1, c2 in zip(outer, v1.components(), v2.components())))
 
 
 def classify(v: LocalVectorField) -> str:

@@ -105,6 +105,8 @@ def test_step_names_constants_after_the_index_it_produces():
 def test_policy_and_seed_validation():
     with pytest.raises(ValueError):
         seed(2)
+    with pytest.raises(ValueError, match="a scale constant must be a str"):
+        seed(0, 5)
     for policy in ("maybe", (param("c1"), param("c2"))):
         with pytest.raises(ValueError):
             recursion_step(seed(0), policy=policy)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -186,11 +187,13 @@ def test_each_linear_combination_is_built_in_one_accumulator(monkeypatch):
     monkeypatch.setattr(diffalg, "_normalized", counted)
     counts = []
     for call in (lambda: variational_flow(v), lambda: d_v(v, u),
-                 lambda: theta_matrix_apply(column)):
+                 lambda: theta_matrix_apply(column), lambda: gamma_bracket(v, u)):
         built.clear()
         call()
         counts.append(len(built))
-    assert counts == [22, 47, 8]
+    # gamma_bracket sums both d_v product lists in one accumulator per
+    # component: two whole d_v fields and their difference would make 101.
+    assert counts == [22, 47, 8, 93]
 
 
 def test_make_x_reproduces_seed_fields():
@@ -378,6 +381,39 @@ def _flat_star_field(rng: random.Random) -> LocalVectorField:
     f = const(rng.randrange(-1, 2)) + rng.randrange(-1, 2) * K1
     l = rng.randrange(-1, 2) * K2
     return LocalVectorField(f, h, g, l)
+
+
+def _composed_residual(v1, v2, u, metric):
+    lhs = (d_v(gamma_bracket(v1, v2, metric), u, metric) - d_v(v1, d_v(v2, u, metric), metric)
+           + d_v(v2, d_v(v1, u, metric), metric))
+    return lhs - (v2.scale(metric.G * inner(u, v1)) - v1.scale(metric.G * inner(u, v2)))
+
+
+def test_fused_bracket_and_residual_equal_their_composed_routes():
+    # gamma_bracket and curvature_identity_residual each sum every product of a
+    # component once; the oracle builds them from whole d_v fields, scale and -.
+    rng = random.Random(421)
+    plain = [(_field(f="k1", h="k2"), _field(g="k1", l="1"), _field(h="k2", g="1")),
+             (_field(f="1", g="k2"), _field(h="k1"), _field(f="k1", l="k2"))]
+    stars = [(_star_field(rng), _star_field(rng), _field(f="k1", h="k2", g="1", l="k1'"))
+             for _ in range(2)]
+    # The X_P triples break the identity, so there the oracle compares nonzero sums.
+    for triples, holds in ((plain, False), (stars, True)):
+        for (v1, v2, u), metric in itertools.product(triples, (FrameMetric(), FLAT)):
+            assert gamma_bracket(v1, v2, metric) == d_v(v1, v2, metric) - d_v(v2, v1, metric)
+            residual = curvature_identity_residual(v1, v2, u, metric)
+            assert residual == _composed_residual(v1, v2, u, metric)
+            assert residual.is_zero() == holds
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: FlowPair(1, 2), "flow component p1"),
+    (lambda: d_v(V1, LocalVectorField(1, 0, 0, 0)), "field component f"),
+    (lambda: scalar_action(V1, 3), "scalar_action target"),
+])
+def test_a_component_that_is_not_a_diffpoly_is_refused(call, name):
+    with pytest.raises(DiffAlgError, match=name + " must be a DiffPoly"):
+        call()
 
 
 def test_gamma_bracket_jacobi():
