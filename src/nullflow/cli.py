@@ -123,6 +123,8 @@ def _cmd_simulate(args) -> int:
 
     from . import numsim
 
+    if args.flow_file is not None and args.flow != "file":
+        raise ValueError("--flow-file is read only with --flow file, not --flow %s" % (args.flow,))
     _check_out(args.out)
     params = {}
     for binding in args.param:

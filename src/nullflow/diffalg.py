@@ -13,11 +13,12 @@ parts alone; the Euler operator is kept as the tests' exactness oracle), the
 one prolongation kernel _prolonged, which applies the prolonged
 evolutionary field of a flow to a list of targets, and through it Frechet
 derivatives of flow pairs and the Lie bracket of evolution flows.
-The prolongation sums here, nullcurve's projections, transport, make_X
-and d_v, and operators' Theta and J are each built by the one
-accumulate-products kernel _sum_products: one lcm denominator, every
-product added into one dict, one reduction to canonical form (omega_apply,
-inner and LocalVectorField's arithmetic use DiffPoly's operators).
+The prolongation sums, euler_operator and anti_derivative's result here,
+nullcurve's projections, transport, make_X, d_v and inner, and operators'
+omega_apply, Theta and J are each built by the one accumulate-products
+kernel _sum_products: one lcm denominator, every product added into one
+dict, one reduction to canonical form.  _add_into keeps the three in-place
+adds: DiffPoly's + and - and anti_derivative's residual update.
 
 Canonical form.  A polynomial is a dict from term keys to nonzero int
 numerators over one positive int denominator coprime to their content (the
@@ -592,12 +593,8 @@ def euler_operator(f: Polylike, variable: str) -> DiffPoly:
     at most MAX_ORDER / 2.
     """
     f = _as_poly(f)
-    acc, den = {}, 1
-    for var, m in sorted(f.generators()):
-        if var == variable:
-            part = total_derivative(partial_derivative(f, (var, m)), m)
-            den = _add_into(acc, den, part._terms, part._den, -1 if m % 2 else 1)
-    return _normalized(acc, den)
+    return _sum_products([(_ONE, total_derivative(partial_derivative(f, (var, m)), m), (-1) ** m)
+                          for var, m in sorted(f.generators()) if var == variable])
 
 
 def order_of(f: Polylike) -> int:
@@ -635,11 +632,9 @@ def anti_derivative(f: Polylike) -> DiffPoly:
     cannot arise here.
     """
     f = _as_poly(f)
-    if f.is_zero():
-        return zero()
     if not f.constant_part().is_zero():
         raise NonZeroConstantTerm("anti-derivative needs zero constant term")
-    result, den = {}, 1
+    pieces = []
     work = DiffPoly(dict(f._terms), f._den)  # private: reduced in place below
     while not work.is_zero():
         m, var = _top_coordinate(work)
@@ -651,10 +646,10 @@ def anti_derivative(f: Polylike) -> DiffPoly:
                 "coefficient of %s^(%d) is not of lower order" % (var, m)
             )
         piece = _integrate_in(coeff, var, m - 1)
-        den = _add_into(result, den, piece._terms, piece._den, 1)
+        pieces.append((_ONE, piece, 1))
         done = total_derivative(piece)
         work._den = _add_into(work._terms, work._den, done._terms, done._den, -1)
-    return _normalized(result, den)
+    return _sum_products(pieces)
 
 
 # -- flow calculus ----------------------------------------------------------

@@ -22,8 +22,8 @@ V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
 _transport, takes both in 12 passes of D.  Two of them repeat work:
 projections takes D phi and D g for rho, and _transport takes them again
 (dropping them waits on ROADMAP item 5, as it moves the pinned counts).
-Each of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X
-and each component of d_v, gamma_bracket and curvature_identity_residual
+Each of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X,
+inner and each component of d_v, gamma_bracket and curvature_identity_residual
 is one call of diffalg's accumulate-products kernel _sum_products, its
 constant factors module constants, so no partial sum is ever put in
 canonical form: _d_v_products lists d_v's products with a sign, and the
@@ -278,7 +278,8 @@ def gamma_bracket(
 
 def inner(v: LocalVectorField, u: LocalVectorField) -> DiffPoly:
     """Frame inner product: -f1 g2 - g1 f2 + eps1 h1 h2 + eps2 l1 l2."""
-    return -v.f * u.g - v.g * u.f + _EPS1 * v.h * u.h + _EPS2 * v.l * u.l
+    return _sum_products([(v.f, u.g, -1), (v.g, u.f, -1), (_EPS1 * v.h, u.h, 1),
+                          (_EPS2 * v.l, u.l, 1)])
 
 
 def curvature_identity_residual(

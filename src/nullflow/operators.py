@@ -13,7 +13,7 @@ theta and s kernel: by the Leibniz rule it takes theta f = (1/a) f''' +
 product lists for diffalg's accumulate-products kernel _sum_products.
 theta_apply and s_apply sum one list each; theta_matrix_apply takes the
 lists with the factors of Theta's rows and sums each component in one
-call, and j_matrix_apply builds each of its components the same way.  The
+call, and omega_apply and j_matrix_apply build each output the same way.  The
 recursion operator R = Theta J is computed once, as theta_matrix_apply after
 j_matrix_apply.  nullcurve.variational_flow does not use Theta: it reads a
 field's flow off its frame coefficients, which on a flat field with rho = 0
@@ -78,12 +78,8 @@ def omega_apply(f: DiffPoly, constants: tuple[Constant, Constant] = (0, 0)) -> D
     """
     ca = _as_constant(constants[0], "integration constant at omega k1-site")
     cb = _as_constant(constants[1], "integration constant at omega bare site")
-    return (
-        _A_INV * total_derivative(f)
-        + _K1 * (anti_derivative(f) + ca)
-        + anti_derivative(_K1 * f)
-        + cb
-    )
+    return _sum_products([(_A_INV, total_derivative(f), 1), (_K1, anti_derivative(f), 1),
+                          (_K1, ca, 1), (_ONE, anti_derivative(_K1 * f), 1), (_ONE, cb, 1)])
 
 
 def _theta_s(f: DiffPoly, theta=_THETA, s=_S) -> tuple[list, list]:

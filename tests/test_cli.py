@@ -342,6 +342,22 @@ def test_simulate_error_paths_exit_one(tmp_path, capsys):
     assert main(soliton + ["0"]) == 0
 
 
+@pytest.mark.parametrize("flow", [[], ["--flow", "nlie"], ["--flow", "translation"]],
+                         ids=["default", "nlie", "translation"])
+def test_simulate_flow_file_with_another_flow_exits_one_before_any_work(tmp_path, capsys, flow):
+    # The file used to be ignored: the run went ahead with the chosen seed flow.
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("k1', k2'\n")
+    out = tmp_path / "o"
+    code = main(["simulate", *flow, "--flow-file", str(flow_file), "--n", "32",
+                 "--t-end", "0.01", "--out", str(out)])
+    assert code == 1
+    chosen = flow[1] if flow else "nlie"
+    assert capsys.readouterr().err == (
+        "error: --flow-file is read only with --flow file, not --flow %s\n" % chosen)
+    assert not out.exists()
+
+
 def test_simulate_param_value_that_is_no_number_names_the_binding(tmp_path, capsys):
     args = ["simulate", "--flow", "translation", "--n", "64", "--dt", "1e-3", "--t-end",
             "0.01", "--param", "b=abc", "--out", str(tmp_path / "p")]

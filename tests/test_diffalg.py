@@ -197,13 +197,38 @@ def test_anti_derivative_by_parts_chain():
 
 
 def test_anti_derivative_rejections():
-    with pytest.raises(NotExact):
+    with pytest.raises(NotExact, match=r"^coefficient of k1\^\(1\) is not of lower order$"):
         anti_derivative(K1 * gen("k1", 2))
-    with pytest.raises(NotExact):
+    with pytest.raises(NotExact, match="^residual of order zero after integration by parts$"):
         anti_derivative(K2 * K2)
-    with pytest.raises(NonZeroConstantTerm):
+    with pytest.raises(NonZeroConstantTerm, match="^anti-derivative needs zero constant term$"):
         anti_derivative(param("b") + gen("k1", 1))
-    assert anti_derivative(zero()).is_zero()
+    # Zero integrates by the same loop, which ends at once: zero over denominator 1.
+    for f in (0, zero()):
+        assert anti_derivative(f) == zero() and anti_derivative(f)._den == 1
+
+
+def test_euler_and_anti_derivative_equal_their_binary_operator_formulas():
+    # Each sums its parts in one _sum_products; these are the same sums
+    # taken one addition at a time, so the results must be bit-identical.
+    rng = random.Random(79)
+    scales = [param("eps1"), param("a", -1), const(Fraction(2, 3)), one()]
+    for _ in range(40):
+        f = _random_poly(rng, max_order=4, max_degree=3, terms=4) * rng.choice(scales)
+        for variable in ("k1", "k2"):
+            want = zero()
+            for var, m in sorted(f.generators()):
+                if var == variable:
+                    part = total_derivative(partial_derivative(f, (var, m)), m)
+                    want = want - part if m % 2 else want + part
+            assert euler_operator(f, variable) == want
+        df = work = total_derivative(f)
+        want = zero()
+        while not work.is_zero():
+            m, var = diffalg._top_coordinate(work)
+            piece = diffalg._integrate_in(partial_derivative(work, (var, m)), var, m - 1)
+            want, work = want + piece, work - total_derivative(piece)
+        assert anti_derivative(df) == want == f - f.constant_part()
 
 
 def test_anti_derivative_above_half_the_order_cap():

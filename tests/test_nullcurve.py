@@ -187,13 +187,15 @@ def test_each_linear_combination_is_built_in_one_accumulator(monkeypatch):
     monkeypatch.setattr(diffalg, "_normalized", counted)
     counts = []
     for call in (lambda: variational_flow(v), lambda: d_v(v, u),
-                 lambda: theta_matrix_apply(column), lambda: gamma_bracket(v, u)):
+                 lambda: theta_matrix_apply(column), lambda: gamma_bracket(v, u),
+                 lambda: inner(v, u)):
         built.clear()
         call()
         counts.append(len(built))
     # gamma_bracket sums both d_v product lists in one accumulator per
     # component: two whole d_v fields and their difference would make 101.
-    assert counts == [22, 47, 8, 93]
+    # inner scales two factors and sums its four products; binary operators made 9.
+    assert counts == [22, 47, 8, 93, 3]
 
 
 def test_make_x_reproduces_seed_fields():
@@ -468,3 +470,13 @@ def test_field_actions_are_bit_identical_to_pinned_digests():
     for name, polys in _golden_texts().items():
         text = "\n".join(str(p) for p in polys)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name], name
+
+
+def test_reflected_operators_and_renderings():
+    # The reflected -, a comparison with a non-polynomial, and the three text forms.
+    assert 1 - K1 == parse_expr("1 - k1")
+    assert (K1 == 0) is False and K1 != 0
+    assert repr(gen("k1", 1)) == "DiffPoly(k1')"
+    assert str(FlowPair(gen("k1", 1), gen("k2", 1))) == "(k1', k2')"
+    field = LocalVectorField(param("b"), K1, zero(), -gen("k2", 2))
+    assert str(field) == "(b; k1; 0; -k2'')"

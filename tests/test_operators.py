@@ -25,6 +25,7 @@ from nullflow.diffalg import (
     zero,
 )
 from nullflow.expr import parse_expr, parse_flow
+from nullflow.nullcurve import LocalVectorField, inner
 from nullflow.operators import (
     a_matrix_apply,
     b_matrix_apply,
@@ -78,6 +79,26 @@ def _random_operand(rng: random.Random) -> DiffPoly:
             term = term * gen(rng.choice(["k1", "k2"]), rng.randrange(5))
         f = f + term
     return f
+
+
+def test_omega_and_inner_equal_their_binary_operator_formulas():
+    # Each is one _sum_products; these are the same sums built from DiffPoly's
+    # *, + and -, so the results must be bit-identical.
+    rng = random.Random(263)
+    a_inv, eps1, eps2 = param("a", -1), param("eps1"), param("eps2")
+    scalars = [param("a"), a_inv, eps1, param("c1"), const(Fraction(-2, 3))]
+    constants = [0, Fraction(1, 3), const(2), param("c1"), eps2 * param("a")]
+    for _ in range(25):
+        # f and k1 f are exact: f is D of a polynomial in k1 plus a multiple of k1'''.
+        p = sum((rng.choice(scalars) * K1**d for d in range(rng.randrange(1, 5))), zero())
+        f = total_derivative(p) + rng.choice([zero(), const(Fraction(1, 2)), eps2]) * gen("k1", 3)
+        ca, cb = rng.choice(constants), rng.choice(constants)
+        want = (a_inv * total_derivative(f) + K1 * (anti_derivative(f) + ca)
+                + anti_derivative(K1 * f) + cb)
+        assert omega_apply(f, (ca, cb)) == want
+        v = LocalVectorField(*(_random_operand(rng) for _ in range(4)))
+        u = LocalVectorField(*(_random_operand(rng) for _ in range(4)))
+        assert inner(v, u) == -v.f * u.g - v.g * u.f + eps1 * v.h * u.h + eps2 * v.l * u.l
 
 
 def test_theta_and_s_equal_their_definitions():

@@ -52,6 +52,9 @@ OUTPUT_COMMANDS = {
     "bracket-readme": "bracket \"k1', k2'\" \"1/2*k1''' + 3*k1*k1' - 6*k2*k2', -k2''' - 3*k1*k2'\"",
     "bracket-nonzero": "bracket " + _NONZERO_PAIR,
     "bracket-nonzero-latex": "bracket --latex " + _NONZERO_PAIR,
+    # Dinv through the parser: an anti-derivative by parts, and one that is not exact (exit 3).
+    "bracket-dinv": "bracket \"Dinv(k1*k1'''), k2\" \"k1, k2'\"",
+    "bracket-dinv-not-exact": "bracket \"Dinv(k1^2), k2\" \"k1, k2\"",
     "simulate-nlie": _NLIE,
     "simulate-nlie-k2": _NLIE + " --k2-amplitude 0.2 --reconstruct --stride 400",
     "simulate-translation": "simulate --flow translation --reconstruct --stride 3 --n 64 "
