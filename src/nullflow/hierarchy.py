@@ -95,12 +95,11 @@ def generate(upto: int, policy: str = "fresh") -> list[HierarchyEntry]:
     """Entries 0..upto: the two seeds, then one recursion step per index."""
     if type(upto) is not int or upto < 0:
         raise ValueError("upto must be an int >= 0, got %r" % (upto,))
-    entries: list[HierarchyEntry] = []
-    for index in range(upto + 1):
-        if index < 2:
-            entries.append(seed(index))
-        else:
-            entries.append(recursion_step(entries[index - 2], policy))
+    if policy not in ("fresh", "zero"):
+        raise ValueError("constant policy must be 'fresh' or 'zero'")
+    entries = [seed(index) for index in range(min(upto, 1) + 1)]
+    for index in range(2, upto + 1):
+        entries.append(recursion_step(entries[index - 2], policy))
     return entries
 
 

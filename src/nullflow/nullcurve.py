@@ -19,15 +19,13 @@ The frame transport along a field has coefficients alpha, beta, delta, and
 the frame equations' compatibility reads its curvature flow off them:
 V(k1) = beta' + (k1 (phi' + rho) - k2 psi' - G g')/a and V(k2) =
 (eps1 eps2 (delta' + k1 psi') + k2 (phi' + rho))/a - eps2 G l.  One kernel,
-_transport, takes both in 12 passes of D.  Two of them repeat work:
-projections takes D phi and D g for rho, and _transport takes them again
-(dropping them waits on ROADMAP item 5, as it moves the pinned counts).
-Each of phi, psi, rho, alpha, beta, delta, the flow, the f and g of make_X,
-inner and each component of d_v, gamma_bracket and curvature_identity_residual
-is one call of diffalg's accumulate-products kernel _sum_products, its
-constant factors module constants, so no partial sum is ever put in
-canonical form: _d_v_products lists d_v's products with a sign, and the
-bracket and the residual add their d_v terms' lists into one sum.
+_transport, takes both in 10 passes of D, two of them the D phi and D g
+that rho needs.  Each of phi, psi, rho, alpha, beta, delta, the flow, the f
+and g of make_X, inner and each component of d_v, gamma_bracket and
+curvature_identity_residual is one call of diffalg's accumulate-products
+kernel _sum_products, its constant factors module constants, so no partial
+sum is ever put in canonical form.  _field_sum adds the _d_v_products lists
+of d_v, the bracket and the residual, each field's transport taken once.
 
 The derivative d_v differentiates one field along the flow of another.  Its
 scalar part is not the plain evolution derivation: parameter flows that do
@@ -60,6 +58,7 @@ from .diffalg import (
     param,
     total_derivative,
     _ONE,
+    _as_poly,
     _prolonged,
     _sum_products,
 )
@@ -161,11 +160,17 @@ class FrameCoeffs(NamedTuple):
 
 def projections(v: LocalVectorField) -> Projections:
     """Normal projections phi, psi and the arc-length defect rho of a field."""
+    return Projections(*_projected(v)[:3])
+
+
+def _projected(v: LocalVectorField) -> tuple[DiffPoly, ...]:
+    """phi, psi and rho of a field, then the D phi and D g that rho takes."""
     phi = _sum_products([(_A, v.f, 1), (_ONE, total_derivative(v.h), 1), (_EPS1_K1, v.g, -1)])
     psi = _sum_products([(_ONE, total_derivative(v.l), 1), (_EPS2_K2, v.g, 1)])
+    phi1, g1 = total_derivative(phi), total_derivative(v.g)
     rho = _sum_products([(_A, total_derivative(v.f), -1), (_TWO_A_K1, v.h, 1), (_A_K2, v.l, -1),
-                         (_ONE, total_derivative(phi), -1), (_EPS1_K1, total_derivative(v.g), 1)])
-    return Projections(phi, psi, rho)
+                         (_ONE, phi1, -1), (_EPS1_K1, g1, 1)])
+    return phi, psi, rho, phi1, g1
 
 
 def frame_derivative_coeffs(
@@ -175,9 +180,7 @@ def frame_derivative_coeffs(
     return _transport(v, metric)[1]
 
 
-def variational_flow(
-    v: LocalVectorField, metric: FrameMetric = FrameMetric()
-) -> FlowPair:
+def variational_flow(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> FlowPair:
     """The induced curvature evolution (V(k1), V(k2)) of a field in X*_P."""
     return _transport(v, metric)[2]
 
@@ -186,9 +189,8 @@ def _transport(
     v: LocalVectorField, metric: FrameMetric
 ) -> tuple[Projections, FrameCoeffs, FlowPair, DiffPoly]:
     """Projections, frame coefficients, curvature flow and D psi of a field."""
-    proj, a_inv_g = projections(v), _A_INV * metric.G
-    phi, psi, rho = proj
-    phi1, psi1, g1 = (total_derivative(c) for c in (phi, psi, v.g))
+    phi, psi, rho, phi1, g1 = _projected(v)
+    psi1, a_inv_g = total_derivative(psi), _A_INV * metric.G
     alpha = _sum_products([(_A_INV, phi1, 1), (_HALF_A_INV, rho, 1)])
     beta = _sum_products([(_A_INV, total_derivative(alpha), 1), (_A_INV_K1, phi, 1),
                           (_A_INV_K2, psi, -1), (a_inv_g, v.g, -1)])
@@ -199,12 +201,12 @@ def _transport(
                          (_A_INV_K1, rho, 1), (_A_INV_K2, psi1, -1), (a_inv_g, g1, -1)])
     vk2 = _sum_products([(_EPS12_A_INV, total_derivative(delta), 1), (_EPS12_A_INV_K1, psi1, 1),
                          (_A_INV_K2, phi1, 1), (_A_INV_K2, rho, 1), (_EPS2 * metric.G, v.l, -1)])
-    return proj, FrameCoeffs(alpha, beta, delta), FlowPair(vk1, vk2), psi1
+    return Projections(phi, psi, rho), FrameCoeffs(alpha, beta, delta), FlowPair(vk1, vk2), psi1
 
 
 def make_X(
-    h: DiffPoly,
-    l: DiffPoly,
+    h: DiffPoly | int,
+    l: DiffPoly | int,
     c1: DiffPoly | int = 0,
     c2: DiffPoly | int = 0,
 ) -> LocalVectorField:
@@ -214,6 +216,7 @@ def make_X(
     pick the member of the two-parameter family.  Every field returned here
     classifies as T_PLambda and has rho identically zero.
     """
+    h, l = _as_poly(h), _as_poly(l)
     c1 = _as_constant(c1, "integration constant at make_X c1")
     c2 = _as_constant(c2, "integration constant at make_X c2")
     p = anti_derivative(h)
@@ -240,11 +243,9 @@ def scalar_action(
     return _sum_products(_prolonged(flow, (target,), correction=_HALF_A_INV * proj.rho)[0])
 
 
-def _d_v_products(
-    v: LocalVectorField, u: LocalVectorField, metric: FrameMetric, sign: int = 1
-) -> list[list]:
-    """sign * d_v(v, u) as one product list per component, for _sum_products."""
-    (phi, psi, rho), (alpha, beta, delta), flow, psi1 = _transport(v, metric)
+def _d_v_products(transport: tuple, u: LocalVectorField, sign: int = 1) -> list[list]:
+    """sign * d_v(v, u) as one product list per component, from v's _transport."""
+    (phi, psi, rho), (alpha, beta, delta), flow, psi1 = transport
     # One table serves all four components: it reaches their highest orders.
     xf, xh, xg, xl = _prolonged(flow, u.components(), sign, _HALF_A_INV * rho)
     f, h, g, l = u.components()
@@ -255,11 +256,16 @@ def _d_v_products(
             xl + [(psi, f, sign), (psi1, _A_INV * h, sign), (delta, _A_INV * g_scaled, sign)]]
 
 
+def _field_sum(*product_lists: list[list]) -> LocalVectorField:
+    """The field summing the lists' products component by component, one sum each."""
+    return LocalVectorField(*(_sum_products(sum(parts, [])) for parts in zip(*product_lists)))
+
+
 def d_v(
     v: LocalVectorField, u: LocalVectorField, metric: FrameMetric = FrameMetric()
 ) -> LocalVectorField:
     """Derivative of the field u along the flow of v (v must be in X*_P)."""
-    return LocalVectorField(*map(_sum_products, _d_v_products(v, u, metric)))
+    return _field_sum(_d_v_products(_transport(v, metric), u))
 
 
 def gamma_bracket(
@@ -271,9 +277,8 @@ def gamma_bracket(
     commutator of the corrected scalar actions, and for rho-free fields the
     plain Lie bracket of the induced flows.  Each component is one sum.
     """
-    along_1 = _d_v_products(v1, v2, metric)
-    along_2 = _d_v_products(v2, v1, metric, -1)
-    return LocalVectorField(*(_sum_products(x + y) for x, y in zip(along_1, along_2)))
+    return _field_sum(_d_v_products(_transport(v1, metric), v2),
+                      _d_v_products(_transport(v2, metric), v1, -1))
 
 
 def inner(v: LocalVectorField, u: LocalVectorField) -> DiffPoly:
@@ -295,13 +300,13 @@ def curvature_identity_residual(
     d_v([v1, v2], u) - d_v(v1, d_v(v2, u)) + d_v(v2, d_v(v1, u))
     - G <u, v1> v2 + G <u, v2> v1, each component one sum.
     """
-    outer = zip(_d_v_products(gamma_bracket(v1, v2, metric), u, metric),
-                _d_v_products(v1, d_v(v2, u, metric), metric, -1),
-                _d_v_products(v2, d_v(v1, u, metric), metric))
+    t1, t2 = _transport(v1, metric), _transport(v2, metric)
+    bracket = _field_sum(_d_v_products(t1, v2), _d_v_products(t2, v1, -1))
     g1, g2 = metric.G * inner(u, v1), metric.G * inner(u, v2)
-    return LocalVectorField(*(
-        _sum_products(x + y + z + [(g1, c2, -1), (g2, c1, 1)])
-        for (x, y, z), c1, c2 in zip(outer, v1.components(), v2.components())))
+    curvature = [[(g1, c2, -1), (g2, c1, 1)] for c1, c2 in zip(v1.components(), v2.components())]
+    return _field_sum(_d_v_products(_transport(bracket, metric), u),
+                      _d_v_products(t1, _field_sum(_d_v_products(t2, u)), -1),
+                      _d_v_products(t2, _field_sum(_d_v_products(t1, u))), curvature)
 
 
 def classify(v: LocalVectorField) -> str:

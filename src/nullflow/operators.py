@@ -53,6 +53,7 @@ from .diffalg import (
     total_derivative,
     zero,
     _ONE,
+    _as_poly,
     _sum_products,
 )
 from .nullcurve import Projections, _as_constant, make_X, projections
@@ -88,7 +89,7 @@ def _theta_s(f: DiffPoly, theta=_THETA, s=_S) -> tuple[list, list]:
     By the Leibniz rule D f and D^3 f are the only D taken.
     """
     f1 = total_derivative(f)
-    jets = (total_derivative(f1, 2), f1, f)
+    jets = (total_derivative(f1, 2), f1, _as_poly(f))
     return [(c, x, 1) for c, x in zip(theta, jets)], [(c, x, 1) for c, x in zip(s, jets[1:])]
 
 
@@ -120,7 +121,7 @@ def j_matrix_apply(
     Applied to (2h, -eps1 eps2 l) this returns (phi, -psi), the projections
     of the vector field built from (h, l) with the same constants.
     """
-    x, y = xy
+    x, y = map(_as_poly, xy)
     c1 = _as_constant(constants[0], "integration constant at j first site")
     c2 = _as_constant(constants[1], "integration constant at j second site")
     # With i1 = Dinv(x) - 2 eps1 c1/a and i2 = Dinv(k1 x + 2 eps1 eps2 k2 y) + 4 c2,

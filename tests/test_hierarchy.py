@@ -110,6 +110,9 @@ def test_policy_and_seed_validation():
     for policy in ("maybe", (param("c1"), param("c2"))):
         with pytest.raises(ValueError):
             recursion_step(seed(0), policy=policy)
+    for upto in (0, 1):  # no recursion step runs, yet the policy is checked
+        with pytest.raises(ValueError, match="constant policy"):
+            generate(upto, "bogus")
     with pytest.raises(ValueError):
         generate(-1)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nullflow import diffalg
+from nullflow import diffalg, nullcurve
 from nullflow.diffalg import (
     DiffAlgError,
     DiffPoly,
@@ -150,9 +150,10 @@ def test_transport_matches_theta_form_on_general_fields():
             assert variational_flow(v, metric) == _flow_oracle(v, metric)
 
 
-def test_flow_and_d_v_take_twelve_d_passes(monkeypatch):
-    # Five D in projections, then D of phi, psi, psi', g, alpha, beta and delta
-    # once each; with a constant target d_v's prolongation table takes none.
+def test_flow_and_d_v_take_ten_d_passes(monkeypatch):
+    # Five D in the projections (of h, l, f, phi and g), then D of psi, psi',
+    # alpha, beta and delta once each: the transport reuses rho's D phi and D g.
+    # With a constant target d_v's prolongation table takes none.
     v = _general_field(random.Random(419))
     passes = []
     d_once = diffalg._d_once
@@ -163,10 +164,29 @@ def test_flow_and_d_v_take_twelve_d_passes(monkeypatch):
 
     monkeypatch.setattr(diffalg, "_d_once", counted)
     variational_flow(v)
-    assert len(passes) == 12
+    assert len(passes) == 10
     passes.clear()
     d_v(v, LocalVectorField(const(1), zero(), zero(), zero()))
-    assert len(passes) == 12
+    assert len(passes) == 10
+
+
+def test_each_call_takes_each_fields_transport_once(monkeypatch):
+    # The residual transports v1, v2 and their bracket; composed from d_v and
+    # gamma_bracket it took seven.
+    v1, v2, u = _field(f="k1", h="k2"), _field(g="k1", l="1"), _field(h="k2", g="1")
+    transported = []
+    transport = nullcurve._transport
+
+    def counted(v, metric):
+        transported.append(v)
+        return transport(v, metric)
+
+    monkeypatch.setattr(nullcurve, "_transport", counted)
+    curvature_identity_residual(v1, v2, u)
+    assert transported[:2] == [v1, v2] and len(transported) == 3
+    transported.clear()
+    gamma_bracket(v1, v2)
+    assert transported == [v1, v2]
 
 
 def test_each_linear_combination_is_built_in_one_accumulator(monkeypatch):
@@ -193,9 +213,11 @@ def test_each_linear_combination_is_built_in_one_accumulator(monkeypatch):
         call()
         counts.append(len(built))
     # gamma_bracket sums both d_v product lists in one accumulator per
-    # component: two whole d_v fields and their difference would make 101.
+    # component: two whole d_v fields and their difference would make 97.
     # inner scales two factors and sums its four products; binary operators made 9.
-    assert counts == [22, 47, 8, 93, 3]
+    # The flow, d_v and the bracket made 22, 47 and 93 while the transport
+    # took D phi and D g again after the projections.
+    assert counts == [20, 45, 8, 89, 3]
 
 
 def test_make_x_reproduces_seed_fields():

@@ -25,7 +25,7 @@ from nullflow.diffalg import (
     zero,
 )
 from nullflow.expr import parse_expr, parse_flow
-from nullflow.nullcurve import LocalVectorField, inner
+from nullflow.nullcurve import LocalVectorField, inner, make_X
 from nullflow.operators import (
     a_matrix_apply,
     b_matrix_apply,
@@ -175,6 +175,20 @@ def test_non_constant_integration_constants_are_refused_at_every_site():
                 call(wrong)
         call(Fraction(1, 3))
         call(2)
+
+
+@pytest.mark.parametrize("call, plain, constants, other", [
+    (make_X, (0, 0, 0, 1), (const(0), const(0), 0, 1), ("k1", 0)),
+    (theta_apply, (3,), (const(3),), (1.5,)),
+    (s_apply, (Fraction(1, 2),), (const(Fraction(1, 2)),), (None,)),
+    (theta_matrix_apply, ((0, 0),), ((zero(), zero()),), ((0, 0.5),)),
+    (j_matrix_apply, ((0, 0),), ((zero(), zero()),), (("k1", 0),)),
+    (recursion_curvature, ((0, 0), (0, 1)), ((zero(), zero()), (0, 1)), ((0, [1]),)),
+])
+def test_int_and_fraction_operands_are_taken_as_constants(call, plain, constants, other):
+    assert call(*plain) == call(*constants)
+    with pytest.raises(TypeError, match="cannot coerce"):
+        call(*other)
 
 
 def test_not_exact_aborts():
