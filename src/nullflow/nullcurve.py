@@ -180,7 +180,9 @@ def frame_derivative_coeffs(
     return _transport(v, metric)[1]
 
 
-def variational_flow(v: LocalVectorField, metric: FrameMetric = FrameMetric()) -> FlowPair:
+def variational_flow(
+    v: LocalVectorField, metric: FrameMetric = FrameMetric()
+) -> FlowPair:
     """The induced curvature evolution (V(k1), V(k2)) of a field in X*_P."""
     return _transport(v, metric)[2]
 
